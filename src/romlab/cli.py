@@ -11,14 +11,13 @@ partial output; 4 regression impossible.
 import argparse
 import sys
 
-from .study import STUDY_KINDS, StudyConfig, run_study
+from .study import STUDY_KINDS, InvalidStudyError, StudyConfig, run_study
 
 
-def _parse_sweep(text: str, kind: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    if kind in ("filter-r", "lrom-r"):
-        return [int(v) for v in vals]
-    return vals
+def _parse_sweep(text: str):
+    # r sweeps stay floats here: StudyConfig rejects non-integers such as
+    # 3.7 instead of truncating them
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
             delta=args.delta,
             dt=args.dt,
             sweep=(None if args.sweep is None
-                   else _parse_sweep(args.sweep, args.study_kind)),
+                   else _parse_sweep(args.sweep)),
             out=args.out,
             cache_dir=args.cache,
             linearization=args.linearization,
@@ -65,7 +64,11 @@ def main(argv=None) -> int:
         print(f"romlab: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    result = run_study(cfg)
+    try:
+        result = run_study(cfg)
+    except InvalidStudyError as exc:
+        print(f"romlab: invalid config: {exc}", file=sys.stderr)
+        return 2
     for rec in result.records:
         if rec.ok:
             extra = "" if rec.e_h1 is None else f"  e_h1={rec.e_h1:.6e}"

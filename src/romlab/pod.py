@@ -6,7 +6,9 @@ from the eigendecomposition of the (M+1) x (M+1) snapshot correlation
 matrix. No centering is applied.
 """
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,11 +138,15 @@ def build_pod_basis(snapshots: SnapshotSet, m_op: SymmetricOperator,
     modes = solve_triangular(low, modes.T, lower=True).T
     grad_gram = modes.T @ (s_op.mat @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
-    phi_h1_sq = np.diag(grad_gram).copy()
-    if not h1_seminorm:
-        phi_h1_sq = phi_h1_sq + 1.0
     return PODBasis(eigenvalues=vals, eigenvectors=vecs, modes=modes,
-                    grad_gram=grad_gram, phi_h1_sq=phi_h1_sq)
+                    grad_gram=grad_gram,
+                    phi_h1_sq=_h1_norms_sq(grad_gram, h1_seminorm))
+
+
+def _h1_norms_sq(grad_gram: np.ndarray, h1_seminorm: bool) -> np.ndarray:
+    """Squared mode H1 norms: |grad phi|^2, plus |phi|^2 = 1 for the full norm."""
+    semi = np.diag(grad_gram).copy()
+    return semi if h1_seminorm else semi + 1.0
 
 
 def truncation_errors(basis: PODBasis, r: int):
@@ -189,13 +195,16 @@ def rom_laplacian(s_r: RomStiffness, a: np.ndarray) -> np.ndarray:
 # Binary cache: little-endian array dump with a version header.
 #
 # Layout (all little-endian):
-#   magic   8 bytes  b"RLPODV1\0"
+#   magic   8 bytes  b"RLPODV2\0"
 #   header  <IIdQQ   n, M, dT, N, d
 #   arrays  float64: eigenvalues (d), eigenvectors ((M+1)*d, C order),
-#           modes (N*d, C order), grad_gram (d*d), phi_h1_sq (d)
+#           modes (N*d, C order), grad_gram (d*d)
+#
+# The squared mode H1 norms are not stored: they depend on the norm
+# convention and are rebuilt from the diagonal of grad_gram on load.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"RLPODV1\0"
+_MAGIC = b"RLPODV2\0"
 _HEADER = "<IIdQQ"
 
 
@@ -204,19 +213,31 @@ def cache_path(cache_dir, n: int, dt_snap: float, m: int) -> Path:
 
 
 def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> None:
+    """Write the cache atomically: a temp file in the same directory is
+    renamed over path, so concurrent writers never interleave."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     nn = basis.modes.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(_HEADER, n, m, dt_snap, nn, basis.d))
-        for arr in (basis.eigenvalues, basis.eigenvectors, basis.modes,
-                    basis.grad_gram, basis.phi_h1_sq):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack(_HEADER, n, m, dt_snap, nn, basis.d))
+            for arr in (basis.eigenvalues, basis.eigenvectors, basis.modes,
+                        basis.grad_gram):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_pod_cache(path, n: int, dt_snap: float, m: int) -> PODBasis | None:
-    """Load a cached basis; returns None on any key or format mismatch."""
+def load_pod_cache(path, n: int, dt_snap: float, m: int,
+                   h1_seminorm: bool = False) -> PODBasis | None:
+    """Load a cached basis; returns None on any key or format mismatch.
+
+    phi_h1_sq follows the requested convention, as in build_pod_basis.
+    """
     path = Path(path)
     if not path.exists():
         return None
@@ -239,8 +260,8 @@ def load_pod_cache(path, n: int, dt_snap: float, m: int) -> PODBasis | None:
         vecs = rd(m + 1, d)
         modes = rd(nn, d)
         gram = rd(d, d)
-        h1 = rd(d)
-        if any(a is None for a in (vals, vecs, modes, gram, h1)):
+        if any(a is None for a in (vals, vecs, modes, gram)):
             return None
     return PODBasis(eigenvalues=vals, eigenvectors=vecs, modes=modes,
-                    grad_gram=gram, phi_h1_sq=h1)
+                    grad_gram=gram,
+                    phi_h1_sq=_h1_norms_sq(gram, h1_seminorm))

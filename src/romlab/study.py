@@ -37,6 +37,7 @@ from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
 
 __all__ = [
     "STUDY_KINDS",
+    "InvalidStudyError",
     "StudyConfig",
     "StudyResult",
     "SweepRecord",
@@ -70,6 +71,14 @@ DEFAULT_FIXED = {
 }
 
 
+class InvalidStudyError(ValueError):
+    """A study parameter is out of range; the CLI reports it as exit 2."""
+
+
+# Per-point failures that leave a failed row instead of aborting the study.
+_POINT_ERRORS = (StepDivergenceError, ValueError, np.linalg.LinAlgError)
+
+
 @dataclass
 class StudyConfig:
     kind: str
@@ -89,7 +98,7 @@ class StudyConfig:
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
-            raise ValueError(f"unknown study kind {self.kind!r}")
+            raise InvalidStudyError(f"unknown study kind {self.kind!r}")
         defaults = DEFAULT_FIXED[self.kind]
         if self.r is None:
             self.r = defaults["r"]
@@ -100,18 +109,47 @@ class StudyConfig:
         if self.sweep is None:
             self.sweep = list(DEFAULT_SWEEPS[self.kind])
         if len(self.sweep) == 0:
-            raise ValueError("sweep list is empty")
+            raise InvalidStudyError("sweep list is empty")
+        for name in ("snap_dt", "t_final", "nu", "delta", "dt", "r"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidStudyError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(v) for v in self.sweep):
+            raise InvalidStudyError("sweep values must be finite")
         diffs = np.diff(np.asarray(self.sweep, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("sweep values must be strictly monotone")
+            raise InvalidStudyError("sweep values must be strictly monotone")
         for name in ("mesh_n", "snap_dt", "t_final", "nu"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidStudyError(f"{name} must be positive")
+        if any(v <= 0 for v in self._values("dt")):
+            raise InvalidStudyError("dt must be positive")
+        if any(v < 0 for v in self._values("delta")):
+            raise InvalidStudyError("delta must be nonnegative")
+        for r in self.r_values:
+            if r != int(r):
+                raise InvalidStudyError(f"r={r} is not an integer")
+        if self.param_name == "r":
+            self.sweep = [int(v) for v in self.sweep]
+        else:
+            self.r = int(self.r)
 
     @property
     def param_name(self) -> str:
         return {"filter-delta": "delta", "filter-r": "r", "lrom-dt": "dt",
                 "lrom-delta": "delta", "lrom-r": "r"}[self.kind]
+
+    def _values(self, name: str) -> list:
+        """The swept values of parameter name, else its fixed value if set."""
+        if self.param_name == name:
+            return list(self.sweep)
+        value = getattr(self, name)
+        return [] if value is None else [value]
+
+    @property
+    def r_values(self) -> list:
+        """Every mode count the study uses."""
+        return self._values("r")
 
 
 @dataclass
@@ -271,7 +309,8 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     cpath = None
     if cfg.cache_dir is not None:
         cpath = cache_path(cfg.cache_dir, cfg.mesh_n, cfg.snap_dt, m)
-        basis = load_pod_cache(cpath, cfg.mesh_n, cfg.snap_dt, m)
+        basis = load_pod_cache(cpath, cfg.mesh_n, cfg.snap_dt, m,
+                               h1_seminorm=cfg.h1_seminorm)
         if basis is not None and basis.modes.shape[0] != space.n_dofs:
             basis = None
     if basis is None:
@@ -294,12 +333,11 @@ def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
                 rec.e_l2, rec.e_h1 = avg_filter_errors(
                     ctx.basis, cfg.r, float(delta), ctx.snapshots,
                     ctx.m_op, ctx.s_op, s_r=s_r)
-            except Exception as exc:
+            except _POINT_ERRORS as exc:
                 rec.error = str(exc)
             records.append(rec)
     else:  # filter-r
         for r in cfg.sweep:
-            r = int(r)
             lam_l2, lam_h1 = truncation_errors(ctx.basis, r)
             rec = SweepRecord(value=float(r), lambda_l2=lam_l2,
                               lambda_h1=lam_h1, regression_x=lam_h1)
@@ -307,7 +345,7 @@ def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
                 rec.e_l2, rec.e_h1 = avg_filter_errors(
                     ctx.basis, r, cfg.delta, ctx.snapshots,
                     ctx.m_op, ctx.s_op)
-            except Exception as exc:
+            except _POINT_ERRORS as exc:
                 rec.error = str(exc)
             records.append(rec)
     return records
@@ -315,10 +353,7 @@ def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
 
 def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
     records = []
-    r_values = ([int(v) for v in cfg.sweep] if cfg.kind == "lrom-r"
-                else [cfg.r])
-    r_max = max(r_values)
-    tensor = ctx.tensor(r_max)
+    tensor = ctx.tensor(max(cfg.r_values))
 
     for value in cfg.sweep:
         if cfg.kind == "lrom-dt":
@@ -326,7 +361,7 @@ def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
         elif cfg.kind == "lrom-delta":
             r, delta, dt = cfg.r, float(value), cfg.dt
         else:
-            r, delta, dt = int(value), cfg.delta, cfg.dt
+            r, delta, dt = value, cfg.delta, cfg.dt
         lam_l2, lam_h1 = truncation_errors(ctx.basis, r)
         rec = SweepRecord(value=float(value), lambda_l2=lam_l2,
                           lambda_h1=lam_h1,
@@ -351,7 +386,7 @@ def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
                 cfg.t_final, variant=cfg.final_error_variant, filt=filt)
             rec.picard_mean = float(traj.iter_counts.mean())
             rec.picard_max = int(traj.iter_counts.max())
-        except (StepDivergenceError, ValueError, np.linalg.LinAlgError) as exc:
+        except _POINT_ERRORS as exc:
             rec.error = str(exc)
         records.append(rec)
     return records
@@ -401,6 +436,10 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
     """Build the pipeline, sweep the parameter, regress, and emit files."""
     if ctx is None:
         ctx = build_context(cfg)
+    # every r is checked before any operator is built
+    for r in cfg.r_values:
+        if not 1 <= r <= ctx.basis.d:
+            raise InvalidStudyError(f"r={r} outside [1, d={ctx.basis.d}]")
     if cfg.kind.startswith("filter"):
         records = _run_filter_study(cfg, ctx)
     else:

@@ -69,16 +69,18 @@ def test_advection_matrix_definition(tensor, rng):
 class _ModeForcing:
     """Stub whose forcing equals a fixed nodal field at every time.
 
-    Relies on project_forcing evaluating at the P2 nodes in dof order.
+    Relies on project_forcing evaluating on the (t, y, x) axes of the
+    y-major P2 node grid.
     """
 
     def __init__(self, space, coeffs):
         ns = space.n_scalar
-        self.fx = np.asarray(coeffs[:ns])
-        self.fy = np.asarray(coeffs[ns:])
+        m = 2 * space.mesh.n + 1
+        self.fx = np.asarray(coeffs[:ns]).reshape(m, m)
+        self.fy = np.asarray(coeffs[ns:]).reshape(m, m)
 
     def forcing(self, x, y, t):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
         return (np.broadcast_to(self.fx, shape),
                 np.broadcast_to(self.fy, shape))
 
@@ -115,6 +117,35 @@ def test_project_forcing_quadrature_oracle(small):
         assert abs(f[0, i] - ref) < 1e-12 * (1 + abs(ref))
 
 
+def test_project_forcing_matches_nodal_evaluation(small):
+    """Grid evaluation equals the pointwise nodal interpolant, across
+    more than one time chunk."""
+    from romlab import rom
+    space = small.space
+    chunk = rom._FORCING_CHUNK_BYTES // (8 * space.n_dofs)
+    times = np.linspace(0.0, 1.0, 2 * chunk + 3)
+    f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
+                        space)
+    q = small.m_op.mat @ small.basis.modes[:, :5]
+    x = space.dof_coords[:, 0][None, :]
+    y = space.dof_coords[:, 1][None, :]
+    ref = np.empty_like(f)
+    for start in range(0, times.size, 1000):
+        f1, f2 = small.solution.forcing(x, y, times[start:start + 1000, None])
+        ref[start:start + 1000] = np.hstack([f1, f2]) @ q
+    assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_project_forcing_rejects_non_grid_space(small):
+    """An x-major node order is not the y-major grid: refuse it."""
+    from dataclasses import replace
+    x_major = replace(small.space,
+                      dof_coords=small.space.dof_coords[:, ::-1].copy())
+    with pytest.raises(ValueError, match="grid"):
+        project_forcing(small.basis, 2, small.m_op, small.solution, [0.0],
+                        x_major)
+
+
 def test_project_forcing_rejects_nonfinite(small):
     class Bad:
         def forcing(self, x, y, t):
@@ -136,6 +167,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LROMConfig(r=4, delta=0.0, dt=1e-2, linearization="explicit")
     assert LROMConfig(r=4, delta=0.0, dt=1e-2).n_steps == 100
+
+
+@pytest.mark.parametrize("name", ["dt", "delta", "t_final", "nu",
+                                  "picard_tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_rejects_nonfinite(name, bad):
+    kw = dict(r=4, delta=1e-2, dt=1e-2)
+    kw[name] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LROMConfig(**kw)
 
 
 def _small_ops(small, r, dt, t_final=1.0):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from romlab.cli import main
-from romlab.study import (CSV_HEADER, StudyConfig, avg_filter_errors,
-                          build_context, final_time_error, loglog_regression,
-                          run_study)
+from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
+                          avg_filter_errors, build_context, final_time_error,
+                          loglog_regression, run_study)
 
 
 # ------------------------------------------------------------- regression
@@ -221,3 +221,75 @@ def test_cli_no_regression(tmp_path):
 def test_cli_unknown_kind():
     with pytest.raises(SystemExit):
         main(["not-a-study"])
+
+
+# ------------------------------------------------------------- hardening
+
+@pytest.mark.parametrize("name", ["nu", "snap_dt", "t_final", "delta", "dt",
+                                  "r"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_nonfinite(name, bad):
+    with pytest.raises(InvalidStudyError, match="finite"):
+        StudyConfig(kind="lrom-dt", **{name: bad})
+
+
+def test_config_rejects_nonfinite_sweep():
+    with pytest.raises(InvalidStudyError, match="finite"):
+        StudyConfig(kind="lrom-dt", sweep=[1e-2, float("nan")])
+
+
+def test_config_rejects_non_integer_r():
+    with pytest.raises(InvalidStudyError, match="integer"):
+        StudyConfig(kind="lrom-r", sweep=[3.7, 5])
+    with pytest.raises(InvalidStudyError, match="integer"):
+        StudyConfig(kind="filter-r", sweep=[4, 6.5])
+    with pytest.raises(InvalidStudyError, match="integer"):
+        StudyConfig(kind="lrom-dt", r=4.5)
+    cfg = StudyConfig(kind="lrom-r", sweep=[3.0, 5.0])
+    assert cfg.sweep == [3, 5] and all(type(v) is int for v in cfg.sweep)
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("lrom-dt", dict(r=500)),
+    ("lrom-r", dict(sweep=[4, 500])),
+    ("filter-delta", dict(r=500)),
+    ("filter-r", dict(sweep=[4, 500])),
+    ("lrom-delta", dict(r=0)),
+])
+def test_r_outside_basis_rank_raises_before_any_point(small_ctx, kind, extra):
+    with pytest.raises(InvalidStudyError, match="outside"):
+        run_study(_small_cfg(kind=kind, **extra), small_ctx)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lrom-dt", "--r", "500", "--sweep", "0.01,0.005"],
+    ["filter-delta", "--r", "500", "--sweep", "1e-2,5e-3"],
+    ["lrom-r", "--sweep", "5,500"],
+    ["lrom-r", "--nu", "nan", "--sweep", "5,10"],
+    ["lrom-r", "--sweep", "3.7,5"],
+    ["filter-delta", "--r", "6", "--sweep", "1e-2,inf"],
+    ["filter-delta", "--r", "6", "--sweep=-1e-2,-5e-3"],
+    ["lrom-delta", "--r", "6", "--dt=-0.1", "--sweep", "0.1,0.05"],
+    ["lrom-dt", "--r", "6", "--sweep", "0.1,0"],
+])
+def test_cli_rejects_out_of_range_and_nonfinite(argv, capsys):
+    assert main(argv + ["--mesh-n", "8"]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_pod_cache_respects_h1_convention(tmp_path):
+    """Both conventions through one cache dir, in both orders."""
+    fresh = {semi: build_context(_small_cfg(kind="filter-r", delta=1e-3,
+                                            h1_seminorm=semi))
+             for semi in (False, True)}
+    for order in ((False, True), (True, False)):
+        cache = tmp_path / str(order[0])
+        for semi in order:
+            ctx = build_context(_small_cfg(kind="filter-r", delta=1e-3,
+                                           h1_seminorm=semi,
+                                           cache_dir=str(cache)))
+            assert np.array_equal(ctx.basis.phi_h1_sq,
+                                  fresh[semi].basis.phi_h1_sq), (order, semi)
+        assert len(list(cache.iterdir())) == 1  # no temp files left behind
+    full, semi = fresh[False].basis.phi_h1_sq, fresh[True].basis.phi_h1_sq
+    assert np.allclose(full - semi, 1.0, rtol=0, atol=1e-12)
