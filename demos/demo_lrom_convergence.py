@@ -33,9 +33,10 @@ def show(result):
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 16
-    r = int(sys.argv[2]) if len(sys.argv) > 2 else (99 if n >= 64 else 12)
-
-    ctx = build_context(StudyConfig(kind="lrom-dt", mesh_n=n, r=r))
+    ctx = build_context(StudyConfig(kind="lrom-dt", mesh_n=n))
+    # the default r never exceeds the POD rank of a coarse mesh
+    r = int(sys.argv[2]) if len(sys.argv) > 2 else (
+        99 if n >= 64 else min(12, ctx.basis.d))
     print(f"mesh n={n}, POD rank d={ctx.basis.d}, r={r}")
 
     show(run_study(StudyConfig(

@@ -43,7 +43,7 @@ def main():
         print(f"{r:>4} {lam_l2:>12.4e} {lam_h1:>12.4e}")
 
     # orthonormality sanity
-    gram = basis.modes.T @ (m_op.mat @ basis.modes)
+    gram = basis.modes.T @ (m_op @ basis.modes)
     print(f"\nmax |Phi^T M Phi - I| = "
           f"{np.abs(gram - np.eye(basis.d)).max():.2e}")
 

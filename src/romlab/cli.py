@@ -2,7 +2,7 @@
 
     romlab <study-kind> [--mesh-n N] [--r R] [--delta D] [--dt DT]
            [--nu NU] [--t-final T] [--sweep v1,v2,...] [--out PATH]
-           [--cache DIR] [--linearization MODE]
+           [--cache DIR] [--linearization MODE] [--final-error VARIANT]
 
 Exit codes: 0 success; 2 invalid config; 3 sweep-point failure(s) with
 partial output; 4 regression impossible.

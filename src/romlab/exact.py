@@ -90,10 +90,3 @@ class AnalyticSolution:
         f2 = ut2 - self.nu * l2 + u * dv_dx
         return f1, f2
 
-    # conveniences matching the interpolate(space, g, t) signature
-
-    def velocity_fn(self):
-        return lambda x, y, t: self.velocity(x, y, t)
-
-    def forcing_fn(self):
-        return lambda x, y, t: self.forcing(x, y, t)

@@ -6,7 +6,7 @@ shape functions on each triangle, two components stacked as
 are eliminated anywhere; operators are assembled over all dofs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,14 +20,12 @@ __all__ = [
     "VelocitySpace",
     "build_space",
     "FEField",
-    "SymmetricOperator",
     "assemble_mass",
     "assemble_stiffness",
     "interpolate",
     "l2_norm",
     "h1_semi_norm",
     "l2_inner",
-    "trilinear_bstar",
 ]
 
 
@@ -215,20 +213,6 @@ class FEField:
             raise ValueError("non-finite coefficients")
 
 
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Sparse symmetric operator over all vector dofs (CSR storage)."""
-
-    mat: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __matmul__(self, x):
-        return self.mat @ x
-
-
 def _assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
     """Scatter per-orientation 6x6 local matrices into a scalar CSR."""
     ns = space.n_scalar
@@ -248,11 +232,11 @@ def _assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
     return a
 
 
-def _vectorize(scalar: sp.csr_matrix) -> SymmetricOperator:
-    return SymmetricOperator(sp.block_diag([scalar, scalar], format="csr"))
+def _vectorize(scalar: sp.csr_matrix) -> sp.csr_matrix:
+    return sp.block_diag([scalar, scalar], format="csr")
 
 
-def assemble_mass(space: VelocitySpace) -> SymmetricOperator:
+def assemble_mass(space: VelocitySpace) -> sp.csr_matrix:
     """L2 mass operator, block-diagonal over the two components."""
     w = space.rule.weights
     nvals = space.shape_vals
@@ -261,7 +245,7 @@ def assemble_mass(space: VelocitySpace) -> SymmetricOperator:
     return _vectorize(_assemble_scalar(space, np.stack([mloc, mloc])))
 
 
-def assemble_stiffness(space: VelocitySpace) -> SymmetricOperator:
+def assemble_stiffness(space: VelocitySpace) -> sp.csr_matrix:
     """Gradient inner-product operator (no boundary elimination)."""
     w = space.rule.weights
     local = np.empty((2, 6, 6))
@@ -294,25 +278,25 @@ def _coeffs(u) -> np.ndarray:
     return u.coeffs if isinstance(u, FEField) else np.asarray(u, dtype=float)
 
 
-def l2_norm(m_op: SymmetricOperator, u) -> float:
+def l2_norm(m_op: sp.csr_matrix, u) -> float:
     u = _coeffs(u)
-    if u.shape[0] != m_op.dim:
+    if u.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return float(np.sqrt(max(u @ (m_op.mat @ u), 0.0)))
+    return float(np.sqrt(max(u @ (m_op @ u), 0.0)))
 
 
-def h1_semi_norm(s_op: SymmetricOperator, u) -> float:
+def h1_semi_norm(s_op: sp.csr_matrix, u) -> float:
     u = _coeffs(u)
-    if u.shape[0] != s_op.dim:
+    if u.shape[0] != s_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return float(np.sqrt(max(u @ (s_op.mat @ u), 0.0)))
+    return float(np.sqrt(max(u @ (s_op @ u), 0.0)))
 
 
-def l2_inner(m_op: SymmetricOperator, u, v) -> float:
+def l2_inner(m_op: sp.csr_matrix, u, v) -> float:
     u, v = _coeffs(u), _coeffs(v)
-    if u.shape[0] != m_op.dim or v.shape[0] != m_op.dim:
+    if u.shape[0] != m_op.shape[0] or v.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return float(u @ (m_op.mat @ v))
+    return float(u @ (m_op @ v))
 
 
 def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
@@ -351,27 +335,3 @@ def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
     if single:
         return vals[:, 0], grads[:, 0], wdet
     return vals, grads, wdet
-
-
-def _convective_integral(space: VelocitySpace, u: np.ndarray, v: np.ndarray,
-                         w: np.ndarray) -> float:
-    """Integral of ((u . grad) v) . w over the domain."""
-    all_el = np.arange(space.edofs.shape[0])
-    uu, _, wdet = quad_point_data(space, u, all_el)
-    vv, gv, _ = quad_point_data(space, v, all_el)
-    ww, _, _ = quad_point_data(space, w, all_el)
-    conv = np.einsum("pa,pca->pc", uu, gv)
-    return float(np.einsum("p,pc,pc->", wdet, conv, ww))
-
-
-def trilinear_bstar(space: VelocitySpace, u, v, w) -> float:
-    """Skew-symmetric trilinear convection form
-    0.5 * [((u . grad) v, w) - ((u . grad) w, v)].
-    """
-    for f in (u, v, w):
-        if isinstance(f, FEField) and f.space is not space:
-            raise ValueError("field does not belong to this space")
-    u, v, w = _coeffs(u), _coeffs(v), _coeffs(w)
-    t1 = _convective_integral(space, u, v, w)
-    t2 = _convective_integral(space, u, w, v)
-    return 0.5 * (t1 - t2)

@@ -5,15 +5,15 @@ reduces to the dense SPD system (I + delta^2 S_r) abar = a, which is
 factorized once (Cholesky) and reused for every solve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fe import SymmetricOperator
-from .pod import PODBasis, RomStiffness, project_Pr
+from .pod import RomStiffness
 
-__all__ = ["FilterOperator", "build_filter", "apply_filter", "filter_fe"]
+__all__ = ["FilterOperator", "build_filter", "apply_filter"]
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,9 @@ class FilterOperator:
 
 
 def build_filter(s_r: RomStiffness, delta: float) -> FilterOperator:
-    if delta < 0:
-        raise ValueError(f"filter radius must be nonnegative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(
+            f"filter radius must be finite and nonnegative, got {delta}")
     a = np.eye(s_r.r) + delta ** 2 * s_r.matrix
     return FilterOperator(delta=delta, r=s_r.r, matrix=a,
                           cho=cho_factor(a, lower=True))
@@ -39,10 +40,3 @@ def apply_filter(f: FilterOperator, a: np.ndarray) -> np.ndarray:
         raise ValueError("dimension mismatch")
     return cho_solve(f.cho, a)
 
-
-def filter_fe(f: FilterOperator, basis: PODBasis, r: int,
-              m_op: SymmetricOperator, v) -> np.ndarray:
-    """Filter a full FE field: project onto the ROM space, then solve."""
-    if r != f.r:
-        raise ValueError("filter dimension does not match r")
-    return apply_filter(f, project_Pr(basis, r, m_op, v))

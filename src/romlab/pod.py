@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .fe import SymmetricOperator, VelocitySpace, interpolate
+from .fe import VelocitySpace, interpolate
 
 __all__ = [
     "SnapshotSet",
@@ -28,7 +29,6 @@ __all__ = [
     "RomStiffness",
     "rom_stiffness",
     "project_Pr",
-    "rom_laplacian",
     "save_pod_cache",
     "load_pod_cache",
 ]
@@ -46,7 +46,10 @@ class SnapshotSet:
 
 
 def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
-    m = int(round(t_final / dt_snap))
+    """Equispaced snapshot times 0, dt_snap, ..., t_final."""
+    m = round(t_final / dt_snap)
+    if abs(t_final / dt_snap - m) > 1e-9:
+        raise ValueError("t_final must be an integer multiple of dt_snap")
     return np.linspace(0.0, t_final, m + 1)
 
 
@@ -64,12 +67,12 @@ def collect_snapshots(space: VelocitySpace, solution, times) -> SnapshotSet:
 
 
 def correlation_matrix(snapshots: SnapshotSet,
-                       m_op: SymmetricOperator) -> np.ndarray:
+                       m_op: sp.csr_matrix) -> np.ndarray:
     """K = U^T M U / (M+1), symmetric positive semidefinite."""
     u = snapshots.matrix
-    if u.shape[0] != m_op.dim:
+    if u.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch between snapshots and mass operator")
-    k = u.T @ (m_op.mat @ u) / u.shape[1]
+    k = u.T @ (m_op @ u) / u.shape[1]
     return 0.5 * (k + k.T)
 
 
@@ -90,7 +93,6 @@ class PODBasis:
     Attributes
     ----------
     eigenvalues : (d,) descending energies of the correlation matrix.
-    eigenvectors : (M+1, d) corresponding correlation-matrix eigenvectors.
     modes : (N, d) mode coefficient vectors, columns L2-orthonormal.
     grad_gram : (d, d) Gram matrix of mode gradients; its leading r x r
         block is the reduced stiffness for any r <= d.
@@ -98,7 +100,6 @@ class PODBasis:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     modes: np.ndarray
     grad_gram: np.ndarray
     phi_h1_sq: np.ndarray
@@ -108,8 +109,8 @@ class PODBasis:
         return self.eigenvalues.size
 
 
-def build_pod_basis(snapshots: SnapshotSet, m_op: SymmetricOperator,
-                    s_op: SymmetricOperator, rank_tol: float = 1e-14,
+def build_pod_basis(snapshots: SnapshotSet, m_op: sp.csr_matrix,
+                    s_op: sp.csr_matrix, rank_tol: float = 1e-14,
                     h1_seminorm: bool = False) -> PODBasis:
     """Eigendecompose the correlation matrix and assemble the modes.
 
@@ -133,13 +134,12 @@ def build_pod_basis(snapshots: SnapshotSet, m_op: SymmetricOperator,
     # Gram matrix. One triangular correction restores orthonormality to
     # machine precision while leaving the leading modes (and all nested
     # spans, since L is lower triangular) essentially untouched.
-    gram = modes.T @ (m_op.mat @ modes)
+    gram = modes.T @ (m_op @ modes)
     low = np.linalg.cholesky(0.5 * (gram + gram.T))
     modes = solve_triangular(low, modes.T, lower=True).T
-    grad_gram = modes.T @ (s_op.mat @ modes)
+    grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
-    return PODBasis(eigenvalues=vals, eigenvectors=vecs, modes=modes,
-                    grad_gram=grad_gram,
+    return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,
                     phi_h1_sq=_h1_norms_sq(grad_gram, h1_seminorm))
 
 
@@ -174,37 +174,28 @@ def rom_stiffness(basis: PODBasis, r: int) -> RomStiffness:
     return RomStiffness(r=r, matrix=s_r, norm2=float(evals[-1]))
 
 
-def project_Pr(basis: PODBasis, r: int, m_op: SymmetricOperator,
+def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                v) -> np.ndarray:
     """ROM L2 projection coordinates a_i = (v, phi_i), i = 1..r."""
     coeffs = v.coeffs if hasattr(v, "coeffs") else np.asarray(v, dtype=float)
-    if coeffs.shape[0] != m_op.dim:
+    if coeffs.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return basis.modes[:, :r].T @ (m_op.mat @ coeffs)
-
-
-def rom_laplacian(s_r: RomStiffness, a: np.ndarray) -> np.ndarray:
-    """Reduced Laplacian in ROM coordinates: -S_r a."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] != s_r.r:
-        raise ValueError("dimension mismatch")
-    return -(s_r.matrix @ a)
+    return basis.modes[:, :r].T @ (m_op @ coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Binary cache: little-endian array dump with a version header.
 #
 # Layout (all little-endian):
-#   magic   8 bytes  b"RLPODV2\0"
+#   magic   8 bytes  b"RLPODV3\0"
 #   header  <IIdQQ   n, M, dT, N, d
-#   arrays  float64: eigenvalues (d), eigenvectors ((M+1)*d, C order),
-#           modes (N*d, C order), grad_gram (d*d)
+#   arrays  float64: eigenvalues (d), modes (N*d, C order), grad_gram (d*d)
 #
 # The squared mode H1 norms are not stored: they depend on the norm
 # convention and are rebuilt from the diagonal of grad_gram on load.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"RLPODV2\0"
+_MAGIC = b"RLPODV3\0"
 _HEADER = "<IIdQQ"
 
 
@@ -223,8 +214,7 @@ def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> Non
         with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack(_HEADER, n, m, dt_snap, nn, basis.d))
-            for arr in (basis.eigenvalues, basis.eigenvectors, basis.modes,
-                        basis.grad_gram):
+            for arr in (basis.eigenvalues, basis.modes, basis.grad_gram):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -257,11 +247,9 @@ def load_pod_cache(path, n: int, dt_snap: float, m: int,
                 return None
             return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         vals = rd(d)
-        vecs = rd(m + 1, d)
         modes = rd(nn, d)
         gram = rd(d, d)
-        if any(a is None for a in (vals, vecs, modes, gram)):
+        if any(a is None for a in (vals, modes, gram)):
             return None
-    return PODBasis(eigenvalues=vals, eigenvectors=vecs, modes=modes,
-                    grad_gram=gram,
+    return PODBasis(eigenvalues=vals, modes=modes, grad_gram=gram,
                     phi_h1_sq=_h1_norms_sq(gram, h1_seminorm))

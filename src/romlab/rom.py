@@ -1,4 +1,4 @@
-"""Reduced operators and the G-ROM / Leray-ROM backward-Euler steppers.
+"""Reduced operators and the backward-Euler Leray-ROM / G-ROM stepper.
 
 The fully implicit step solves
     (a_{k+1} - a_k)/dt + nu S_r a_{k+1} + N(abar_{k+1}, a_{k+1}) = F_{k+1}
@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .fe import SymmetricOperator, VelocitySpace, interpolate, quad_point_data
+from .fe import VelocitySpace, quad_point_data
 from .filtering import FilterOperator, apply_filter
-from .pod import PODBasis, RomStiffness, project_Pr, rom_stiffness
+from .pod import PODBasis, RomStiffness
 
 __all__ = [
     "ROMOperators",
@@ -23,8 +24,7 @@ __all__ = [
     "StepDivergenceError",
     "build_trilinear_tensor",
     "project_forcing",
-    "lrom_step",
-    "grom_step",
+    "step",
     "run",
     "stability_check",
 ]
@@ -76,7 +76,7 @@ def build_trilinear_tensor(basis: PODBasis, r: int, space: VelocitySpace,
 _FORCING_CHUNK_BYTES = 16 * 2 ** 20
 
 
-def project_forcing(basis: PODBasis, r: int, m_op: SymmetricOperator,
+def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                     solution, times, space: VelocitySpace) -> np.ndarray:
     """Forcing coordinates F_k,i = (f_h(t_k), phi_i) for each time level.
 
@@ -93,7 +93,7 @@ def project_forcing(basis: PODBasis, r: int, m_op: SymmetricOperator,
     if space.dof_coords.shape != grid.shape or \
             not np.array_equal(space.dof_coords, grid):
         raise ValueError("dof coordinates are not a y-major tensor grid")
-    q = m_op.mat @ basis.modes[:, :r]                 # (N, r)
+    q = m_op @ basis.modes[:, :r]                     # (N, r)
     x = side[None, None, :]
     y = side[None, :, None]
     chunk = max(1, _FORCING_CHUNK_BYTES // (8 * space.n_dofs))
@@ -111,7 +111,7 @@ def project_forcing(basis: PODBasis, r: int, m_op: SymmetricOperator,
 
 @dataclass(frozen=True)
 class ROMOperators:
-    """Everything the steppers need, in ROM coordinates."""
+    """Everything the stepper needs, in ROM coordinates."""
 
     r: int
     s_r: RomStiffness
@@ -120,24 +120,10 @@ class ROMOperators:
     a0: np.ndarray            # initial coordinates, L2 projection of u0
 
 
-def build_rom_operators(basis: PODBasis, r: int, space: VelocitySpace,
-                        m_op: SymmetricOperator, solution, times,
-                        tensor: np.ndarray | None = None) -> ROMOperators:
-    if tensor is None:
-        tensor = build_trilinear_tensor(basis, r, space)
-    elif tensor.shape[0] > r:
-        tensor = tensor[:r, :r, :r]  # nested: leading block of a larger build
-    u0 = interpolate(space, solution.velocity, float(times[0]))
-    a0 = project_Pr(basis, r, m_op, u0)
-    forcing = project_forcing(basis, r, m_op, solution, times, space)
-    return ROMOperators(r=r, s_r=rom_stiffness(basis, r), tensor=tensor,
-                        forcing=forcing, a0=a0)
-
-
 @dataclass(frozen=True)
 class LROMConfig:
-    r: int
-    delta: float
+    """Time-stepping settings; the filter carries delta and r."""
+
     dt: float
     t_final: float = 1.0
     nu: float = 1e-3
@@ -146,14 +132,12 @@ class LROMConfig:
     linearization: str = "picard-implicit"
 
     def __post_init__(self):
-        for name in ("dt", "delta", "t_final", "nu", "picard_tol"):
+        for name in ("dt", "t_final", "nu", "picard_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
         steps = round(self.t_final / self.dt)
@@ -183,8 +167,12 @@ def _advection_matrix(tensor: np.ndarray, abar: np.ndarray) -> np.ndarray:
     return np.tensordot(abar, tensor, axes=(0, 0)).T
 
 
-def _step(ops: ROMOperators, filt: FilterOperator | None, cfg: LROMConfig,
-          a_k: np.ndarray, f_next: np.ndarray):
+def step(ops: ROMOperators, filt: FilterOperator | None, cfg: LROMConfig,
+         a_k: np.ndarray, f_next: np.ndarray):
+    """One implicit Euler step; returns (a_next, picard_iterations).
+
+    The advecting field is filt(a); filt=None gives the Galerkin ROM.
+    """
     a_k = np.asarray(a_k, dtype=float)
     if not np.all(np.isfinite(a_k)):
         raise StepDivergenceError("non-finite state entering step")
@@ -221,18 +209,6 @@ def _step(ops: ROMOperators, filt: FilterOperator | None, cfg: LROMConfig,
         f"(relative residual {residual:.3e})", residual=residual)
 
 
-def lrom_step(ops: ROMOperators, filt: FilterOperator, cfg: LROMConfig,
-              a_k: np.ndarray, f_next: np.ndarray):
-    """One implicit Leray-ROM step; returns (a_next, picard_iterations)."""
-    return _step(ops, filt, cfg, a_k, f_next)
-
-
-def grom_step(ops: ROMOperators, cfg: LROMConfig, a_k: np.ndarray,
-              f_next: np.ndarray):
-    """One implicit Galerkin-ROM step (unfiltered advecting field)."""
-    return _step(ops, None, cfg, a_k, f_next)
-
-
 def run(ops: ROMOperators, filt: FilterOperator | None,
         cfg: LROMConfig) -> ROMTrajectory:
     """March from the projected initial condition to t_final."""
@@ -245,7 +221,7 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     blowup = 1e6 * (1.0 + np.linalg.norm(ops.a0))
     for k in range(m):
         try:
-            a_next, it = _step(ops, filt, cfg, states[k], ops.forcing[k + 1])
+            a_next, it = step(ops, filt, cfg, states[k], ops.forcing[k + 1])
         except StepDivergenceError as exc:
             exc.step = k
             raise

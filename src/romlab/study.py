@@ -18,14 +18,14 @@ studies, L2 and H1) or the final-time L2 error (lrom studies).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import pod as pod_mod
 from .exact import AnalyticSolution
-from .fe import (SymmetricOperator, assemble_mass, assemble_stiffness,
+from .fe import (VelocitySpace, assemble_mass, assemble_stiffness,
                  build_space, interpolate)
 from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, SnapshotSet, build_pod_basis, cache_path,
@@ -126,6 +126,13 @@ class StudyConfig:
             raise InvalidStudyError("dt must be positive")
         if any(v < 0 for v in self._values("delta")):
             raise InvalidStudyError("delta must be nonnegative")
+        for name in ("snap_dt", "dt"):
+            for step in self._values(name):
+                ratio = self.t_final / step
+                if abs(ratio - round(ratio)) > 1e-9:
+                    raise InvalidStudyError(
+                        f"t_final must be an integer multiple of {name}, "
+                        f"got {name}={step}")
         for r in self.r_values:
             if r != int(r):
                 raise InvalidStudyError(f"r={r} is not an integer")
@@ -211,8 +218,8 @@ def loglog_regression(xs, ys):
 
 
 def avg_filter_errors(basis: PODBasis, r: int, delta: float,
-                      snapshots: SnapshotSet, m_op: SymmetricOperator,
-                      s_op: SymmetricOperator, s_r=None):
+                      snapshots: SnapshotSet, m_op: sp.csr_matrix,
+                      s_op: sp.csr_matrix, s_r=None):
     """Average squared filtering errors over all snapshots.
 
     Returns (E_L2, E_H1): the mean of |u_k - filt(u_k)|^2 in the L2 norm
@@ -222,16 +229,16 @@ def avg_filter_errors(basis: PODBasis, r: int, delta: float,
         s_r = rom_stiffness(basis, r)
     filt = build_filter(s_r, delta)
     u = snapshots.matrix
-    coords = basis.modes[:, :r].T @ (m_op.mat @ u)
+    coords = basis.modes[:, :r].T @ (m_op @ u)
     abar = apply_filter(filt, coords)
     err = u - basis.modes[:, :r] @ abar
-    e_l2 = float(np.mean(np.sum(err * (m_op.mat @ err), axis=0)))
-    e_h1 = float(np.mean(np.sum(err * (s_op.mat @ err), axis=0)))
+    e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
+    e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
     return e_l2, e_h1
 
 
 def final_time_error(traj, solution, basis: PODBasis, r: int,
-                     m_op: SymmetricOperator, space, t_final: float,
+                     m_op: sp.csr_matrix, space, t_final: float,
                      variant: str = "rom", filt=None) -> float:
     """L2 error at the final time.
 
@@ -250,51 +257,46 @@ def final_time_error(traj, solution, basis: PODBasis, r: int,
     else:
         raise ValueError(f"unknown final-error variant {variant!r}")
     diff = u_exact - approx
-    return float(np.sqrt(max(diff @ (m_op.mat @ diff), 0.0)))
+    return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
 
 
 @dataclass
 class StudyContext:
-    """Shared, read-only objects reused across sweep points."""
+    """Objects shared across sweep points and run_study calls."""
 
-    space: object
-    m_op: SymmetricOperator
-    s_op: SymmetricOperator
+    space: VelocitySpace
+    m_op: sp.csr_matrix
+    s_op: sp.csr_matrix
     snapshots: SnapshotSet
     basis: PODBasis
     solution: AnalyticSolution
-    # lazy caches, shared across run_study calls on the same context
-    tensor_cache: dict = field(default_factory=dict)
-    forcing_cache: dict = field(default_factory=dict)
-    a0_cache: dict = field(default_factory=dict)
+    # advection tensor and forcing series per (dt, t_final), all built for
+    # the largest r asked for so far; leading blocks serve smaller r
+    _width: int = field(default=0, init=False, repr=False)
+    _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
+    _forcing: dict = field(default_factory=dict, init=False, repr=False)
 
-    def tensor(self, r: int) -> np.ndarray:
-        """Leading (r, r, r) block of the advection tensor, cached at the
-        largest r requested so far (blocks are nested)."""
-        have = [rr for rr in self.tensor_cache if rr >= r]
-        if have:
-            return self.tensor_cache[min(have)][:r, :r, :r]
-        t = build_trilinear_tensor(self.basis, r, self.space)
-        self.tensor_cache.clear()
-        self.tensor_cache[r] = t
-        return t
+    def operators(self, r: int, dt: float, t_final: float) -> ROMOperators:
+        """ROM operators on r modes for the time levels 0, dt, ..., t_final.
 
-    def forcing(self, dt: float, t_final: float, r: int) -> np.ndarray:
+        A larger r than any before rebuilds the tensor and drops every
+        forcing series; the initial coordinates are projected each call.
+        """
+        if r > self._width:
+            self._width = r
+            self._tensor = build_trilinear_tensor(self.basis, r, self.space)
+            self._forcing = {}
         key = (dt, t_final)
-        if key not in self.forcing_cache or \
-                self.forcing_cache[key].shape[1] < r:
+        if key not in self._forcing:
             times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
-            self.forcing_cache[key] = project_forcing(
-                self.basis, max(r, self.basis.d), self.m_op, self.solution,
-                times, self.space)
-        return self.forcing_cache[key][:, :r]
-
-    def a0(self, r: int) -> np.ndarray:
-        if "a0" not in self.a0_cache:
-            u0 = interpolate(self.space, self.solution.velocity, 0.0).coeffs
-            self.a0_cache["a0"] = project_Pr(
-                self.basis, self.basis.d, self.m_op, u0)
-        return self.a0_cache["a0"][:r]
+            self._forcing[key] = project_forcing(
+                self.basis, self._width, self.m_op, self.solution, times,
+                self.space)
+        u0 = interpolate(self.space, self.solution.velocity, 0.0)
+        return ROMOperators(r=r, s_r=rom_stiffness(self.basis, r),
+                            tensor=self._tensor[:r, :r, :r],
+                            forcing=self._forcing[key][:, :r],
+                            a0=project_Pr(self.basis, r, self.m_op, u0))
 
 
 def build_context(cfg: StudyConfig) -> StudyContext:
@@ -353,7 +355,9 @@ def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
 
 def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
     records = []
-    tensor = ctx.tensor(max(cfg.r_values))
+    # ask for the study's largest r first, so that the tensor and each
+    # forcing series are built once, at that width
+    ctx.operators(max(cfg.r_values), cfg._values("dt")[0], cfg.t_final)
 
     for value in cfg.sweep:
         if cfg.kind == "lrom-dt":
@@ -368,14 +372,10 @@ def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
                           regression_x=(lam_h1 if cfg.kind == "lrom-r"
                                         else float(value)))
         try:
-            rom_cfg = LROMConfig(r=r, delta=delta, dt=dt,
-                                 t_final=cfg.t_final, nu=cfg.nu,
+            rom_cfg = LROMConfig(dt=dt, t_final=cfg.t_final, nu=cfg.nu,
                                  linearization=cfg.linearization)
-            s_r = rom_stiffness(ctx.basis, r)
-            ops = ROMOperators(r=r, s_r=s_r, tensor=tensor[:r, :r, :r],
-                               forcing=ctx.forcing(dt, cfg.t_final, r),
-                               a0=ctx.a0(r))
-            filt = build_filter(s_r, delta)
+            ops = ctx.operators(r, dt, cfg.t_final)
+            filt = build_filter(ops.s_r, delta)
             traj = run(ops, filt, rom_cfg)
             report = stability_check(traj, ops, rom_cfg)
             if not report.bounded:

@@ -13,9 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from romlab import (AnalyticSolution, assemble_mass, assemble_stiffness,
-                    build_pod_basis, build_space, collect_snapshots)
-from romlab.pod import default_times
+from romlab.exact import AnalyticSolution
+from romlab.fe import assemble_mass, assemble_stiffness, build_space
+from romlab.pod import build_pod_basis, collect_snapshots, default_times
 from romlab.study import StudyConfig, build_context
 
 
@@ -35,6 +35,13 @@ def _bundle(n, snap_dt):
 @pytest.fixture(scope="session")
 def small():
     return _bundle(8, 0.05)
+
+
+@pytest.fixture(scope="session")
+def small_ctx():
+    """Small-tier study context; the same basis as the small fixture."""
+    return build_context(StudyConfig(kind="filter-delta", mesh_n=8,
+                                     snap_dt=0.05, r=8))
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,15 @@
 Everything here is written from scratch against the mathematical
 definitions (barycentric P2 shape functions, per-triangle Gauss
 quadrature via the Duffy map) and deliberately shares no code paths
-with the package internals it is used to check.
+with the package internals it is used to check. The exception is
+trilinear_bstar at the end: it evaluates b* one triple at a time from
+the package's quadrature-point data, and checks the blocked tensor
+build that contracts the same data for all triples at once.
 """
 
 import numpy as np
+
+from romlab.fe import FEField, VelocitySpace, _coeffs, quad_point_data
 
 
 def _p2_local(lam):
@@ -173,3 +178,27 @@ def integrate(n, fn, p=8):
     same per-triangle rule (useful as an exact-value oracle)."""
     pts, w = triangle_quad_points(n, p)
     return float(np.sum(w * fn(pts[:, 0], pts[:, 1])))
+
+
+def _convective_integral(space: VelocitySpace, u: np.ndarray, v: np.ndarray,
+                         w: np.ndarray) -> float:
+    """Integral of ((u . grad) v) . w over the domain."""
+    all_el = np.arange(space.edofs.shape[0])
+    uu, _, wdet = quad_point_data(space, u, all_el)
+    vv, gv, _ = quad_point_data(space, v, all_el)
+    ww, _, _ = quad_point_data(space, w, all_el)
+    conv = np.einsum("pa,pca->pc", uu, gv)
+    return float(np.einsum("p,pc,pc->", wdet, conv, ww))
+
+
+def trilinear_bstar(space: VelocitySpace, u, v, w) -> float:
+    """Skew-symmetric trilinear convection form
+    0.5 * [((u . grad) v, w) - ((u . grad) w, v)].
+    """
+    for f in (u, v, w):
+        if isinstance(f, FEField) and f.space is not space:
+            raise ValueError("field does not belong to this space")
+    u, v, w = _coeffs(u), _coeffs(v), _coeffs(w)
+    t1 = _convective_integral(space, u, v, w)
+    t2 = _convective_integral(space, u, w, v)
+    return 0.5 * (t1 - t2)

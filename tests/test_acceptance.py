@@ -11,11 +11,10 @@ stated windows.
 import numpy as np
 import pytest
 
-from romlab import (LROMConfig, ROMOperators, build_filter,
-                    build_trilinear_tensor, run, stability_check,
-                    trilinear_bstar)
-from romlab.filtering import apply_filter
+from oracles import trilinear_bstar
+from romlab.filtering import apply_filter, build_filter
 from romlab.pod import rom_stiffness, truncation_errors
+from romlab.rom import LROMConfig, ROMOperators, build_trilinear_tensor, run
 from romlab.study import StudyConfig, run_study
 
 
@@ -109,7 +108,7 @@ def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
     basis, m_op = bench_ctx.basis, bench_ctx.m_op
     if basis.d not in (100, 101):
         failures.append(f"unexpected POD rank d={basis.d}")
-    gram = basis.modes.T @ (m_op.mat @ basis.modes)
+    gram = basis.modes.T @ (m_op @ basis.modes)
     dev = np.abs(gram - np.eye(basis.d)).max()
     if dev > 1e-10:
         failures.append(f"orthonormality deviation {dev:.2e} > 1e-10")
@@ -117,8 +116,8 @@ def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
     for r in (10, 50, 95):
         lam_l2, _ = truncation_errors(basis, r)
         phi = basis.modes[:, :r]
-        err = u - phi @ (phi.T @ (m_op.mat @ u))
-        mean_sq = float(np.mean(np.sum(err * (m_op.mat @ err), axis=0)))
+        err = u - phi @ (phi.T @ (m_op @ u))
+        mean_sq = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
         rel = abs(mean_sq - lam_l2) / lam_l2
         if rel > 1e-8:
             failures.append(
@@ -128,7 +127,7 @@ def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
 
 def test_criterion_02_tensor_skew_and_oracle(bench_ctx, small):
     failures = []
-    tensor = bench_ctx.tensor(99)
+    tensor = bench_ctx.operators(99, 1e-2, 1.0).tensor
     scale = np.abs(tensor).max()
     skew = np.abs(tensor + tensor.transpose(0, 2, 1)).max()
     if skew > 1e-12 * scale:
@@ -264,7 +263,7 @@ def test_criterion_08_lrom_r_table(table5_result):
     _verdict(8, "L-ROM modes convergence (table 5)", failures)
 
 
-def test_criterion_09_stability(table3_result, small):
+def test_criterion_09_stability(table3_result, small_ctx):
     failures = []
     for rec in table3_result.records:
         if rec.stability_max is None or not np.isfinite(rec.stability_max):
@@ -273,13 +272,11 @@ def test_criterion_09_stability(table3_result, small):
             failures.append(
                 f"energy ledger {rec.stability_max:.3e} exploded at dt={rec.value}")
     # unforced decay over 1000 implicit steps
-    from romlab import build_rom_operators, project_Pr
     r = 6
-    ops_full = build_rom_operators(small.basis, r, small.space, small.m_op,
-                                   small.solution, [0.0, 1.0])
+    ops_full = small_ctx.operators(r, 1.0, 1.0)
     ops = ROMOperators(r=r, s_r=ops_full.s_r, tensor=ops_full.tensor,
                        forcing=np.zeros((1001, r)), a0=ops_full.a0)
-    traj = run(ops, None, LROMConfig(r=r, delta=0.0, dt=1e-3))
+    traj = run(ops, None, LROMConfig(dt=1e-3))
     energy = np.sum(traj.states ** 2, axis=1)
     if not np.all(np.diff(energy) <= 1e-12 * energy[0]):
         failures.append("unforced energy increased")
@@ -289,12 +286,9 @@ def test_criterion_09_stability(table3_result, small):
 def test_criterion_10_zero_radius_reduces_to_grom(bench_ctx):
     failures = []
     r, dt = 99, 1e-2
-    s_r = rom_stiffness(bench_ctx.basis, r)
-    ops = ROMOperators(r=r, s_r=s_r, tensor=bench_ctx.tensor(r),
-                       forcing=bench_ctx.forcing(dt, 1.0, r),
-                       a0=bench_ctx.a0(r))
-    cfg = LROMConfig(r=r, delta=0.0, dt=dt)
-    traj_l = run(ops, build_filter(s_r, 0.0), cfg)
+    ops = bench_ctx.operators(r, dt, 1.0)
+    cfg = LROMConfig(dt=dt)
+    traj_l = run(ops, build_filter(ops.s_r, 0.0), cfg)
     traj_g = run(ops, None, cfg)
     dev = np.abs(traj_l.states - traj_g.states).max()
     if dev > 1e-8:

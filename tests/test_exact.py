@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from romlab import AnalyticSolution
+from romlab.exact import AnalyticSolution
 
 
 def test_validation():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from romlab import build_mesh
+from romlab.mesh import build_mesh
 
 
 def test_single_square():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from romlab import (AnalyticSolution, build_pod_basis, build_space,
-                    assemble_mass, assemble_stiffness, collect_snapshots,
-                    correlation_matrix, l2_norm, project_Pr, rom_laplacian,
-                    rom_stiffness, symmetric_eig, truncation_errors)
-from romlab.pod import (cache_path, default_times, load_pod_cache,
-                        save_pod_cache)
+from romlab.exact import AnalyticSolution
+from romlab.fe import l2_norm
+from romlab.pod import (build_pod_basis, cache_path, collect_snapshots,
+                        correlation_matrix, default_times, load_pod_cache,
+                        project_Pr, rom_stiffness, save_pod_cache,
+                        symmetric_eig, truncation_errors)
 
 
 def test_default_times():
@@ -14,6 +14,9 @@ def test_default_times():
     assert t.size == 101
     assert t[0] == 0.0 and t[-1] == 1.0
     assert np.allclose(np.diff(t), 1e-2)
+    # 1/0.03 is not an integer: refuse instead of rounding the spacing
+    with pytest.raises(ValueError, match="multiple"):
+        default_times(0.03, 1.0)
 
 
 def test_collect_snapshots_validation(small):
@@ -25,7 +28,7 @@ def test_collect_snapshots_validation(small):
 
 
 def test_collect_snapshots_columns(small):
-    from romlab import interpolate
+    from romlab.fe import interpolate
     k = 10
     t = small.times[k]
     u = interpolate(small.space, small.solution.velocity, t)
@@ -79,7 +82,7 @@ def test_single_snapshot_basis(small):
 
 def test_modes_orthonormal(small):
     phi = small.basis.modes
-    gram = phi.T @ (small.m_op.mat @ phi)
+    gram = phi.T @ (small.m_op @ phi)
     assert np.abs(gram - np.eye(small.basis.d)).max() < 1e-10
 
 
@@ -99,11 +102,11 @@ def test_truncation_error_matches_projection(small):
     for r in (2, 5, 10):
         lam_l2, lam_h1 = truncation_errors(basis, r)
         phi = basis.modes[:, :r]
-        err = u - phi @ (phi.T @ (m_op.mat @ u))
-        mean_l2 = np.mean(np.sum(err * (m_op.mat @ err), axis=0))
+        err = u - phi @ (phi.T @ (m_op @ u))
+        mean_l2 = np.mean(np.sum(err * (m_op @ err), axis=0))
         assert abs(mean_l2 - lam_l2) <= 1e-8 * lam_l2
         # full H1 norm of the error reproduces the weighted tail sum
-        mean_h1 = np.mean(np.sum(err * (small.s_op.mat @ err), axis=0)) \
+        mean_h1 = np.mean(np.sum(err * (small.s_op @ err), axis=0)) \
             + mean_l2
         assert abs(mean_h1 - lam_h1) <= 1e-6 * lam_h1
 
@@ -126,7 +129,7 @@ def test_rom_stiffness_nested(small):
     assert s8.norm2 >= s3.norm2 - 1e-12
     # entries are gradient inner products of the modes
     phi = small.basis.modes
-    direct = phi[:, :3].T @ (small.s_op.mat @ phi[:, :3])
+    direct = phi[:, :3].T @ (small.s_op @ phi[:, :3])
     assert np.abs(s3.matrix - direct).max() < 1e-10
 
 
@@ -150,23 +153,13 @@ def test_project_pr_reproduces_rom_fields(small, rng):
         assert np.linalg.norm(a) <= l2_norm(small.m_op, w) * (1 + 1e-10)
 
 
-def test_rom_laplacian_eigenvector(small):
-    s_r = rom_stiffness(small.basis, 5)
-    mu, w = np.linalg.eigh(s_r.matrix)
-    out = rom_laplacian(s_r, w[:, -1])
-    assert np.abs(out + mu[-1] * w[:, -1]).max() < 1e-10 * (1 + mu[-1])
-    with pytest.raises(ValueError):
-        rom_laplacian(s_r, np.zeros(4))
-
-
 def test_cache_roundtrip(tmp_path, small):
     m = small.snapshots.count - 1
     path = cache_path(tmp_path, small.n, 0.05, m)
     save_pod_cache(path, small.basis, small.n, 0.05, m)
     loaded = load_pod_cache(path, small.n, 0.05, m)
     assert loaded is not None
-    for name in ("eigenvalues", "eigenvectors", "modes", "grad_gram",
-                 "phi_h1_sq"):
+    for name in ("eigenvalues", "modes", "grad_gram", "phi_h1_sq"):
         assert np.array_equal(getattr(loaded, name),
                               getattr(small.basis, name)), name
 
@@ -185,4 +178,7 @@ def test_cache_mismatch_and_corruption(tmp_path, small):
     assert load_pod_cache(path, small.n, 0.05, m) is None
     # wrong magic
     path.write_bytes(b"XXXXXXXX" + data[8:])
+    assert load_pod_cache(path, small.n, 0.05, m) is None
+    # the older layout that also stored the correlation eigenvectors
+    path.write_bytes(b"RLPODV2\0" + data[8:])
     assert load_pod_cache(path, small.n, 0.05, m) is None

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from romlab import (LROMConfig, ROMOperators, StepDivergenceError,
-                    build_filter, build_rom_operators, build_space,
-                    build_trilinear_tensor, grom_step, interpolate,
-                    lrom_step, project_forcing, rom_stiffness, run,
-                    stability_check, trilinear_bstar)
+from oracles import trilinear_bstar
+from romlab.filtering import build_filter
 from romlab.pod import RomStiffness
-from romlab.rom import _advection_matrix
+from romlab.rom import (LROMConfig, ROMOperators, StepDivergenceError,
+                        _advection_matrix, build_trilinear_tensor,
+                        project_forcing, run, stability_check, step)
 
 
 R_SMALL = 6
@@ -126,7 +125,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
     f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
                         space)
-    q = small.m_op.mat @ small.basis.modes[:, :5]
+    q = small.m_op @ small.basis.modes[:, :5]
     x = space.dof_coords[:, 0][None, :]
     y = space.dof_coords[:, 1][None, :]
     ref = np.empty_like(f)
@@ -159,128 +158,124 @@ def test_project_forcing_rejects_nonfinite(small):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LROMConfig(r=4, delta=1e-2, dt=0.0)
+        LROMConfig(dt=0.0)
     with pytest.raises(ValueError):
-        LROMConfig(r=4, delta=-1.0, dt=1e-2)
+        LROMConfig(dt=3e-3)  # 1/dt not an integer
     with pytest.raises(ValueError):
-        LROMConfig(r=4, delta=0.0, dt=3e-3)  # 1/dt not an integer
-    with pytest.raises(ValueError):
-        LROMConfig(r=4, delta=0.0, dt=1e-2, linearization="explicit")
-    assert LROMConfig(r=4, delta=0.0, dt=1e-2).n_steps == 100
+        LROMConfig(dt=1e-2, linearization="explicit")
+    assert LROMConfig(dt=1e-2).n_steps == 100
 
 
 @pytest.mark.parametrize("name", ["dt", "delta", "t_final", "nu",
                                   "picard_tol"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_config_rejects_nonfinite(name, bad):
-    kw = dict(r=4, delta=1e-2, dt=1e-2)
+    """The step settings are checked by LROMConfig; delta by the filter
+    that carries it."""
+    if name == "delta":
+        s_r = RomStiffness(r=1, matrix=np.ones((1, 1)), norm2=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            build_filter(s_r, bad)
+        return
+    kw = dict(dt=1e-2)
     kw[name] = bad
     with pytest.raises(ValueError, match="finite"):
         LROMConfig(**kw)
 
 
-def _small_ops(small, r, dt, t_final=1.0):
-    times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
-    return build_rom_operators(small.basis, r, small.space, small.m_op,
-                               small.solution, times)
-
-
-def test_r1_closed_form_step(small):
+def test_r1_closed_form_step(small_ctx):
     """With one mode the advection term vanishes (T_111 = 0) and the
     implicit step has a scalar closed form."""
-    ops = _small_ops(small, 1, 1e-2)
-    cfg = LROMConfig(r=1, delta=0.0, dt=1e-2)
+    ops = small_ctx.operators(1, 1e-2, 1.0)
+    cfg = LROMConfig(dt=1e-2)
     s = ops.s_r.matrix[0, 0]
-    a_next, iters = grom_step(ops, cfg, ops.a0, ops.forcing[1])
+    a_next, iters = step(ops, None, cfg, ops.a0, ops.forcing[1])
     expect = (ops.a0[0] / cfg.dt + ops.forcing[1, 0]) \
         / (1.0 / cfg.dt + cfg.nu * s)
     assert abs(a_next[0] - expect) < 1e-12 * (1 + abs(expect))
     assert iters <= 2
 
 
-def test_zero_delta_equals_grom(small, rng):
-    ops = _small_ops(small, R_SMALL, 1e-2)
-    cfg = LROMConfig(r=R_SMALL, delta=0.0, dt=1e-2)
+def test_zero_delta_equals_grom(small_ctx, rng):
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    cfg = LROMConfig(dt=1e-2)
     filt = build_filter(ops.s_r, 0.0)
     a = rng.standard_normal(R_SMALL)
     f = rng.standard_normal(R_SMALL)
-    a_l, _ = lrom_step(ops, filt, cfg, a, f)
-    a_g, _ = grom_step(ops, cfg, a, f)
+    a_l, _ = step(ops, filt, cfg, a, f)
+    a_g, _ = step(ops, None, cfg, a, f)
     assert np.abs(a_l - a_g).max() < 1e-12 * (1 + np.abs(a_g).max())
 
 
-def test_grom_step_newton_oracle(small, rng):
+def test_grom_step_newton_oracle(small_ctx, rng):
     """The Picard fixed point solves the nonlinear step equation;
     cross-checked with a Newton iteration written from scratch."""
-    ops = _small_ops(small, R_SMALL, 1e-2)
-    cfg = LROMConfig(r=R_SMALL, delta=0.0, dt=1e-2, picard_tol=1e-13)
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    cfg = LROMConfig(dt=1e-2, picard_tol=1e-13)
     a_k = ops.a0 + 0.1 * rng.standard_normal(R_SMALL)
     f = ops.forcing[1]
-    a_pic, _ = grom_step(ops, cfg, a_k, f)
+    a_pic, _ = step(ops, None, cfg, a_k, f)
 
     t = ops.tensor
-    core = np.eye(cfg.r) / cfg.dt + cfg.nu * ops.s_r.matrix
+    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r.matrix
     a = a_k.copy()
     for _ in range(60):
         nl = np.einsum("i,j,ijm->m", a, a, t)
         g = core @ a - a_k / cfg.dt - f + nl
         jac = core + np.einsum("j,jim->mi", a, t) \
             + np.einsum("i,ijm->mj", a, t)
-        step = np.linalg.solve(jac, g)
-        a = a - step
-        if np.linalg.norm(step) < 1e-14 * (1 + np.linalg.norm(a)):
+        newton = np.linalg.solve(jac, g)
+        a = a - newton
+        if np.linalg.norm(newton) < 1e-14 * (1 + np.linalg.norm(a)):
             break
     assert np.abs(a_pic - a).max() < 1e-8 * (1 + np.abs(a).max())
 
 
-def test_semi_implicit_variant(small):
-    ops = _small_ops(small, R_SMALL, 1e-2)
+def test_semi_implicit_variant(small_ctx):
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
     filt = build_filter(ops.s_r, 1e-2)
-    cfg = LROMConfig(r=R_SMALL, delta=1e-2, dt=1e-2,
-                     linearization="semi-implicit")
+    cfg = LROMConfig(dt=1e-2, linearization="semi-implicit")
     traj = run(ops, filt, cfg)
     assert traj.states.shape == (101, R_SMALL)
     assert np.all(traj.iter_counts == 1)
     # close to the fully implicit trajectory at this step size
-    traj_full = run(ops, filt, LROMConfig(r=R_SMALL, delta=1e-2, dt=1e-2))
+    traj_full = run(ops, filt, LROMConfig(dt=1e-2))
     diff = np.abs(traj.final_state - traj_full.final_state).max()
     assert diff < 0.1 * (1 + np.abs(traj_full.final_state).max())
 
 
-def test_run_shapes_and_projection_start(small):
-    ops = _small_ops(small, 4, 5e-2)
+def test_run_shapes_and_projection_start(small_ctx):
+    ops = small_ctx.operators(4, 5e-2, 1.0)
     filt = build_filter(ops.s_r, 1e-2)
-    traj = run(ops, filt, LROMConfig(r=4, delta=1e-2, dt=5e-2))
+    traj = run(ops, filt, LROMConfig(dt=5e-2))
     assert traj.states.shape == (21, 4)
     assert np.array_equal(traj.states[0], ops.a0)
     assert np.all(traj.iter_counts >= 1)
 
 
-def test_run_forcing_length_guard(small):
-    ops = _small_ops(small, 4, 1e-1)
+def test_run_forcing_length_guard(small_ctx):
+    ops = small_ctx.operators(4, 1e-1, 1.0)
     filt = build_filter(ops.s_r, 0.0)
     with pytest.raises(ValueError):
-        run(ops, filt, LROMConfig(r=4, delta=0.0, dt=1e-2))
+        run(ops, filt, LROMConfig(dt=1e-2))
 
 
-def test_energy_decay_without_forcing(small):
+def test_energy_decay_without_forcing(small_ctx):
     """f = 0, skew advection and PSD stiffness: the implicit step is
     unconditionally dissipative."""
-    ops = _small_ops(small, R_SMALL, 1e-2)
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
     no_force = ROMOperators(r=ops.r, s_r=ops.s_r, tensor=ops.tensor,
                             forcing=np.zeros((1001, ops.r)), a0=ops.a0)
-    cfg = LROMConfig(r=R_SMALL, delta=0.0, dt=1e-3)
+    cfg = LROMConfig(dt=1e-3)
     traj = run(no_force, None, cfg)
     energy = np.sum(traj.states ** 2, axis=1)
     assert np.all(np.diff(energy) <= 1e-12 * energy[0])
 
 
-def test_delta_continuity(small):
-    ops = _small_ops(small, R_SMALL, 1e-2)
-    t0 = run(ops, build_filter(ops.s_r, 0.0),
-             LROMConfig(r=R_SMALL, delta=0.0, dt=1e-2))
-    t1 = run(ops, build_filter(ops.s_r, 1e-8),
-             LROMConfig(r=R_SMALL, delta=1e-8, dt=1e-2))
+def test_delta_continuity(small_ctx):
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    t0 = run(ops, build_filter(ops.s_r, 0.0), LROMConfig(dt=1e-2))
+    t1 = run(ops, build_filter(ops.s_r, 1e-8), LROMConfig(dt=1e-2))
     assert np.abs(t0.states - t1.states).max() < 1e-6
 
 
@@ -292,8 +287,7 @@ def test_picard_nonconvergence_raises():
     tensor[1, 0, 1], tensor[1, 1, 0] = 3.0, -3.0
     ops = ROMOperators(r=2, s_r=s_r, tensor=tensor,
                        forcing=np.zeros((2, 2)), a0=np.array([1.0, -1.0]))
-    cfg = LROMConfig(r=2, delta=0.0, dt=1.0, t_final=1.0,
-                     picard_max_iters=1)
+    cfg = LROMConfig(dt=1.0, t_final=1.0, picard_max_iters=1)
     with pytest.raises(StepDivergenceError) as exc:
         run(ops, None, cfg)
     assert exc.value.step == 0
@@ -304,24 +298,24 @@ def test_blowup_guard():
     s_r = RomStiffness(r=1, matrix=np.zeros((1, 1)), norm2=0.0)
     ops = ROMOperators(r=1, s_r=s_r, tensor=np.zeros((1, 1, 1)),
                        forcing=np.full((3, 1), 1e9), a0=np.zeros(1))
-    cfg = LROMConfig(r=1, delta=0.0, dt=1.0, t_final=2.0)
+    cfg = LROMConfig(dt=1.0, t_final=2.0)
     with pytest.raises(StepDivergenceError) as exc:
         run(ops, None, cfg)
     assert "blow-up" in str(exc.value)
 
 
-def test_nonfinite_state_guard(small):
-    ops = _small_ops(small, 4, 1e-1)
-    cfg = LROMConfig(r=4, delta=0.0, dt=1e-1)
+def test_nonfinite_state_guard(small_ctx):
+    ops = small_ctx.operators(4, 1e-1, 1.0)
+    cfg = LROMConfig(dt=1e-1)
     with pytest.raises(StepDivergenceError):
-        grom_step(ops, cfg, np.array([np.nan, 0.0, 0.0, 0.0]),
-                  ops.forcing[1])
+        step(ops, None, cfg, np.array([np.nan, 0.0, 0.0, 0.0]),
+             ops.forcing[1])
 
 
-def test_stability_check(small):
-    ops = _small_ops(small, 4, 1e-1)
+def test_stability_check(small_ctx):
+    ops = small_ctx.operators(4, 1e-1, 1.0)
     filt = build_filter(ops.s_r, 1e-2)
-    cfg = LROMConfig(r=4, delta=1e-2, dt=1e-1)
+    cfg = LROMConfig(dt=1e-1)
     traj = run(ops, filt, cfg)
     report = stability_check(traj, ops, cfg)
     assert report.bounded

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from romlab import study
 from romlab.cli import main
+from romlab.fe import interpolate
+from romlab.filtering import build_filter
+from romlab.pod import project_Pr
+from romlab.rom import LROMConfig, build_trilinear_tensor, project_forcing, run
 from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
                           loglog_regression, run_study)
@@ -61,12 +66,6 @@ def test_config_validation():
 
 # ------------------------------------------------------------- studies
 
-@pytest.fixture(scope="module")
-def small_ctx():
-    return build_context(StudyConfig(kind="filter-delta", mesh_n=8,
-                                     snap_dt=0.05, r=8))
-
-
 def _small_cfg(**kw):
     kw.setdefault("mesh_n", 8)
     kw.setdefault("snap_dt", 0.05)
@@ -111,9 +110,10 @@ def test_lrom_dt_study_and_stability(small_ctx):
 
 
 def test_lrom_sweep_point_failure(small_ctx):
-    """A dt that does not divide t_final fails that point only."""
+    """A step too large for Picard to converge (relative residual near
+    1 after 50 iterations) fails that point only."""
     cfg = _small_cfg(kind="lrom-dt", r=6, delta=1e-3,
-                     sweep=[1e-2, 3e-3])
+                     sweep=[1e-2, 5e-1])
     res = run_study(cfg, small_ctx)
     assert res.status == "sweep-failures"
     assert res.n_failed == 1
@@ -149,12 +149,9 @@ def test_avg_filter_errors_decrease_with_r(small_ctx):
 
 
 def test_final_time_error_variants(small_ctx):
-    from romlab import LROMConfig, build_filter, build_rom_operators, run
-    ops = build_rom_operators(small_ctx.basis, 6, small_ctx.space,
-                              small_ctx.m_op, small_ctx.solution,
-                              np.linspace(0.0, 1.0, 51))
+    ops = small_ctx.operators(6, 2e-2, 1.0)
     filt = build_filter(ops.s_r, 1e-3)
-    traj = run(ops, filt, LROMConfig(r=6, delta=1e-3, dt=2e-2))
+    traj = run(ops, filt, LROMConfig(dt=2e-2))
     e_rom = final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
                              small_ctx.m_op, small_ctx.space, 1.0)
     e_snap = final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
@@ -171,16 +168,55 @@ def test_final_time_error_variants(small_ctx):
                          variant="bogus")
 
 
-def test_context_tensor_and_forcing_caches(small_ctx):
-    t6 = small_ctx.tensor(6)
-    t4 = small_ctx.tensor(4)
-    assert np.array_equal(t4, t6[:4, :4, :4])
-    f = small_ctx.forcing(0.1, 1.0, 4)
-    assert f.shape == (11, 4)
-    f2 = small_ctx.forcing(0.1, 1.0, 6)
-    assert np.array_equal(f, f2[:, :4])
-    a0 = small_ctx.a0(4)
-    assert np.array_equal(a0, small_ctx.a0(6)[:4])
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Widths of the tensor and forcing builds a StudyContext makes."""
+    counts = {"tensor": [], "forcing": []}
+
+    def tensor(basis, r, space):
+        counts["tensor"].append(r)
+        return build_trilinear_tensor(basis, r, space)
+
+    def forcing(basis, r, *args):
+        counts["forcing"].append(r)
+        return project_forcing(basis, r, *args)
+
+    monkeypatch.setattr(study, "build_trilinear_tensor", tensor)
+    monkeypatch.setattr(study, "project_forcing", forcing)
+    return counts
+
+
+def test_context_tensor_and_forcing_caches(build_counts):
+    ctx = build_context(_small_cfg(kind="lrom-r"))
+    ops4 = ctx.operators(4, 0.1, 1.0)
+    ops6 = ctx.operators(6, 0.1, 1.0)
+    assert build_counts == {"tensor": [4, 6], "forcing": [4, 6]}
+    again = ctx.operators(4, 0.1, 1.0)
+    assert build_counts == {"tensor": [4, 6], "forcing": [4, 6]}
+    assert np.array_equal(again.tensor, ops6.tensor[:4, :4, :4])
+    assert again.forcing.shape == (11, 4)
+    assert np.array_equal(again.forcing, ops6.forcing[:, :4])
+    # a new time grid is projected at the context's width
+    assert ctx.operators(4, 0.05, 1.0).forcing.shape == (21, 4)
+    assert build_counts["forcing"] == [4, 6, 6]
+    # the initial coordinates are the L2 projection of u0 at any r
+    # (projected per call, so equal to roundoff across r)
+    u0 = interpolate(ctx.space, ctx.solution.velocity, 0.0)
+    ref = project_Pr(ctx.basis, 6, ctx.m_op, u0)
+    tol = 1e-14 * np.abs(ref).max()
+    assert np.abs(ops6.a0 - ref).max() <= tol
+    assert np.abs(ops4.a0 - ref[:4]).max() <= tol
+
+
+@pytest.mark.parametrize("kind", ["lrom-dt", "lrom-delta", "lrom-r"])
+def test_study_builds_tensor_and_forcing_once(build_counts, kind):
+    """Each array is built once per study, at the study's largest r."""
+    sweep = {"lrom-dt": [1e-1, 5e-2], "lrom-delta": [1e-1, 5e-2],
+             "lrom-r": [2, 4, 6]}[kind]
+    cfg = _small_cfg(kind=kind, r=6, dt=5e-2, delta=1e-2, sweep=sweep)
+    run_study(cfg, build_context(cfg))
+    assert build_counts["tensor"] == [6]
+    assert build_counts["forcing"] == [6] * (2 if kind == "lrom-dt" else 1)
 
 
 # ------------------------------------------------------------- CLI
@@ -204,7 +240,7 @@ def test_cli_invalid_config(capsys):
 def test_cli_sweep_failure(tmp_path):
     out = tmp_path / "part.csv"
     code = main(["lrom-dt", "--mesh-n", "4", "--r", "4",
-                 "--delta", "1e-3", "--sweep", "1e-2,3e-3",
+                 "--delta", "1e-3", "--sweep", "1e-2,5e-1",
                  "--out", str(out)])
     assert code == 3
     # partial output still written
@@ -231,6 +267,17 @@ def test_cli_unknown_kind():
 def test_config_rejects_nonfinite(name, bad):
     with pytest.raises(InvalidStudyError, match="finite"):
         StudyConfig(kind="lrom-dt", **{name: bad})
+
+
+@pytest.mark.parametrize("kw", [dict(snap_dt=0.03), dict(dt=3e-3),
+                                dict(sweep=[1e-2, 3e-3]),
+                                dict(t_final=0.5, snap_dt=0.3)])
+def test_config_rejects_t_final_off_the_time_grid(kw):
+    """t_final must be an integer multiple of snap_dt and of every dt:
+    a rounded grid would not match the recorded spacing."""
+    kw.setdefault("kind", "lrom-dt" if "sweep" in kw else "lrom-delta")
+    with pytest.raises(InvalidStudyError, match="integer multiple"):
+        StudyConfig(**kw)
 
 
 def test_config_rejects_nonfinite_sweep():
@@ -275,6 +322,12 @@ def test_r_outside_basis_rank_raises_before_any_point(small_ctx, kind, extra):
 def test_cli_rejects_out_of_range_and_nonfinite(argv, capsys):
     assert main(argv + ["--mesh-n", "8"]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+def test_cli_rejects_dt_off_the_time_grid(capsys):
+    argv = ["lrom-dt", "--mesh-n", "4", "--r", "3", "--sweep", "0.03,0.02"]
+    assert main(argv) == 2
+    assert "integer multiple of dt" in capsys.readouterr().err
 
 
 def test_pod_cache_respects_h1_convention(tmp_path):
