@@ -269,15 +269,17 @@ def test_config_rejects_nonfinite(name, bad):
         StudyConfig(kind="lrom-dt", **{name: bad})
 
 
-@pytest.mark.parametrize("kw", [dict(snap_dt=0.03), dict(dt=3e-3),
-                                dict(sweep=[1e-2, 3e-3]),
-                                dict(t_final=0.5, snap_dt=0.3)])
-def test_config_rejects_t_final_off_the_time_grid(kw):
+@pytest.mark.parametrize("kind,kw", [
+    ("lrom-delta", dict(snap_dt=0.03)),
+    ("lrom-delta", dict(dt=3e-3)),
+    ("lrom-dt", dict(sweep=[1e-2, 3e-3])),
+    ("lrom-delta", dict(t_final=0.5, snap_dt=0.3)),
+])
+def test_config_rejects_t_final_off_the_time_grid(kind, kw):
     """t_final must be an integer multiple of snap_dt and of every dt:
     a rounded grid would not match the recorded spacing."""
-    kw.setdefault("kind", "lrom-dt" if "sweep" in kw else "lrom-delta")
     with pytest.raises(InvalidStudyError, match="integer multiple"):
-        StudyConfig(**kw)
+        StudyConfig(kind=kind, **kw)
 
 
 def test_config_rejects_nonfinite_sweep():
