@@ -72,6 +72,9 @@ def main(argv=None) -> int:
     for rec in result.records:
         if rec.ok:
             extra = "" if rec.e_h1 is None else f"  e_h1={rec.e_h1:.6e}"
+            if rec.picard_mean is not None:
+                extra += (f"  picard={rec.picard_mean:.2f}/{rec.picard_max}"
+                          f"  energy={rec.stability_max:.6e}")
             print(f"{cfg.param_name}={rec.value:g}  e_l2={rec.e_l2:.6e}{extra}")
         else:
             print(f"{cfg.param_name}={rec.value:g}  FAILED: {rec.error}",

@@ -24,7 +24,6 @@ __all__ = [
     "StepDivergenceError",
     "build_trilinear_tensor",
     "project_forcing",
-    "step",
     "run",
     "stability_check",
 ]
@@ -33,10 +32,13 @@ __all__ = [
 class StepDivergenceError(RuntimeError):
     """Raised when a time step fails to converge or blows up."""
 
-    def __init__(self, message, residual=None, step=None):
+    def __init__(self, message, residual=None, step=None, ratio=None):
         super().__init__(message)
         self.residual = residual
         self.step = step
+        # last Picard residual_k / residual_{k-1}: below 1 is slow
+        # contraction, about 1 a stall; nan after a single iteration
+        self.ratio = ratio
 
 
 def build_trilinear_tensor(basis: PODBasis, r: int, space: VelocitySpace,
@@ -136,10 +138,12 @@ class LROMConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+            if value <= 0 and name != "t_final":
+                raise ValueError(f"{name} must be positive")
+        its = self.picard_max_iters
+        if isinstance(its, bool) or not isinstance(its, (int, np.integer)) \
+                or its < 1:
+            raise ValueError(f"picard_max_iters must be an int >= 1: {its!r}")
         steps = round(self.t_final / self.dt)
         if steps < 0 or abs(self.t_final / self.dt - steps) > 1e-9:
             raise ValueError("t_final must be an integer multiple of dt")
@@ -163,72 +167,66 @@ class ROMTrajectory:
 
 
 def _advection_matrix(tensor: np.ndarray, abar: np.ndarray) -> np.ndarray:
-    # B_mj = sum_i abar_i T_ijm
-    return np.tensordot(abar, tensor, axes=(0, 0)).T
+    # B_mj = sum_i abar_i T_ijm; tensor is T or its (r, r*r) reshape
+    return (abar @ tensor.reshape(abar.size, -1)).reshape(abar.size, -1).T
 
 
-def step(ops: ROMOperators, filt: FilterOperator | None, cfg: LROMConfig,
-         a_k: np.ndarray, f_next: np.ndarray):
-    """One implicit Euler step; returns (a_next, picard_iterations).
-
-    The advecting field is filt(a); filt=None gives the Galerkin ROM.
-    """
-    a_k = np.asarray(a_k, dtype=float)
-    if not np.all(np.isfinite(a_k)):
-        raise StepDivergenceError("non-finite state entering step")
-    dt, nu = cfg.dt, cfg.nu
-    core = np.eye(ops.r) / dt + nu * ops.s_r.matrix
-    rhs = a_k / dt + f_next
-    denom = np.linalg.norm(rhs)
-    if denom == 0.0:
-        denom = 1.0
-
-    def smooth(a):
-        return apply_filter(filt, a) if filt is not None else a
-
-    if cfg.linearization == "semi-implicit":
-        a_new = np.linalg.solve(core + _advection_matrix(ops.tensor, smooth(a_k)), rhs)
-        if not np.all(np.isfinite(a_new)):
-            raise StepDivergenceError("semi-implicit solve produced non-finite state")
-        return a_new, 1
-
-    a = a_k
-    residual = np.inf
-    for it in range(1, cfg.picard_max_iters + 1):
-        a_new = np.linalg.solve(core + _advection_matrix(ops.tensor, smooth(a)), rhs)
-        res_vec = core @ a_new + _advection_matrix(ops.tensor, smooth(a_new)) @ a_new - rhs
-        residual = np.linalg.norm(res_vec) / denom
-        if not np.isfinite(residual):
-            raise StepDivergenceError("non-finite Picard residual",
-                                      residual=residual)
-        a = a_new
-        if residual <= cfg.picard_tol:
-            return a, it
-    raise StepDivergenceError(
-        f"Picard failed to converge in {cfg.picard_max_iters} iterations "
-        f"(relative residual {residual:.3e})", residual=residual)
+def _folded_tensor(tensor: np.ndarray, filt: FilterOperator | None):
+    # (r, r*r) tensor t2 with _advection_matrix(t2, a) = B(filt(a))
+    t2 = tensor.reshape(tensor.shape[0], -1)
+    return t2 if filt is None else apply_filter(filt, t2)
 
 
 def run(ops: ROMOperators, filt: FilterOperator | None,
         cfg: LROMConfig) -> ROMTrajectory:
-    """March from the projected initial condition to t_final."""
-    m = cfg.n_steps
+    """March from the projected initial condition to t_final.
+
+    filt(a) advects (filt=None: G-ROM); the filter is folded into the
+    tensor once, so a Picard iteration is one solve and one contraction
+    (reused by the next solve). Semi-implicit: the first solve only.
+    """
+    m, r, dt = cfg.n_steps, ops.r, cfg.dt
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
-    states = np.empty((m + 1, ops.r))
+    t2 = _folded_tensor(ops.tensor, filt)
+    core = np.eye(r) / dt + cfg.nu * ops.s_r.matrix
+    semi = cfg.linearization == "semi-implicit"
+    states = np.empty((m + 1, r))
     iters = np.zeros(m, dtype=int)
-    states[0] = ops.a0
+    states[0] = a = ops.a0
+    adv = _advection_matrix(t2, a)
     blowup = 1e6 * (1.0 + np.linalg.norm(ops.a0))
     for k in range(m):
-        try:
-            a_next, it = step(ops, filt, cfg, states[k], ops.forcing[k + 1])
-        except StepDivergenceError as exc:
-            exc.step = k
-            raise
-        if not np.all(np.isfinite(a_next)) or np.linalg.norm(a_next) > blowup:
+        if not np.all(np.isfinite(a)):
+            raise StepDivergenceError("non-finite state entering step", step=k)
+        rhs = a / dt + ops.forcing[k + 1]
+        denom = np.linalg.norm(rhs) or 1.0
+        residual = np.nan
+        for it in range(1, 2 if semi else cfg.picard_max_iters + 1):
+            a = np.linalg.solve(core + adv, rhs)
+            adv = _advection_matrix(t2, a)
+            if semi:
+                if not np.all(np.isfinite(a)):
+                    raise StepDivergenceError(
+                        "semi-implicit solve produced non-finite state", step=k)
+                break
+            last = residual
+            residual = np.linalg.norm(core @ a + adv @ a - rhs) / denom
+            if not np.isfinite(residual):
+                raise StepDivergenceError("non-finite Picard residual",
+                                          residual=residual, step=k)
+            if residual <= cfg.picard_tol:
+                break
+        else:
+            ratio = residual / last
+            raise StepDivergenceError(
+                f"Picard failed to converge in {it} iterations "
+                f"(relative residual {residual:.3e}, last ratio {ratio:.3g})",
+                residual=residual, step=k, ratio=ratio)
+        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > blowup:
             raise StepDivergenceError(
                 f"trajectory blow-up at step {k + 1}", step=k)
-        states[k + 1] = a_next
+        states[k + 1] = a
         iters[k] = it
     return ROMTrajectory(states=states, iter_counts=iters, dt=cfg.dt)
 
@@ -249,6 +247,5 @@ def stability_check(traj: ROMTrajectory, ops: ROMOperators,
     grad_energy = np.einsum("ki,ij,kj->k", a[1:], ops.s_r.matrix, a[1:])
     cum = cfg.dt * np.concatenate([[0.0], np.cumsum(grad_energy)])
     series = np.sum(a * a, axis=1) + cum
-    max_bound = float(series.max()) if series.size else 0.0
-    return StabilityReport(bound_series=series, max_bound=max_bound,
+    return StabilityReport(bound_series=series, max_bound=float(series.max()),
                            bounded=bool(np.all(np.isfinite(series))))

@@ -3,13 +3,17 @@
 Everything here is written from scratch against the mathematical
 definitions (barycentric P2 shape functions, per-triangle Gauss
 quadrature via the Duffy map) and deliberately shares no code paths
-with the package internals it is used to check. The exception is
-trilinear_bstar at the end: it evaluates b* one triple at a time from
-the package's quadrature-point data, and checks the blocked tensor
-build that contracts the same data for all triples at once.
+with the package internals it is used to check. The exceptions are at
+the end. trilinear_bstar evaluates b* one triple at a time from the
+package's quadrature-point data, and checks the blocked tensor build
+that contracts the same data for all triples at once. reference_step
+is the Picard step in its unfolded form (filter, then contract, on
+every iteration), and checks the stepper that folds the filter into
+the tensor once per run.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from romlab.fe import FEField, VelocitySpace, _coeffs, quad_point_data
 
@@ -202,3 +206,40 @@ def trilinear_bstar(space: VelocitySpace, u, v, w) -> float:
     t1 = _convective_integral(space, u, v, w)
     t2 = _convective_integral(space, u, w, v)
     return 0.5 * (t1 - t2)
+
+
+def reference_step(ops, filt, cfg, a_k, f_next):
+    """One implicit Euler step, filtering then contracting on every
+    Picard iteration; returns (a_next, picard_iterations).
+
+    The advecting field filt(a) is solved for and contracted with T
+    afresh for each solve and each residual.
+    """
+
+    def adv(a):
+        abar = cho_solve(filt.cho, a) if filt is not None else a
+        return np.tensordot(abar, ops.tensor, axes=(0, 0)).T
+
+    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r.matrix
+    rhs = a_k / cfg.dt + f_next
+    denom = np.linalg.norm(rhs) or 1.0
+    if cfg.linearization == "semi-implicit":
+        return np.linalg.solve(core + adv(a_k), rhs), 1
+    a = a_k
+    for it in range(1, cfg.picard_max_iters + 1):
+        a = np.linalg.solve(core + adv(a), rhs)
+        residual = np.linalg.norm(core @ a + adv(a) @ a - rhs) / denom
+        if residual <= cfg.picard_tol:
+            return a, it
+    raise RuntimeError(f"reference Picard did not converge ({residual:.3e})")
+
+
+def reference_run(ops, filt, cfg):
+    """March reference_step from ops.a0; returns (states, iter_counts)."""
+    states = [ops.a0]
+    iters = []
+    for k in range(cfg.n_steps):
+        a, it = reference_step(ops, filt, cfg, states[-1], ops.forcing[k + 1])
+        states.append(a)
+        iters.append(it)
+    return np.array(states), np.array(iters)

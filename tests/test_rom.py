@@ -1,15 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import trilinear_bstar
+from oracles import reference_run, trilinear_bstar
 from romlab.filtering import build_filter
 from romlab.pod import RomStiffness
 from romlab.rom import (LROMConfig, ROMOperators, StepDivergenceError,
                         _advection_matrix, build_trilinear_tensor,
-                        project_forcing, run, stability_check, step)
+                        project_forcing, run, stability_check)
+from romlab.study import StudyConfig, build_context
 
 
 R_SMALL = 6
+
+
+def _one_step(ops, filt, cfg, a_k, f_next):
+    """One step through run: t_final = dt, a0 = a_k, forcing rows [0, f].
+
+    Returns (a_next, picard_iterations).
+    """
+    one = ROMOperators(r=ops.r, s_r=ops.s_r, tensor=ops.tensor,
+                       forcing=np.vstack([np.zeros(ops.r), f_next]),
+                       a0=np.asarray(a_k, dtype=float))
+    traj = run(one, filt, replace(cfg, t_final=cfg.dt))
+    return traj.states[1], int(traj.iter_counts[0])
 
 
 @pytest.fixture
@@ -156,7 +171,21 @@ def test_project_forcing_rejects_nonfinite(small):
                         small.space)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, False, "50", None])
+def test_config_rejects_bad_picard_max_iters(bad):
+    with pytest.raises(ValueError, match="picard_max_iters"):
+        LROMConfig(dt=0.1, picard_max_iters=bad)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1e-3])
+def test_config_rejects_nonpositive_nu(nu):
+    with pytest.raises(ValueError, match="nu must be positive"):
+        LROMConfig(dt=0.1, nu=nu)
+
+
 def test_config_validation():
+    assert LROMConfig(dt=0.1, picard_max_iters=np.int64(3)) \
+        .picard_max_iters == 3
     with pytest.raises(ValueError):
         LROMConfig(dt=0.0)
     with pytest.raises(ValueError):
@@ -189,7 +218,7 @@ def test_r1_closed_form_step(small_ctx):
     ops = small_ctx.operators(1, 1e-2, 1.0)
     cfg = LROMConfig(dt=1e-2)
     s = ops.s_r.matrix[0, 0]
-    a_next, iters = step(ops, None, cfg, ops.a0, ops.forcing[1])
+    a_next, iters = _one_step(ops, None, cfg, ops.a0, ops.forcing[1])
     expect = (ops.a0[0] / cfg.dt + ops.forcing[1, 0]) \
         / (1.0 / cfg.dt + cfg.nu * s)
     assert abs(a_next[0] - expect) < 1e-12 * (1 + abs(expect))
@@ -202,8 +231,8 @@ def test_zero_delta_equals_grom(small_ctx, rng):
     filt = build_filter(ops.s_r, 0.0)
     a = rng.standard_normal(R_SMALL)
     f = rng.standard_normal(R_SMALL)
-    a_l, _ = step(ops, filt, cfg, a, f)
-    a_g, _ = step(ops, None, cfg, a, f)
+    a_l, _ = _one_step(ops, filt, cfg, a, f)
+    a_g, _ = _one_step(ops, None, cfg, a, f)
     assert np.abs(a_l - a_g).max() < 1e-12 * (1 + np.abs(a_g).max())
 
 
@@ -214,7 +243,7 @@ def test_grom_step_newton_oracle(small_ctx, rng):
     cfg = LROMConfig(dt=1e-2, picard_tol=1e-13)
     a_k = ops.a0 + 0.1 * rng.standard_normal(R_SMALL)
     f = ops.forcing[1]
-    a_pic, _ = step(ops, None, cfg, a_k, f)
+    a_pic, _ = _one_step(ops, None, cfg, a_k, f)
 
     t = ops.tensor
     core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r.matrix
@@ -229,6 +258,23 @@ def test_grom_step_newton_oracle(small_ctx, rng):
         if np.linalg.norm(newton) < 1e-14 * (1 + np.linalg.norm(a)):
             break
     assert np.abs(a_pic - a).max() < 1e-8 * (1 + np.abs(a).max())
+
+
+@pytest.mark.parametrize("delta, linearization", [
+    (None, "picard-implicit"), (0.0, "picard-implicit"),
+    (1e-2, "picard-implicit"), (1e-1, "picard-implicit"),
+    (1e-2, "semi-implicit")])
+def test_run_matches_reference_stepper(small_ctx, delta, linearization):
+    """The folded stepper (filter applied to T once per run, one
+    contraction per Picard iteration) follows the stepper that filters
+    and contracts on every iteration, with the same Picard counts."""
+    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    filt = None if delta is None else build_filter(ops.s_r, delta)
+    cfg = LROMConfig(dt=1e-2, linearization=linearization)
+    traj = run(ops, filt, cfg)
+    states, iters = reference_run(ops, filt, cfg)
+    assert np.array_equal(traj.iter_counts, iters)
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
 
 
 def test_semi_implicit_variant(small_ctx):
@@ -292,6 +338,29 @@ def test_picard_nonconvergence_raises():
         run(ops, None, cfg)
     assert exc.value.step == 0
     assert exc.value.residual is not None
+    # one iteration leaves no ratio of successive residuals
+    assert np.isnan(exc.value.ratio)
+
+
+def test_picard_slow_contraction_reports_ratio():
+    """On an n = 4 context, lrom-dt at r = 4, dt = 0.1 fails step 5 at
+    the default 50 iterations while the residual still contracts by
+    about 0.65 per iteration; 80 iterations converge that step."""
+    cfg = StudyConfig(kind="lrom-dt", mesh_n=4, r=4, sweep=[0.1])
+    ctx = build_context(cfg)
+    ops = ctx.operators(4, 0.1, 1.0)
+    filt = build_filter(ops.s_r, cfg.delta)
+    with pytest.raises(StepDivergenceError) as exc:
+        run(ops, filt, LROMConfig(dt=0.1))
+    assert exc.value.step == 5
+    assert exc.value.residual > 1e-10
+    assert 0.5 < exc.value.ratio < 0.8
+    assert f"last ratio {exc.value.ratio:.3g}" in str(exc.value)
+    prefix = run(ops, filt, LROMConfig(dt=0.1, t_final=0.5))
+    a6, iters = _one_step(ops, filt, LROMConfig(dt=0.1, picard_max_iters=80),
+                          prefix.final_state, ops.forcing[6])
+    assert 50 < iters <= 80
+    assert np.all(np.isfinite(a6))
 
 
 def test_blowup_guard():
@@ -307,9 +376,9 @@ def test_blowup_guard():
 def test_nonfinite_state_guard(small_ctx):
     ops = small_ctx.operators(4, 1e-1, 1.0)
     cfg = LROMConfig(dt=1e-1)
-    with pytest.raises(StepDivergenceError):
-        step(ops, None, cfg, np.array([np.nan, 0.0, 0.0, 0.0]),
-             ops.forcing[1])
+    with pytest.raises(StepDivergenceError, match="non-finite state"):
+        _one_step(ops, None, cfg, np.array([np.nan, 0.0, 0.0, 0.0]),
+                  ops.forcing[1])
 
 
 def test_stability_check(small_ctx):

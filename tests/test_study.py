@@ -231,6 +231,26 @@ def test_cli_success(tmp_path, capsys):
     assert "slope=" in captured.out
 
 
+def test_cli_lrom_reports_solver_stats(tmp_path, capsys):
+    """Each converged L-ROM line carries its Picard mean/max and the
+    energy-ledger maximum; the CSV keeps its fixed header and columns."""
+    out = tmp_path / "lrom.csv"
+    code = main(["lrom-delta", "--mesh-n", "4", "--r", "4", "--dt", "1e-2",
+                 "--sweep", "0.1,0.05", "--out", str(out)])
+    assert code == 0
+    points = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("delta=")]
+    assert len(points) == 2
+    for line in points:
+        picard = line.split("picard=")[1].split()[0]
+        mean, worst = picard.split("/")
+        assert 1.0 <= float(mean) <= int(worst)
+        assert float(line.split("energy=")[1]) > 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER
+    assert all(len(line.split(",")) == 7 for line in lines)
+
+
 def test_cli_invalid_config(capsys):
     assert main(["filter-delta", "--mesh-n", "0"]) == 2
     assert main(["filter-delta", "--sweep", "1e-2,5e-2,1e-3"]) == 2
