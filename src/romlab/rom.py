@@ -159,7 +159,6 @@ class LROMConfig:
 class ROMTrajectory:
     states: np.ndarray        # (M+1, r)
     iter_counts: np.ndarray   # (M,) Picard iterations per step
-    dt: float
 
     @property
     def final_state(self) -> np.ndarray:
@@ -228,7 +227,7 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
                 f"trajectory blow-up at step {k + 1}", step=k)
         states[k + 1] = a
         iters[k] = it
-    return ROMTrajectory(states=states, iter_counts=iters, dt=cfg.dt)
+    return ROMTrajectory(states=states, iter_counts=iters)
 
 
 @dataclass(frozen=True)

@@ -40,11 +40,13 @@ __all__ = [
     "InvalidStudyError",
     "StudyConfig",
     "StudyResult",
+    "SnapshotCoords",
     "SweepRecord",
     "avg_filter_errors",
     "final_time_error",
     "loglog_regression",
     "run_study",
+    "snapshot_coords",
     "CSV_HEADER",
 ]
 
@@ -217,23 +219,63 @@ def loglog_regression(xs, ys):
     return float(slope), float(intercept), min(max(r2, 0.0), 1.0)
 
 
-def avg_filter_errors(basis: PODBasis, r: int, delta: float,
-                      snapshots: SnapshotSet, m_op: sp.csr_matrix,
-                      s_op: sp.csr_matrix, s_r=None):
+@dataclass(frozen=True)
+class SnapshotCoords:
+    """The snapshots in full POD coordinates, for filtering errors.
+
+    With c = Phi^T M u and w = u - Phi c the part of each snapshot
+    outside span(Phi), the filtering error on r modes is w + Phi e for
+    a d-vector e per snapshot, so its mean squared L2 and H1 norms need
+    only these d x K arrays and the mean squared norms of w.
+    """
+
+    c: np.ndarray        # (d, K) Phi^T M u
+    phi_m_w: np.ndarray  # (d, K) Phi^T M w
+    phi_s_w: np.ndarray  # (d, K) Phi^T S w
+    w_l2: float          # mean of w^T M w over the snapshots
+    w_h1: float          # mean of w^T S w over the snapshots
+
+
+def snapshot_coords(basis: PODBasis, snapshots: SnapshotSet,
+                    m_op: sp.csr_matrix,
+                    s_op: sp.csr_matrix) -> SnapshotCoords:
+    """The one pass over the FE space that a filter study needs.
+
+    At most two N x K temporaries are alive at once: w is formed in the
+    buffer of Phi c, and M w is freed before S w is formed.
+    """
+    u, phi = snapshots.matrix, basis.modes
+    c = phi.T @ (m_op @ u)
+    w = phi @ c
+    np.subtract(u, w, out=w)
+    mw = m_op @ w
+    phi_m_w = phi.T @ mw
+    w_l2 = float(np.mean(np.einsum("ij,ij->j", w, mw)))
+    del mw
+    sw = s_op @ w
+    return SnapshotCoords(c=c, phi_m_w=phi_m_w, phi_s_w=phi.T @ sw,
+                          w_l2=w_l2,
+                          w_h1=float(np.mean(np.einsum("ij,ij->j", w, sw))))
+
+
+def avg_filter_errors(coords: SnapshotCoords, basis: PODBasis, r: int,
+                      delta: float):
     """Average squared filtering errors over all snapshots.
 
     Returns (E_L2, E_H1): the mean of |u_k - filt(u_k)|^2 in the L2 norm
-    and in the H1 seminorm.
+    and in the H1 seminorm, where filt(u_k) = Phi_r F^-1 a_k. The error
+    is w_k + Phi e_k with e_k = (a_k - F^-1 a_k; the coordinates past r),
+    and the modes are L2-orthonormal, so
+    |err|^2_M = w^T M w + 2 (Phi^T M w) . e + e . e and
+    |err|^2_S = w^T S w + 2 (Phi^T S w) . e + e^T G e, G = grad_gram.
     """
-    if s_r is None:
-        s_r = rom_stiffness(basis, r)
-    filt = build_filter(s_r, delta)
-    u = snapshots.matrix
-    coords = basis.modes[:, :r].T @ (m_op @ u)
-    abar = apply_filter(filt, coords)
-    err = u - basis.modes[:, :r] @ abar
-    e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
-    e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
+    filt = build_filter(rom_stiffness(basis, r), delta)
+    e = coords.c.copy()
+    e[:r] -= apply_filter(filt, coords.c[:r])
+    count = e.shape[1]
+    e_l2 = coords.w_l2 + float(np.sum(e * (2.0 * coords.phi_m_w + e))) / count
+    e_h1 = coords.w_h1 + float(
+        np.sum(e * (2.0 * coords.phi_s_w + basis.grad_gram @ e))) / count
     return e_l2, e_h1
 
 
@@ -323,33 +365,30 @@ def build_context(cfg: StudyConfig) -> StudyContext:
                         basis=basis, solution=solution)
 
 
+def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
+    """(record, r, delta, dt) at one sweep value; the record carries the
+    truncation errors and the regression abscissa."""
+    params = {"r": cfg.r, "delta": cfg.delta, "dt": cfg.dt}
+    params[cfg.param_name] = value if cfg.param_name == "r" else float(value)
+    lam_l2, lam_h1 = truncation_errors(ctx.basis, params["r"])
+    rec = SweepRecord(value=float(value), lambda_l2=lam_l2,
+                      lambda_h1=lam_h1,
+                      regression_x=(lam_h1 if cfg.param_name == "r"
+                                    else float(value)))
+    return rec, params["r"], params["delta"], params["dt"]
+
+
 def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
     records = []
-    if cfg.kind == "filter-delta":
-        s_r = rom_stiffness(ctx.basis, cfg.r)
-        lam_l2, lam_h1 = truncation_errors(ctx.basis, cfg.r)
-        for delta in cfg.sweep:
-            rec = SweepRecord(value=float(delta), lambda_l2=lam_l2,
-                              lambda_h1=lam_h1, regression_x=float(delta))
-            try:
-                rec.e_l2, rec.e_h1 = avg_filter_errors(
-                    ctx.basis, cfg.r, float(delta), ctx.snapshots,
-                    ctx.m_op, ctx.s_op, s_r=s_r)
-            except _POINT_ERRORS as exc:
-                rec.error = str(exc)
-            records.append(rec)
-    else:  # filter-r
-        for r in cfg.sweep:
-            lam_l2, lam_h1 = truncation_errors(ctx.basis, r)
-            rec = SweepRecord(value=float(r), lambda_l2=lam_l2,
-                              lambda_h1=lam_h1, regression_x=lam_h1)
-            try:
-                rec.e_l2, rec.e_h1 = avg_filter_errors(
-                    ctx.basis, r, cfg.delta, ctx.snapshots,
-                    ctx.m_op, ctx.s_op)
-            except _POINT_ERRORS as exc:
-                rec.error = str(exc)
-            records.append(rec)
+    # the FE-space work, once per study; each point is then O(d^2 K)
+    coords = snapshot_coords(ctx.basis, ctx.snapshots, ctx.m_op, ctx.s_op)
+    for value in cfg.sweep:
+        rec, r, delta, _ = _sweep_point(cfg, ctx, value)
+        try:
+            rec.e_l2, rec.e_h1 = avg_filter_errors(coords, ctx.basis, r, delta)
+        except _POINT_ERRORS as exc:
+            rec.error = str(exc)
+        records.append(rec)
     return records
 
 
@@ -360,17 +399,7 @@ def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
     ctx.operators(max(cfg.r_values), cfg._values("dt")[0], cfg.t_final)
 
     for value in cfg.sweep:
-        if cfg.kind == "lrom-dt":
-            r, delta, dt = cfg.r, cfg.delta, float(value)
-        elif cfg.kind == "lrom-delta":
-            r, delta, dt = cfg.r, float(value), cfg.dt
-        else:
-            r, delta, dt = value, cfg.delta, cfg.dt
-        lam_l2, lam_h1 = truncation_errors(ctx.basis, r)
-        rec = SweepRecord(value=float(value), lambda_l2=lam_l2,
-                          lambda_h1=lam_h1,
-                          regression_x=(lam_h1 if cfg.kind == "lrom-r"
-                                        else float(value)))
+        rec, r, delta, dt = _sweep_point(cfg, ctx, value)
         try:
             rom_cfg = LROMConfig(dt=dt, t_final=cfg.t_final, nu=cfg.nu,
                                  linearization=cfg.linearization)

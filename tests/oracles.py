@@ -9,13 +9,17 @@ package's quadrature-point data, and checks the blocked tensor build
 that contracts the same data for all triples at once. reference_step
 is the Picard step in its unfolded form (filter, then contract, on
 every iteration), and checks the stepper that folds the filter into
-the tensor once per run.
+the tensor once per run. avg_filter_errors_fe forms each snapshot's
+filtering error in the FE space, and checks the filter studies, which
+evaluate it in POD coordinates.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
 
 from romlab.fe import FEField, VelocitySpace, _coeffs, quad_point_data
+from romlab.filtering import apply_filter, build_filter
+from romlab.pod import rom_stiffness
 
 
 def _p2_local(lam):
@@ -243,3 +247,17 @@ def reference_run(ops, filt, cfg):
         states.append(a)
         iters.append(it)
     return np.array(states), np.array(iters)
+
+
+def avg_filter_errors_fe(basis, r, delta, snapshots, m_op, s_op):
+    """Mean squared L2 and H1-seminorm filtering errors, each snapshot's
+    error u_k - Phi_r filt(a_k) formed as an FE vector."""
+    s_r = rom_stiffness(basis, r)
+    filt = build_filter(s_r, delta)
+    u = snapshots.matrix
+    coords = basis.modes[:, :r].T @ (m_op @ u)
+    abar = apply_filter(filt, coords)
+    err = u - basis.modes[:, :r] @ abar
+    e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
+    e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
+    return e_l2, e_h1

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from oracles import avg_filter_errors_fe
 from romlab import study
 from romlab.cli import main
 from romlab.fe import interpolate
 from romlab.filtering import build_filter
-from romlab.pod import project_Pr
+from romlab.pod import PODBasis, SnapshotSet, project_Pr
 from romlab.rom import LROMConfig, build_trilinear_tensor, project_forcing, run
 from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
-                          loglog_regression, run_study)
+                          loglog_regression, run_study, snapshot_coords)
 
 
 # ------------------------------------------------------------- regression
@@ -140,12 +141,39 @@ def test_context_cache_roundtrip(tmp_path):
 
 
 def test_avg_filter_errors_decrease_with_r(small_ctx):
-    e4 = avg_filter_errors(small_ctx.basis, 4, 1e-3, small_ctx.snapshots,
-                           small_ctx.m_op, small_ctx.s_op)
-    e8 = avg_filter_errors(small_ctx.basis, 8, 1e-3, small_ctx.snapshots,
-                           small_ctx.m_op, small_ctx.s_op)
+    coords = snapshot_coords(small_ctx.basis, small_ctx.snapshots,
+                             small_ctx.m_op, small_ctx.s_op)
+    e4 = avg_filter_errors(coords, small_ctx.basis, 4, 1e-3)
+    e8 = avg_filter_errors(coords, small_ctx.basis, 8, 1e-3)
     assert e8[0] < e4[0]
     assert e8[1] < e4[1]
+
+
+@pytest.mark.parametrize("k,stride", [(None, 1), (6, 1), (6, 2)])
+def test_avg_filter_errors_match_fe_oracle(small_ctx, k, stride):
+    """POD-coordinate errors equal the FE-space ones. On the leading
+    k < d modes the snapshots leave span(Phi), so w carries real weight;
+    on every other snapshot the H1 cross term (Phi^T S w) . e is far
+    from 0 (on all snapshots it vanishes, since e and w then lie in
+    orthogonal right singular subspaces of the snapshot matrix)."""
+    basis = small_ctx.basis
+    if k is not None:
+        basis = PODBasis(eigenvalues=basis.eigenvalues[:k],
+                         modes=basis.modes[:, :k],
+                         grad_gram=basis.grad_gram[:k, :k],
+                         phi_h1_sq=basis.phi_h1_sq[:k])
+    snaps = small_ctx.snapshots
+    snaps = SnapshotSet(space=snaps.space, times=snaps.times[::stride],
+                        matrix=snaps.matrix[:, ::stride])
+    coords = snapshot_coords(basis, snaps, small_ctx.m_op, small_ctx.s_op)
+    if k is not None:
+        assert coords.w_l2 > 1e-3 and coords.w_h1 > 1.0
+    for r in (1, basis.d // 2, basis.d):
+        for delta in (0.0, 1e-3, 1e-1):
+            got = avg_filter_errors(coords, basis, r, delta)
+            want = avg_filter_errors_fe(basis, r, delta, snaps,
+                                        small_ctx.m_op, small_ctx.s_op)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_final_time_error_variants(small_ctx):
@@ -217,6 +245,23 @@ def test_study_builds_tensor_and_forcing_once(build_counts, kind):
     run_study(cfg, build_context(cfg))
     assert build_counts["tensor"] == [6]
     assert build_counts["forcing"] == [6] * (2 if kind == "lrom-dt" else 1)
+
+
+@pytest.mark.parametrize("kind,sweep", [
+    ("filter-delta", [4e-2, 2e-2, 1e-2, 5e-3]), ("filter-r", [2, 4, 6])])
+def test_filter_study_builds_snapshot_coords_once(small_ctx, monkeypatch,
+                                                  kind, sweep):
+    calls = []
+
+    def coords(*args):
+        calls.append(1)
+        return snapshot_coords(*args)
+
+    monkeypatch.setattr(study, "snapshot_coords", coords)
+    result = run_study(_small_cfg(kind=kind, r=8, delta=1e-3, sweep=sweep),
+                       small_ctx)
+    assert result.n_failed == 0 and len(result.records) == len(sweep)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- CLI
