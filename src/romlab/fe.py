@@ -19,13 +19,9 @@ __all__ = [
     "triangle_rule",
     "VelocitySpace",
     "build_space",
-    "FEField",
     "assemble_mass",
     "assemble_stiffness",
     "interpolate",
-    "l2_norm",
-    "h1_semi_norm",
-    "l2_inner",
 ]
 
 
@@ -196,23 +192,6 @@ def build_space(n_or_mesh, quad_degree: int = 4) -> VelocitySpace:
                          phys_grads=phys_grads, det_j=det_j)
 
 
-@dataclass
-class FEField:
-    """A vector P2 field: space reference plus coefficient vector."""
-
-    space: VelocitySpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.n_dofs,):
-            raise ValueError(
-                f"coefficient vector has length {self.coeffs.shape}, "
-                f"expected ({self.space.n_dofs},)")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("non-finite coefficients")
-
-
 def _assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
     """Scatter per-orientation 6x6 local matrices into a scalar CSR."""
     ns = space.n_scalar
@@ -256,8 +235,9 @@ def assemble_stiffness(space: VelocitySpace) -> sp.csr_matrix:
     return _vectorize(_assemble_scalar(space, local))
 
 
-def interpolate(space: VelocitySpace, g: Callable, t: float | None = None) -> FEField:
-    """Nodal interpolant: evaluate g at the P2 nodes.
+def interpolate(space: VelocitySpace, g: Callable,
+                t: float | None = None) -> np.ndarray:
+    """Nodal interpolant: the coefficient vector of g at the P2 nodes.
 
     g is called as g(x, y) or g(x, y, t) and must return the two
     velocity components (arrays broadcast over the nodes).
@@ -271,32 +251,7 @@ def interpolate(space: VelocitySpace, g: Callable, t: float | None = None) -> FE
     coeffs = np.concatenate([u, v])
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("function evaluation produced non-finite nodal values")
-    return FEField(space=space, coeffs=coeffs)
-
-
-def _coeffs(u) -> np.ndarray:
-    return u.coeffs if isinstance(u, FEField) else np.asarray(u, dtype=float)
-
-
-def l2_norm(m_op: sp.csr_matrix, u) -> float:
-    u = _coeffs(u)
-    if u.shape[0] != m_op.shape[0]:
-        raise ValueError("dimension mismatch")
-    return float(np.sqrt(max(u @ (m_op @ u), 0.0)))
-
-
-def h1_semi_norm(s_op: sp.csr_matrix, u) -> float:
-    u = _coeffs(u)
-    if u.shape[0] != s_op.shape[0]:
-        raise ValueError("dimension mismatch")
-    return float(np.sqrt(max(u @ (s_op @ u), 0.0)))
-
-
-def l2_inner(m_op: sp.csr_matrix, u, v) -> float:
-    u, v = _coeffs(u), _coeffs(v)
-    if u.shape[0] != m_op.shape[0] or v.shape[0] != m_op.shape[0]:
-        raise ValueError("dimension mismatch")
-    return float(u @ (m_op @ v))
+    return coeffs
 
 
 def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,

@@ -48,8 +48,9 @@ class SnapshotSet:
 def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
     """Equispaced snapshot times 0, dt_snap, ..., t_final."""
     m = round(t_final / dt_snap)
-    if abs(t_final / dt_snap - m) > 1e-9:
-        raise ValueError("t_final must be an integer multiple of dt_snap")
+    if m < 1 or abs(t_final / dt_snap - m) > 1e-9:
+        raise ValueError("t_final must be a positive integer multiple of "
+                         "dt_snap")
     return np.linspace(0.0, t_final, m + 1)
 
 
@@ -62,7 +63,7 @@ def collect_snapshots(space: VelocitySpace, solution, times) -> SnapshotSet:
         raise ValueError("snapshot times must be strictly increasing")
     cols = np.empty((space.n_dofs, times.size))
     for k, t in enumerate(times):
-        cols[:, k] = interpolate(space, solution.velocity, t).coeffs
+        cols[:, k] = interpolate(space, solution.velocity, t)
     return SnapshotSet(space=space, times=times, matrix=cols)
 
 
@@ -97,12 +98,22 @@ class PODBasis:
     grad_gram : (d, d) Gram matrix of mode gradients; its leading r x r
         block is the reduced stiffness for any r <= d.
     phi_h1_sq : (d,) squared H1 norms of the modes.
+    snap_coords : (d, K) POD coordinates Phi^T M U of the K snapshots U.
+    residual_energy : (2,) mean squared L2 norm and H1 seminorm of the
+        snapshots' parts outside span(Phi), w = u - Phi Phi^T M u; both
+        are 0 when d = K.
+
+    snap_coords and residual_energy belong to the basis as built: a
+    basis with fewer modes comes from a larger rank_tol, not from
+    slicing the per-mode arrays.
     """
 
     eigenvalues: np.ndarray
     modes: np.ndarray
     grad_gram: np.ndarray
     phi_h1_sq: np.ndarray
+    snap_coords: np.ndarray
+    residual_energy: np.ndarray
 
     @property
     def d(self) -> int:
@@ -119,28 +130,41 @@ def build_pod_basis(snapshots: SnapshotSet, m_op: sp.csr_matrix,
     h1_seminorm=True for the seminorm convention.
     """
     k = correlation_matrix(snapshots, m_op)
+    u = snapshots.matrix
     vals, vecs = symmetric_eig(k)
     if vals.size == 0 or vals[0] <= 0:
         raise ValueError("degenerate snapshot ensemble: no positive energy")
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
+    m_plus_1 = snapshots.count
+    # The snapshots' parts outside span(Phi) are U V V^T over the dropped
+    # eigenvectors V, so their mean squared norms are tr(Z^T M Z) / K and
+    # tr(Z^T S Z) / K with Z = U V; Z is empty when d = K.
+    z = u @ vecs[:, d:]
+    residual = np.array([np.einsum("ij,ij->", z, op @ z)
+                         for op in (m_op, s_op)]) / m_plus_1
+    del z
     vals = vals[:d]
     vecs = vecs[:, :d]
-    m_plus_1 = snapshots.count
-    modes = snapshots.matrix @ (vecs / np.sqrt(m_plus_1 * vals))
+    modes = u @ (vecs / np.sqrt(m_plus_1 * vals))
     # The trailing eigenvalues sit near the rank cutoff, where the
     # 1/sqrt(lambda) normalization amplifies roundoff to ~1e-9 in the
     # Gram matrix. One triangular correction restores orthonormality to
     # machine precision while leaving the leading modes (and all nested
     # spans, since L is lower triangular) essentially untouched.
-    gram = modes.T @ (m_op @ modes)
+    m_modes = m_op @ modes
+    gram = modes.T @ m_modes
     low = np.linalg.cholesky(0.5 * (gram + gram.T))
+    # the corrected modes are Phi L^-T, so Phi^T M U = L^-1 (M Phi)^T U
+    snap_coords = solve_triangular(low, m_modes.T @ u, lower=True)
+    del m_modes
     modes = solve_triangular(low, modes.T, lower=True).T
     grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
     return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,
-                    phi_h1_sq=_h1_norms_sq(grad_gram, h1_seminorm))
+                    phi_h1_sq=_h1_norms_sq(grad_gram, h1_seminorm),
+                    snap_coords=snap_coords, residual_energy=residual)
 
 
 def _h1_norms_sq(grad_gram: np.ndarray, h1_seminorm: bool) -> np.ndarray:
@@ -177,25 +201,29 @@ def rom_stiffness(basis: PODBasis, r: int) -> RomStiffness:
 def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                v) -> np.ndarray:
     """ROM L2 projection coordinates a_i = (v, phi_i), i = 1..r."""
-    coeffs = v.coeffs if hasattr(v, "coeffs") else np.asarray(v, dtype=float)
-    if coeffs.shape[0] != m_op.shape[0]:
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return basis.modes[:, :r].T @ (m_op @ coeffs)
+    return basis.modes[:, :r].T @ (m_op @ v)
 
 
 # ---------------------------------------------------------------------------
 # Binary cache: little-endian array dump with a version header.
 #
 # Layout (all little-endian):
-#   magic   8 bytes  b"RLPODV3\0"
+#   magic   8 bytes  b"RLPODV4\0"
 #   header  <IIdQQ   n, M, dT, N, d
-#   arrays  float64: eigenvalues (d), modes (N*d, C order), grad_gram (d*d)
+#   arrays  float64, C order: eigenvalues (d), modes (N*d), grad_gram
+#           (d*d), snap_coords (d*K), residual_energy (2), with
+#           K = M + 1 snapshots
 #
 # The squared mode H1 norms are not stored: they depend on the norm
 # convention and are rebuilt from the diagonal of grad_gram on load.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"RLPODV3\0"
+_MAGIC = b"RLPODV4\0"
+_FIELDS = ("eigenvalues", "modes", "grad_gram", "snap_coords",
+           "residual_energy")
 _HEADER = "<IIdQQ"
 
 
@@ -206,6 +234,9 @@ def cache_path(cache_dir, n: int, dt_snap: float, m: int) -> Path:
 def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> None:
     """Write the cache atomically: a temp file in the same directory is
     renamed over path, so concurrent writers never interleave."""
+    if basis.snap_coords.shape[1] != m + 1:
+        raise ValueError(f"basis built from {basis.snap_coords.shape[1]} "
+                         f"snapshots, expected M + 1 = {m + 1}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     nn = basis.modes.shape[0]
@@ -214,8 +245,9 @@ def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> Non
         with os.fdopen(fd, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack(_HEADER, n, m, dt_snap, nn, basis.d))
-            for arr in (basis.eigenvalues, basis.modes, basis.grad_gram):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for name in _FIELDS:
+                fh.write(np.ascontiguousarray(getattr(basis, name),
+                                              dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -246,10 +278,10 @@ def load_pod_cache(path, n: int, dt_snap: float, m: int,
             if len(raw) != 8 * count:
                 return None
             return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        vals = rd(d)
-        modes = rd(nn, d)
-        gram = rd(d, d)
-        if any(a is None for a in (vals, modes, gram)):
+        k = m + 1
+        shapes = ((d,), (nn, d), (d, d), (d, k), (2,))
+        arrays = dict(zip(_FIELDS, (rd(*shape) for shape in shapes)))
+        if any(a is None for a in arrays.values()):
             return None
-    return PODBasis(eigenvalues=vals, modes=modes, grad_gram=gram,
-                    phi_h1_sq=_h1_norms_sq(gram, h1_seminorm))
+    return PODBasis(**arrays, phi_h1_sq=_h1_norms_sq(arrays["grad_gram"],
+                                                     h1_seminorm))

@@ -230,21 +230,12 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     return ROMTrajectory(states=states, iter_counts=iters)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    bound_series: np.ndarray  # value of the stability quantity at each M~
-    max_bound: float
-    bounded: bool
-
-
 def stability_check(traj: ROMTrajectory, ops: ROMOperators,
-                    cfg: LROMConfig) -> StabilityReport:
-    """Discrete energy ledger:
+                    cfg: LROMConfig) -> np.ndarray:
+    """Discrete energy ledger, one value per time level M~:
     q(M~) = |a_{M~}|^2 + dt * sum_{k<M~} a_{k+1}^T S_r a_{k+1}.
     """
     a = traj.states
     grad_energy = np.einsum("ki,ij,kj->k", a[1:], ops.s_r.matrix, a[1:])
     cum = cfg.dt * np.concatenate([[0.0], np.cumsum(grad_energy)])
-    series = np.sum(a * a, axis=1) + cum
-    return StabilityReport(bound_series=series, max_bound=float(series.max()),
-                           bounded=bool(np.all(np.isfinite(series))))
+    return np.sum(a * a, axis=1) + cum

@@ -28,10 +28,9 @@ from .exact import AnalyticSolution
 from .fe import (VelocitySpace, assemble_mass, assemble_stiffness,
                  build_space, interpolate)
 from .filtering import apply_filter, build_filter
-from .pod import (PODBasis, SnapshotSet, build_pod_basis, cache_path,
-                  collect_snapshots, default_times, load_pod_cache,
-                  project_Pr, rom_stiffness, save_pod_cache,
-                  truncation_errors)
+from .pod import (PODBasis, build_pod_basis, cache_path, collect_snapshots,
+                  default_times, load_pod_cache, project_Pr, rom_stiffness,
+                  save_pod_cache, truncation_errors)
 from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
                   project_forcing, ROMOperators, run, stability_check)
 
@@ -40,13 +39,11 @@ __all__ = [
     "InvalidStudyError",
     "StudyConfig",
     "StudyResult",
-    "SnapshotCoords",
     "SweepRecord",
     "avg_filter_errors",
     "final_time_error",
     "loglog_regression",
     "run_study",
-    "snapshot_coords",
     "CSV_HEADER",
 ]
 
@@ -131,10 +128,10 @@ class StudyConfig:
         for name in ("snap_dt", "dt"):
             for step in self._values(name):
                 ratio = self.t_final / step
-                if abs(ratio - round(ratio)) > 1e-9:
+                if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                     raise InvalidStudyError(
-                        f"t_final must be an integer multiple of {name}, "
-                        f"got {name}={step}")
+                        f"t_final must be a positive integer multiple of "
+                        f"{name}, got {name}={step}")
         for r in self.r_values:
             if r != int(r):
                 raise InvalidStudyError(f"r={r} is not an integer")
@@ -219,64 +216,27 @@ def loglog_regression(xs, ys):
     return float(slope), float(intercept), min(max(r2, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class SnapshotCoords:
-    """The snapshots in full POD coordinates, for filtering errors.
-
-    With c = Phi^T M u and w = u - Phi c the part of each snapshot
-    outside span(Phi), the filtering error on r modes is w + Phi e for
-    a d-vector e per snapshot, so its mean squared L2 and H1 norms need
-    only these d x K arrays and the mean squared norms of w.
-    """
-
-    c: np.ndarray        # (d, K) Phi^T M u
-    phi_m_w: np.ndarray  # (d, K) Phi^T M w
-    phi_s_w: np.ndarray  # (d, K) Phi^T S w
-    w_l2: float          # mean of w^T M w over the snapshots
-    w_h1: float          # mean of w^T S w over the snapshots
-
-
-def snapshot_coords(basis: PODBasis, snapshots: SnapshotSet,
-                    m_op: sp.csr_matrix,
-                    s_op: sp.csr_matrix) -> SnapshotCoords:
-    """The one pass over the FE space that a filter study needs.
-
-    At most two N x K temporaries are alive at once: w is formed in the
-    buffer of Phi c, and M w is freed before S w is formed.
-    """
-    u, phi = snapshots.matrix, basis.modes
-    c = phi.T @ (m_op @ u)
-    w = phi @ c
-    np.subtract(u, w, out=w)
-    mw = m_op @ w
-    phi_m_w = phi.T @ mw
-    w_l2 = float(np.mean(np.einsum("ij,ij->j", w, mw)))
-    del mw
-    sw = s_op @ w
-    return SnapshotCoords(c=c, phi_m_w=phi_m_w, phi_s_w=phi.T @ sw,
-                          w_l2=w_l2,
-                          w_h1=float(np.mean(np.einsum("ij,ij->j", w, sw))))
-
-
-def avg_filter_errors(coords: SnapshotCoords, basis: PODBasis, r: int,
-                      delta: float):
+def avg_filter_errors(basis: PODBasis, r: int, delta: float):
     """Average squared filtering errors over all snapshots.
 
     Returns (E_L2, E_H1): the mean of |u_k - filt(u_k)|^2 in the L2 norm
-    and in the H1 seminorm, where filt(u_k) = Phi_r F^-1 a_k. The error
-    is w_k + Phi e_k with e_k = (a_k - F^-1 a_k; the coordinates past r),
-    and the modes are L2-orthonormal, so
-    |err|^2_M = w^T M w + 2 (Phi^T M w) . e + e . e and
-    |err|^2_S = w^T S w + 2 (Phi^T S w) . e + e^T G e, G = grad_gram.
+    and in the H1 seminorm, where filt(u_k) = Phi_r F^-1 c_k[:r] and
+    c = Phi^T M U holds the snapshots' POD coordinates. The error is
+    w_k + Phi e_k, with w_k the part of u_k outside span(Phi) and
+    e_k = c_k - (F^-1 c_k[:r]; 0). The modes are L2-orthonormal and
+    M-orthogonal to w, and the rows of e and of Phi^T S w lie in the
+    orthogonal spans of the kept and the dropped correlation
+    eigenvectors, so the means are |w|^2 + e . e / K and
+    |w|^2_S + e^T G e / K with G = grad_gram. No N-sized array is
+    touched.
     """
     filt = build_filter(rom_stiffness(basis, r), delta)
-    e = coords.c.copy()
-    e[:r] -= apply_filter(filt, coords.c[:r])
+    e = basis.snap_coords.copy()
+    e[:r] -= apply_filter(filt, e[:r])
     count = e.shape[1]
-    e_l2 = coords.w_l2 + float(np.sum(e * (2.0 * coords.phi_m_w + e))) / count
-    e_h1 = coords.w_h1 + float(
-        np.sum(e * (2.0 * coords.phi_s_w + basis.grad_gram @ e))) / count
-    return e_l2, e_h1
+    res_l2, res_h1 = basis.residual_energy
+    return (float(res_l2 + np.sum(e * e) / count),
+            float(res_h1 + np.sum(e * (basis.grad_gram @ e)) / count))
 
 
 def final_time_error(traj, solution, basis: PODBasis, r: int,
@@ -288,7 +248,7 @@ def final_time_error(traj, solution, basis: PODBasis, r: int,
     measures |u(T) - filt(P_r u(T))| instead (the literal filtered-
     snapshot definition), which needs a FilterOperator.
     """
-    u_exact = interpolate(space, solution.velocity, t_final).coeffs
+    u_exact = interpolate(space, solution.velocity, t_final)
     if variant == "rom":
         approx = basis.modes[:, :r] @ traj.final_state
     elif variant == "filtered-snapshot":
@@ -309,7 +269,6 @@ class StudyContext:
     space: VelocitySpace
     m_op: sp.csr_matrix
     s_op: sp.csr_matrix
-    snapshots: SnapshotSet
     basis: PODBasis
     solution: AnalyticSolution
     # advection tensor and forcing series per (dt, t_final), all built for
@@ -347,7 +306,6 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     m_op = assemble_mass(space)
     s_op = assemble_stiffness(space)
     times = default_times(cfg.snap_dt, cfg.t_final)
-    snaps = collect_snapshots(space, solution, times)
     m = times.size - 1
     basis = None
     cpath = None
@@ -358,11 +316,12 @@ def build_context(cfg: StudyConfig) -> StudyContext:
         if basis is not None and basis.modes.shape[0] != space.n_dofs:
             basis = None
     if basis is None:
-        basis = build_pod_basis(snaps, m_op, s_op, h1_seminorm=cfg.h1_seminorm)
+        basis = build_pod_basis(collect_snapshots(space, solution, times),
+                                m_op, s_op, h1_seminorm=cfg.h1_seminorm)
         if cpath is not None:
             save_pod_cache(cpath, basis, cfg.mesh_n, cfg.snap_dt, m)
-    return StudyContext(space=space, m_op=m_op, s_op=s_op, snapshots=snaps,
-                        basis=basis, solution=solution)
+    return StudyContext(space=space, m_op=m_op, s_op=s_op, basis=basis,
+                        solution=solution)
 
 
 def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
@@ -380,12 +339,10 @@ def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
 
 def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
     records = []
-    # the FE-space work, once per study; each point is then O(d^2 K)
-    coords = snapshot_coords(ctx.basis, ctx.snapshots, ctx.m_op, ctx.s_op)
     for value in cfg.sweep:
         rec, r, delta, _ = _sweep_point(cfg, ctx, value)
         try:
-            rec.e_l2, rec.e_h1 = avg_filter_errors(coords, ctx.basis, r, delta)
+            rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
         except _POINT_ERRORS as exc:
             rec.error = str(exc)
         records.append(rec)
@@ -406,10 +363,10 @@ def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
             ops = ctx.operators(r, dt, cfg.t_final)
             filt = build_filter(ops.s_r, delta)
             traj = run(ops, filt, rom_cfg)
-            report = stability_check(traj, ops, rom_cfg)
-            if not report.bounded:
+            ledger_max = float(stability_check(traj, ops, rom_cfg).max())
+            if not np.isfinite(ledger_max):
                 raise StepDivergenceError("stability ledger is non-finite")
-            rec.stability_max = report.max_bound
+            rec.stability_max = ledger_max
             rec.e_l2 = final_time_error(
                 traj, ctx.solution, ctx.basis, r, ctx.m_op, ctx.space,
                 cfg.t_final, variant=cfg.final_error_variant, filt=filt)

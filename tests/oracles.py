@@ -11,13 +11,15 @@ is the Picard step in its unfolded form (filter, then contract, on
 every iteration), and checks the stepper that folds the filter into
 the tensor once per run. avg_filter_errors_fe forms each snapshot's
 filtering error in the FE space, and checks the filter studies, which
-evaluate it in POD coordinates.
+evaluate it from the snapshot Gram matrices. l2_norm, h1_semi_norm and
+l2_inner are the FE norms of coefficient vectors, through the assembled
+operators.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
 
-from romlab.fe import FEField, VelocitySpace, _coeffs, quad_point_data
+from romlab.fe import VelocitySpace, quad_point_data
 from romlab.filtering import apply_filter, build_filter
 from romlab.pod import rom_stiffness
 
@@ -203,10 +205,6 @@ def trilinear_bstar(space: VelocitySpace, u, v, w) -> float:
     """Skew-symmetric trilinear convection form
     0.5 * [((u . grad) v, w) - ((u . grad) w, v)].
     """
-    for f in (u, v, w):
-        if isinstance(f, FEField) and f.space is not space:
-            raise ValueError("field does not belong to this space")
-    u, v, w = _coeffs(u), _coeffs(v), _coeffs(w)
     t1 = _convective_integral(space, u, v, w)
     t2 = _convective_integral(space, u, w, v)
     return 0.5 * (t1 - t2)
@@ -261,3 +259,24 @@ def avg_filter_errors_fe(basis, r, delta, snapshots, m_op, s_op):
     e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
     e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
     return e_l2, e_h1
+
+
+def _coeffs(u, op):
+    u = np.asarray(u, dtype=float)
+    if u.shape[0] != op.shape[0]:
+        raise ValueError("dimension mismatch")
+    return u
+
+
+def l2_norm(m_op, u) -> float:
+    u = _coeffs(u, m_op)
+    return float(np.sqrt(max(u @ (m_op @ u), 0.0)))
+
+
+def h1_semi_norm(s_op, u) -> float:
+    u = _coeffs(u, s_op)
+    return float(np.sqrt(max(u @ (s_op @ u), 0.0)))
+
+
+def l2_inner(m_op, u, v) -> float:
+    return float(_coeffs(u, m_op) @ (m_op @ _coeffs(v, m_op)))

@@ -13,7 +13,8 @@ import pytest
 
 from oracles import trilinear_bstar
 from romlab.filtering import apply_filter, build_filter
-from romlab.pod import rom_stiffness, truncation_errors
+from romlab.pod import (collect_snapshots, default_times, rom_stiffness,
+                        truncation_errors)
 from romlab.rom import LROMConfig, ROMOperators, build_trilinear_tensor, run
 from romlab.study import StudyConfig, run_study
 
@@ -112,7 +113,8 @@ def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
     dev = np.abs(gram - np.eye(basis.d)).max()
     if dev > 1e-10:
         failures.append(f"orthonormality deviation {dev:.2e} > 1e-10")
-    u = bench_ctx.snapshots.matrix
+    u = collect_snapshots(bench_ctx.space, bench_ctx.solution,
+                          default_times(1e-2, 1.0)).matrix
     for r in (10, 50, 95):
         lam_l2, _ = truncation_errors(basis, r)
         phi = basis.modes[:, :r]

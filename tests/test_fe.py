@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import trilinear_bstar
-from romlab.fe import (FEField, assemble_mass, assemble_stiffness,
-                       build_space, h1_semi_norm, interpolate, l2_inner,
-                       l2_norm, triangle_rule)
+from oracles import h1_semi_norm, l2_inner, l2_norm, trilinear_bstar
+from romlab.fe import (assemble_mass, assemble_stiffness, build_space,
+                       interpolate, triangle_rule)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -90,7 +89,7 @@ def test_stiffness_linear_field():
     space = build_space(4)
     s_op = assemble_stiffness(space)
     u = interpolate(space, lambda x, y: (x, 0.0 * x))
-    assert abs(u.coeffs @ (s_op @ u.coeffs) - 1.0) < 1e-12
+    assert abs(u @ (s_op @ u) - 1.0) < 1e-12
 
 
 def test_mass_independent_of_quadrature_degree():
@@ -112,7 +111,7 @@ def test_interpolate_quadratic_reproduction(rng):
 
     u = interpolate(space, g)
     pts = rng.uniform(0.0, 1.0, size=(40, 2))
-    vals = oracles.p2_eval(n, u.coeffs, pts[:, 0], pts[:, 1])
+    vals = oracles.p2_eval(n, u, pts[:, 0], pts[:, 1])
     gx, gy = g(pts[:, 0], pts[:, 1])
     assert np.abs(vals[:, 0] - gx).max() < 1e-12
     assert np.abs(vals[:, 1] - gy).max() < 1e-12
@@ -140,21 +139,13 @@ def test_interpolate_time_argument():
     space = build_space(2)
     u = interpolate(space, lambda x, y, t: (x + t, y - t), t=0.25)
     v = interpolate(space, lambda x, y: (x + 0.25, y - 0.25))
-    assert np.array_equal(u.coeffs, v.coeffs)
+    assert np.array_equal(u, v)
 
 
 def test_interpolate_rejects_nonfinite():
     space = build_space(2)
     with pytest.raises(ValueError):
         interpolate(space, lambda x, y: (np.full_like(x, np.inf), y))
-
-
-def test_fefield_validation():
-    space = build_space(2)
-    with pytest.raises(ValueError):
-        FEField(space, np.zeros(space.n_dofs - 1))
-    with pytest.raises(ValueError):
-        FEField(space, np.full(space.n_dofs, np.nan))
 
 
 def test_norm_convergence_smooth_field():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import l2_norm
 from romlab.exact import AnalyticSolution
-from romlab.fe import l2_norm
-from romlab.pod import (build_pod_basis, cache_path, collect_snapshots,
-                        correlation_matrix, default_times, load_pod_cache,
-                        project_Pr, rom_stiffness, save_pod_cache,
-                        symmetric_eig, truncation_errors)
+from romlab.pod import (SnapshotSet, build_pod_basis, cache_path,
+                        collect_snapshots, correlation_matrix, default_times,
+                        load_pod_cache, project_Pr, rom_stiffness,
+                        save_pod_cache, symmetric_eig, truncation_errors)
 
 
 def test_default_times():
@@ -17,6 +17,9 @@ def test_default_times():
     # 1/0.03 is not an integer: refuse instead of rounding the spacing
     with pytest.raises(ValueError, match="multiple"):
         default_times(0.03, 1.0)
+    # t_final below one spacing rounds to 0 steps: refuse, not [0.]
+    with pytest.raises(ValueError, match="multiple"):
+        default_times(1e-2, 1e-12)
 
 
 def test_collect_snapshots_validation(small):
@@ -32,7 +35,7 @@ def test_collect_snapshots_columns(small):
     k = 10
     t = small.times[k]
     u = interpolate(small.space, small.solution.velocity, t)
-    assert np.array_equal(small.snapshots.matrix[:, k], u.coeffs)
+    assert np.array_equal(small.snapshots.matrix[:, k], u)
 
 
 def test_correlation_matrix_properties(small):
@@ -86,8 +89,44 @@ def test_modes_orthonormal(small):
     assert np.abs(gram - np.eye(small.basis.d)).max() < 1e-10
 
 
+def _fe_residual_energy(basis, snapshots, m_op, s_op):
+    """Mean squared norms of u - Phi Phi^T M u, formed in the FE space."""
+    u = snapshots.matrix
+    w = u - basis.modes @ (basis.modes.T @ (m_op @ u))
+    return np.array([np.mean(np.sum(w * (op @ w), axis=0))
+                     for op in (m_op, s_op)])
+
+
+def test_snapshot_coords_and_residual_energy(small):
+    """snap_coords is Phi^T M U, and residual_energy the mean squared
+    norms of the snapshots' parts outside span(Phi): roundoff on the
+    full basis (the 21 snapshots have rank 15), exactly 0 when d = K,
+    and the FE-space value on a 6-mode basis."""
+    basis, snaps = small.basis, small.snapshots
+    u = snaps.matrix
+    direct = basis.modes.T @ (small.m_op @ u)
+    assert basis.snap_coords.shape == (basis.d, snaps.count)
+    assert np.abs(basis.snap_coords - direct).max() \
+        < 1e-13 * np.abs(direct).max()
+    energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
+                       for op in (small.m_op, small.s_op)])
+    assert np.all(0 <= basis.residual_energy)
+    assert np.all(basis.residual_energy < 1e-20 * energy)
+    every_other = SnapshotSet(space=small.space, times=snaps.times[::2],
+                              matrix=u[:, ::2])
+    full_rank = build_pod_basis(every_other, small.m_op, small.s_op)
+    assert full_rank.d == every_other.count
+    assert np.array_equal(full_rank.residual_energy, [0.0, 0.0])
+    lam = basis.eigenvalues
+    six = build_pod_basis(snaps, small.m_op, small.s_op,
+                          rank_tol=np.sqrt(lam[5] * lam[6]) / lam[0])
+    assert six.d == 6
+    want = _fe_residual_energy(six, snaps, small.m_op, small.s_op)
+    assert np.all(want > [1e-3, 1.0])
+    np.testing.assert_allclose(six.residual_energy, want, rtol=1e-12)
+
+
 def test_degenerate_ensemble_raises(small):
-    from romlab.pod import SnapshotSet
     zero = SnapshotSet(space=small.space, times=np.array([0.0]),
                        matrix=np.zeros((small.space.n_dofs, 1)))
     with pytest.raises(ValueError):
@@ -159,9 +198,15 @@ def test_cache_roundtrip(tmp_path, small):
     save_pod_cache(path, small.basis, small.n, 0.05, m)
     loaded = load_pod_cache(path, small.n, 0.05, m)
     assert loaded is not None
-    for name in ("eigenvalues", "modes", "grad_gram", "phi_h1_sq"):
+    for name in ("eigenvalues", "modes", "grad_gram", "phi_h1_sq",
+                 "snap_coords", "residual_energy"):
         assert np.array_equal(getattr(loaded, name),
                               getattr(small.basis, name)), name
+    assert loaded.snap_coords.shape == (small.basis.d, m + 1)
+    assert loaded.residual_energy.shape == (2,)
+    # a basis from another snapshot count is refused, not written
+    with pytest.raises(ValueError, match="snapshots"):
+        save_pod_cache(path, small.basis, small.n, 0.05, m + 1)
 
 
 def test_cache_mismatch_and_corruption(tmp_path, small):
@@ -179,6 +224,8 @@ def test_cache_mismatch_and_corruption(tmp_path, small):
     # wrong magic
     path.write_bytes(b"XXXXXXXX" + data[8:])
     assert load_pod_cache(path, small.n, 0.05, m) is None
-    # the older layout that also stored the correlation eigenvectors
-    path.write_bytes(b"RLPODV2\0" + data[8:])
-    assert load_pod_cache(path, small.n, 0.05, m) is None
+    # the older layouts: V2 also stored the correlation eigenvectors,
+    # V3 lacked the snapshot coordinates and residual energies
+    for magic in (b"RLPODV2\0", b"RLPODV3\0"):
+        path.write_bytes(magic + data[8:])
+        assert load_pod_cache(path, small.n, 0.05, m) is None

@@ -63,7 +63,7 @@ def test_energy_ledger_monotone_without_forcing(r, delta, seed, nu, dt):
                        forcing=np.zeros((21, r)), a0=a0)
     cfg = LROMConfig(dt=dt, t_final=20 * dt, nu=nu, picard_tol=1e-13)
     traj = run(ops, build_filter(s_r, delta), cfg)
-    series = stability_check(traj, ops, cfg).bound_series
+    series = stability_check(traj, ops, cfg)
     l2 = np.sum(traj.states ** 2, axis=1)
     energy = l2 + 2 * nu * (series - l2)
     assert np.all(np.diff(energy) <= 1e-11 * energy[0])

@@ -386,10 +386,10 @@ def test_stability_check(small_ctx):
     filt = build_filter(ops.s_r, 1e-2)
     cfg = LROMConfig(dt=1e-1)
     traj = run(ops, filt, cfg)
-    report = stability_check(traj, ops, cfg)
-    assert report.bounded
-    assert report.bound_series.shape == (11,)
-    assert report.max_bound >= np.sum(traj.states[0] ** 2)
+    series = stability_check(traj, ops, cfg)
+    assert np.all(np.isfinite(series))
+    assert series.shape == (11,)
+    assert series.max() >= np.sum(traj.states[0] ** 2)
     # the accumulated gradient part is non-decreasing
-    grad_part = report.bound_series - np.sum(traj.states ** 2, axis=1)
+    grad_part = series - np.sum(traj.states ** 2, axis=1)
     assert np.all(np.diff(grad_part) >= -1e-14)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from romlab import study
 from romlab.cli import main
 from romlab.fe import interpolate
 from romlab.filtering import build_filter
-from romlab.pod import PODBasis, SnapshotSet, project_Pr
+from romlab.pod import SnapshotSet, build_pod_basis, project_Pr
 from romlab.rom import LROMConfig, build_trilinear_tensor, project_forcing, run
 from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
-                          loglog_regression, run_study, snapshot_coords)
+                          loglog_regression, run_study)
 
 
 # ------------------------------------------------------------- regression
@@ -141,39 +143,48 @@ def test_context_cache_roundtrip(tmp_path):
 
 
 def test_avg_filter_errors_decrease_with_r(small_ctx):
-    coords = snapshot_coords(small_ctx.basis, small_ctx.snapshots,
-                             small_ctx.m_op, small_ctx.s_op)
-    e4 = avg_filter_errors(coords, small_ctx.basis, 4, 1e-3)
-    e8 = avg_filter_errors(coords, small_ctx.basis, 8, 1e-3)
+    e4 = avg_filter_errors(small_ctx.basis, 4, 1e-3)
+    e8 = avg_filter_errors(small_ctx.basis, 8, 1e-3)
     assert e8[0] < e4[0]
     assert e8[1] < e4[1]
 
 
-@pytest.mark.parametrize("k,stride", [(None, 1), (6, 1), (6, 2)])
-def test_avg_filter_errors_match_fe_oracle(small_ctx, k, stride):
-    """POD-coordinate errors equal the FE-space ones. On the leading
-    k < d modes the snapshots leave span(Phi), so w carries real weight;
-    on every other snapshot the H1 cross term (Phi^T S w) . e is far
-    from 0 (on all snapshots it vanishes, since e and w then lie in
-    orthogonal right singular subspaces of the snapshot matrix)."""
-    basis = small_ctx.basis
+@pytest.mark.parametrize("k,stride", [(None, 1), (6, 1), (None, 2)])
+def test_avg_filter_errors_match_fe_oracle(small_ctx, small, k, stride):
+    """Errors from the snapshots' POD coordinates equal the FE-space
+    ones: on small_ctx's basis; on a basis of k = 6 modes (built with a
+    larger rank_tol, so the snapshots leave span(Phi)); and on a basis
+    built from every other snapshot (d = K = 11).
+
+    rtol is 1e-12. At r = d a floor of 1e-17 times the mean squared
+    snapshot norm joins it. At delta = 0 the error there is roundoff
+    (about 1e-30 in the FE space, exactly 0 when d = K). At delta = 1e-3
+    it is about 1e-7 of the snapshot norm, so the modes' 4e-15 departure
+    from orthonormality shows at 1e-12: against an extended-precision
+    evaluation, this one is off by 2.0e-12 (small_ctx) and 4.2e-12
+    (every other snapshot), the oracle by 4.8e-13 and 8.7e-13."""
+    basis, snaps = small_ctx.basis, small.snapshots
+    if stride > 1:
+        snaps = SnapshotSet(space=snaps.space, times=snaps.times[::stride],
+                            matrix=snaps.matrix[:, ::stride])
+        basis = build_pod_basis(snaps, small.m_op, small.s_op)
     if k is not None:
-        basis = PODBasis(eigenvalues=basis.eigenvalues[:k],
-                         modes=basis.modes[:, :k],
-                         grad_gram=basis.grad_gram[:k, :k],
-                         phi_h1_sq=basis.phi_h1_sq[:k])
-    snaps = small_ctx.snapshots
-    snaps = SnapshotSet(space=snaps.space, times=snaps.times[::stride],
-                        matrix=snaps.matrix[:, ::stride])
-    coords = snapshot_coords(basis, snaps, small_ctx.m_op, small_ctx.s_op)
-    if k is not None:
-        assert coords.w_l2 > 1e-3 and coords.w_h1 > 1.0
+        lam = basis.eigenvalues
+        basis = build_pod_basis(snaps, small.m_op, small.s_op,
+                                rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0])
+        assert basis.d == k and np.all(basis.residual_energy > [1e-3, 1.0])
+    u = snaps.matrix
+    energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
+                       for op in (small.m_op, small.s_op)])
     for r in (1, basis.d // 2, basis.d):
+        atol = 1e-17 * energy if r == basis.d else 0.0
         for delta in (0.0, 1e-3, 1e-1):
-            got = avg_filter_errors(coords, basis, r, delta)
+            got = avg_filter_errors(basis, r, delta)
             want = avg_filter_errors_fe(basis, r, delta, snaps,
-                                        small_ctx.m_op, small_ctx.s_op)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                                        small.m_op, small.s_op)
+            err = np.abs(np.subtract(got, want))
+            assert np.all(err <= 1e-12 * np.abs(want) + atol), \
+                (r, delta, got, want)
 
 
 def test_final_time_error_variants(small_ctx):
@@ -249,19 +260,14 @@ def test_study_builds_tensor_and_forcing_once(build_counts, kind):
 
 @pytest.mark.parametrize("kind,sweep", [
     ("filter-delta", [4e-2, 2e-2, 1e-2, 5e-3]), ("filter-r", [2, 4, 6])])
-def test_filter_study_builds_snapshot_coords_once(small_ctx, monkeypatch,
-                                                  kind, sweep):
-    calls = []
-
-    def coords(*args):
-        calls.append(1)
-        return snapshot_coords(*args)
-
-    monkeypatch.setattr(study, "snapshot_coords", coords)
-    result = run_study(_small_cfg(kind=kind, r=8, delta=1e-3, sweep=sweep),
-                       small_ctx)
+def test_filter_study_needs_no_fe_space(small_ctx, kind, sweep):
+    """A filter study reads only the POD basis: without the FE space and
+    operators it gives the same records."""
+    cfg = _small_cfg(kind=kind, r=8, delta=1e-3, sweep=sweep)
+    bare = dataclasses.replace(small_ctx, space=None, m_op=None, s_op=None)
+    result = run_study(cfg, bare)
     assert result.n_failed == 0 and len(result.records) == len(sweep)
-    assert len(calls) == 1
+    assert result.records == run_study(cfg, small_ctx).records
 
 
 # ------------------------------------------------------------- CLI
@@ -339,10 +345,12 @@ def test_config_rejects_nonfinite(name, bad):
     ("lrom-delta", dict(dt=3e-3)),
     ("lrom-dt", dict(sweep=[1e-2, 3e-3])),
     ("lrom-delta", dict(t_final=0.5, snap_dt=0.3)),
+    ("lrom-delta", dict(t_final=1e-12, dt=1e-13)),
 ])
 def test_config_rejects_t_final_off_the_time_grid(kind, kw):
-    """t_final must be an integer multiple of snap_dt and of every dt:
-    a rounded grid would not match the recorded spacing."""
+    """t_final must be a positive integer multiple of snap_dt and of
+    every dt: a rounded grid would not match the recorded spacing, and a
+    t_final below one snapshot spacing would round to 0 steps."""
     with pytest.raises(InvalidStudyError, match="integer multiple"):
         StudyConfig(kind=kind, **kw)
 
@@ -385,6 +393,7 @@ def test_r_outside_basis_rank_raises_before_any_point(small_ctx, kind, extra):
     ["filter-delta", "--r", "6", "--sweep=-1e-2,-5e-3"],
     ["lrom-delta", "--r", "6", "--dt=-0.1", "--sweep", "0.1,0.05"],
     ["lrom-dt", "--r", "6", "--sweep", "0.1,0"],
+    ["lrom-delta", "--r", "1", "--t-final", "1e-12", "--dt", "1e-13"],
 ])
 def test_cli_rejects_out_of_range_and_nonfinite(argv, capsys):
     assert main(argv + ["--mesh-n", "8"]) == 2
