@@ -30,7 +30,7 @@ def main():
     snaps = collect_snapshots(space, solution, default_times(1e-2, 1.0))
     basis = build_pod_basis(snaps, m_op, s_op)
 
-    print(f"snapshots: {snaps.count}, POD rank d = {basis.d}")
+    print(f"snapshots: {snaps.shape[1]}, POD rank d = {basis.d}")
     print("\nleading eigenvalues:")
     for j in range(0, min(basis.d, 20), 4):
         lam = basis.eigenvalues[j:j + 4]

@@ -63,14 +63,6 @@ class AnalyticSolution:
         """Velocity components (u, v) at points (x, y) and time t."""
         return self._g(y, t), self._g(x, t)
 
-    def velocity_grad(self, x, y, t):
-        """Jacobian entries (du/dx, du/dy, dv/dx, dv/dy).
-
-        du/dx and dv/dy vanish identically.
-        """
-        zeros = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-        return zeros, self._g_s(y, t), self._g_s(x, t), zeros.copy()
-
     def velocity_dt(self, x, y, t):
         return self._g_t(y, t), self._g_t(x, t)
 

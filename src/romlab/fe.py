@@ -141,10 +141,6 @@ class VelocitySpace:
     def n_dofs(self) -> int:
         return 2 * self.n_scalar
 
-    def component(self, coeffs: np.ndarray, c: int) -> np.ndarray:
-        ns = self.n_scalar
-        return coeffs[c * ns:(c + 1) * ns]
-
     def orientation_elements(self, o: int) -> np.ndarray:
         """Element indices of orientation o (0: lower, 1: upper triangle)."""
         return np.arange(o, self.edofs.shape[0], 2)
@@ -258,14 +254,11 @@ def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
                     elements: np.ndarray):
     """Values and gradients at the quadrature points of given elements.
 
-    coeffs may be a single vector (n_dofs,) or a matrix (n_dofs, r).
-    Returns (vals, grads, wdet) with shapes
-    (ne*nq, r, 2), (ne*nq, r, 2, 2), (ne*nq,); the gradient axes are
-    (component, derivative direction).
+    coeffs is an (n_dofs, r) matrix, one field per column. Returns
+    (vals, grads, wdet) with shapes (ne*nq, r, 2), (ne*nq, r, 2, 2),
+    (ne*nq,); the gradient axes are (component, derivative direction).
     """
-    single = coeffs.ndim == 1
-    c = coeffs[:, None] if single else coeffs
-    r = c.shape[1]
+    r = coeffs.shape[1]
     ns = space.n_scalar
     nq = len(space.rule.weights)
     ne = len(elements)
@@ -281,12 +274,8 @@ def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
         ed = space.edofs[elements[sel]]            # (m, 6)
         g = space.phys_grads[o]                    # (nq, 6, 2)
         for comp in range(2):
-            el_c = c[comp * ns:(comp + 1) * ns][ed]    # (m, 6, r)
+            el_c = coeffs[comp * ns:(comp + 1) * ns][ed]   # (m, 6, r)
             vals[sel, :, :, comp] = np.einsum("ql,mlr->mqr", nvals, el_c)
             grads[sel, :, :, comp, :] = np.einsum("qla,mlr->mqra", g, el_c)
     wdet = np.tile(space.rule.weights * space.det_j, ne)
-    vals = vals.reshape(ne * nq, r, 2)
-    grads = grads.reshape(ne * nq, r, 2, 2)
-    if single:
-        return vals[:, 0], grads[:, 0], wdet
-    return vals, grads, wdet
+    return vals.reshape(ne * nq, r, 2), grads.reshape(ne * nq, r, 2, 2), wdet

@@ -11,26 +11,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .pod import RomStiffness
-
 __all__ = ["FilterOperator", "build_filter", "apply_filter"]
 
 
 @dataclass(frozen=True)
 class FilterOperator:
-    delta: float
     r: int
-    matrix: np.ndarray     # I + delta^2 S_r
-    cho: tuple             # cho_factor output, shared read-only
+    cho: tuple             # cho_factor of I + delta^2 S_r, shared read-only
 
 
-def build_filter(s_r: RomStiffness, delta: float) -> FilterOperator:
+def build_filter(s_r: np.ndarray, delta: float) -> FilterOperator:
+    """Factorize I + delta^2 S_r for the (r, r) reduced stiffness s_r."""
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(
             f"filter radius must be finite and nonnegative, got {delta}")
-    a = np.eye(s_r.r) + delta ** 2 * s_r.matrix
-    return FilterOperator(delta=delta, r=s_r.r, matrix=a,
-                          cho=cho_factor(a, lower=True))
+    r = s_r.shape[0]
+    return FilterOperator(r=r, cho=cho_factor(np.eye(r) + delta ** 2 * s_r,
+                                              lower=True))
 
 
 def apply_filter(f: FilterOperator, a: np.ndarray) -> np.ndarray:

@@ -28,12 +28,6 @@ class TriMesh:
     def h(self) -> float:
         return 1.0 / self.n
 
-    def signed_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
 
 def build_mesh(n: int) -> TriMesh:
     """Build the n x n structured triangle mesh on the unit square.

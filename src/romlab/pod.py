@@ -19,30 +19,16 @@ from scipy.linalg import solve_triangular
 from .fe import VelocitySpace, interpolate
 
 __all__ = [
-    "SnapshotSet",
     "collect_snapshots",
     "correlation_matrix",
     "symmetric_eig",
     "PODBasis",
     "build_pod_basis",
     "truncation_errors",
-    "RomStiffness",
-    "rom_stiffness",
     "project_Pr",
     "save_pod_cache",
     "load_pod_cache",
 ]
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    space: VelocitySpace
-    times: np.ndarray      # (M+1,)
-    matrix: np.ndarray     # (N, M+1), one snapshot per column
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
 
 
 def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
@@ -54,8 +40,9 @@ def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
     return np.linspace(0.0, t_final, m + 1)
 
 
-def collect_snapshots(space: VelocitySpace, solution, times) -> SnapshotSet:
-    """Record the exact velocity on the FE mesh at the given times."""
+def collect_snapshots(space: VelocitySpace, solution, times) -> np.ndarray:
+    """The exact velocity on the FE mesh at the given times: an (N, K)
+    array with one snapshot per column."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty snapshot time list")
@@ -64,13 +51,11 @@ def collect_snapshots(space: VelocitySpace, solution, times) -> SnapshotSet:
     cols = np.empty((space.n_dofs, times.size))
     for k, t in enumerate(times):
         cols[:, k] = interpolate(space, solution.velocity, t)
-    return SnapshotSet(space=space, times=times, matrix=cols)
+    return cols
 
 
-def correlation_matrix(snapshots: SnapshotSet,
-                       m_op: sp.csr_matrix) -> np.ndarray:
+def correlation_matrix(u: np.ndarray, m_op: sp.csr_matrix) -> np.ndarray:
     """K = U^T M U / (M+1), symmetric positive semidefinite."""
-    u = snapshots.matrix
     if u.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch between snapshots and mass operator")
     k = u.T @ (m_op @ u) / u.shape[1]
@@ -96,8 +81,8 @@ class PODBasis:
     eigenvalues : (d,) descending energies of the correlation matrix.
     modes : (N, d) mode coefficient vectors, columns L2-orthonormal.
     grad_gram : (d, d) Gram matrix of mode gradients; its leading r x r
-        block is the reduced stiffness for any r <= d.
-    phi_h1_sq : (d,) squared H1 norms of the modes.
+        block is the reduced stiffness S_r for any r <= d, and its
+        diagonal holds the squared H1 seminorms of the modes.
     snap_coords : (d, K) POD coordinates Phi^T M U of the K snapshots U.
     residual_energy : (2,) mean squared L2 norm and H1 seminorm of the
         snapshots' parts outside span(Phi), w = u - Phi Phi^T M u; both
@@ -111,7 +96,6 @@ class PODBasis:
     eigenvalues: np.ndarray
     modes: np.ndarray
     grad_gram: np.ndarray
-    phi_h1_sq: np.ndarray
     snap_coords: np.ndarray
     residual_energy: np.ndarray
 
@@ -120,24 +104,21 @@ class PODBasis:
         return self.eigenvalues.size
 
 
-def build_pod_basis(snapshots: SnapshotSet, m_op: sp.csr_matrix,
-                    s_op: sp.csr_matrix, rank_tol: float = 1e-14,
-                    h1_seminorm: bool = False) -> PODBasis:
-    """Eigendecompose the correlation matrix and assemble the modes.
+def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
+                    s_op: sp.csr_matrix, rank_tol: float = 1e-14) -> PODBasis:
+    """Eigendecompose the correlation matrix of the (N, K) snapshots u
+    and assemble the modes.
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
-    phi_h1_sq uses the full H1 norm 1 + |grad phi|^2 by default; set
-    h1_seminorm=True for the seminorm convention.
     """
-    k = correlation_matrix(snapshots, m_op)
-    u = snapshots.matrix
+    k = correlation_matrix(u, m_op)
     vals, vecs = symmetric_eig(k)
     if vals.size == 0 or vals[0] <= 0:
         raise ValueError("degenerate snapshot ensemble: no positive energy")
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
-    m_plus_1 = snapshots.count
+    m_plus_1 = u.shape[1]
     # The snapshots' parts outside span(Phi) are U V V^T over the dropped
     # eigenvectors V, so their mean squared norms are tr(Z^T M Z) / K and
     # tr(Z^T S Z) / K with Z = U V; Z is empty when d = K.
@@ -163,39 +144,17 @@ def build_pod_basis(snapshots: SnapshotSet, m_op: sp.csr_matrix,
     grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
     return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,
-                    phi_h1_sq=_h1_norms_sq(grad_gram, h1_seminorm),
                     snap_coords=snap_coords, residual_energy=residual)
 
 
-def _h1_norms_sq(grad_gram: np.ndarray, h1_seminorm: bool) -> np.ndarray:
-    """Squared mode H1 norms: |grad phi|^2, plus |phi|^2 = 1 for the full norm."""
-    semi = np.diag(grad_gram).copy()
-    return semi if h1_seminorm else semi + 1.0
-
-
 def truncation_errors(basis: PODBasis, r: int):
-    """Tail sums (sum lambda_j, sum |phi_j|_1^2 lambda_j) for j > r."""
+    """Tail sums (sum lambda_j, sum |phi_j|_1^2 lambda_j) for j > r, with
+    the full H1 norm |phi_j|_1^2 = |phi_j|^2 + |grad phi_j|^2 = 1 + S_jj."""
     if not 0 <= r <= basis.d:
         raise ValueError(f"r={r} outside [0, d={basis.d}]")
     tail = basis.eigenvalues[r:]
-    return float(tail.sum()), float((basis.phi_h1_sq[r:] * tail).sum())
-
-
-@dataclass(frozen=True)
-class RomStiffness:
-    """Dense reduced stiffness (gradient Gram matrix) and its 2-norm."""
-
-    r: int
-    matrix: np.ndarray
-    norm2: float
-
-
-def rom_stiffness(basis: PODBasis, r: int) -> RomStiffness:
-    if not 1 <= r <= basis.d:
-        raise ValueError(f"r={r} outside [1, d={basis.d}]")
-    s_r = basis.grad_gram[:r, :r].copy()
-    evals = np.linalg.eigvalsh(s_r)
-    return RomStiffness(r=r, matrix=s_r, norm2=float(evals[-1]))
+    h1_sq = np.diag(basis.grad_gram)[r:] + 1.0
+    return float(tail.sum()), float((h1_sq * tail).sum())
 
 
 def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
@@ -216,9 +175,6 @@ def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
 #   arrays  float64, C order: eigenvalues (d), modes (N*d), grad_gram
 #           (d*d), snap_coords (d*K), residual_energy (2), with
 #           K = M + 1 snapshots
-#
-# The squared mode H1 norms are not stored: they depend on the norm
-# convention and are rebuilt from the diagonal of grad_gram on load.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"RLPODV4\0"
@@ -254,12 +210,8 @@ def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> Non
         raise
 
 
-def load_pod_cache(path, n: int, dt_snap: float, m: int,
-                   h1_seminorm: bool = False) -> PODBasis | None:
-    """Load a cached basis; returns None on any key or format mismatch.
-
-    phi_h1_sq follows the requested convention, as in build_pod_basis.
-    """
+def load_pod_cache(path, n: int, dt_snap: float, m: int) -> PODBasis | None:
+    """Load a cached basis; returns None on any key or format mismatch."""
     path = Path(path)
     if not path.exists():
         return None
@@ -283,5 +235,4 @@ def load_pod_cache(path, n: int, dt_snap: float, m: int,
         arrays = dict(zip(_FIELDS, (rd(*shape) for shape in shapes)))
         if any(a is None for a in arrays.values()):
             return None
-    return PODBasis(**arrays, phi_h1_sq=_h1_norms_sq(arrays["grad_gram"],
-                                                     h1_seminorm))
+    return PODBasis(**arrays)

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .fe import VelocitySpace, quad_point_data
 from .filtering import FilterOperator, apply_filter
-from .pod import PODBasis, RomStiffness
+from .pod import PODBasis
 
 __all__ = [
     "ROMOperators",
@@ -116,7 +116,7 @@ class ROMOperators:
     """Everything the stepper needs, in ROM coordinates."""
 
     r: int
-    s_r: RomStiffness
+    s_r: np.ndarray           # (r, r) reduced stiffness, grad_gram[:r, :r]
     tensor: np.ndarray        # (r, r, r), T_ijk = b*(phi_i, phi_j, phi_k)
     forcing: np.ndarray       # (M+1, r) forcing coordinates at the t_k
     a0: np.ndarray            # initial coordinates, L2 projection of u0
@@ -124,13 +124,13 @@ class ROMOperators:
 
 @dataclass(frozen=True)
 class LROMConfig:
-    """Time-stepping settings; the filter carries delta and r."""
+    """Time-stepping settings; delta enters through the filter."""
 
     dt: float
     t_final: float = 1.0
     nu: float = 1e-3
     picard_tol: float = 1e-10
-    picard_max_iters: int = 50
+    picard_max_iters: int = 200
     linearization: str = "picard-implicit"
 
     def __post_init__(self):
@@ -188,7 +188,7 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
     t2 = _folded_tensor(ops.tensor, filt)
-    core = np.eye(r) / dt + cfg.nu * ops.s_r.matrix
+    core = np.eye(r) / dt + cfg.nu * ops.s_r
     semi = cfg.linearization == "semi-implicit"
     states = np.empty((m + 1, r))
     iters = np.zeros(m, dtype=int)
@@ -236,6 +236,6 @@ def stability_check(traj: ROMTrajectory, ops: ROMOperators,
     q(M~) = |a_{M~}|^2 + dt * sum_{k<M~} a_{k+1}^T S_r a_{k+1}.
     """
     a = traj.states
-    grad_energy = np.einsum("ki,ij,kj->k", a[1:], ops.s_r.matrix, a[1:])
+    grad_energy = np.einsum("ki,ij,kj->k", a[1:], ops.s_r, a[1:])
     cum = cfg.dt * np.concatenate([[0.0], np.cumsum(grad_energy)])
     return np.sum(a * a, axis=1) + cum

@@ -29,8 +29,8 @@ from .fe import (VelocitySpace, assemble_mass, assemble_stiffness,
                  build_space, interpolate)
 from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, cache_path, collect_snapshots,
-                  default_times, load_pod_cache, project_Pr, rom_stiffness,
-                  save_pod_cache, truncation_errors)
+                  default_times, load_pod_cache, project_Pr, save_pod_cache,
+                  truncation_errors)
 from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
                   project_forcing, ROMOperators, run, stability_check)
 
@@ -93,7 +93,6 @@ class StudyConfig:
     cache_dir: str | None = None
     linearization: str = "picard-implicit"
     final_error_variant: str = "rom"
-    h1_seminorm: bool = False
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -216,6 +215,11 @@ def loglog_regression(xs, ys):
     return float(slope), float(intercept), min(max(r2, 0.0), 1.0)
 
 
+def _check_r(basis: PODBasis, r: int) -> None:
+    if not 1 <= r <= basis.d:
+        raise ValueError(f"r={r} outside [1, d={basis.d}]")
+
+
 def avg_filter_errors(basis: PODBasis, r: int, delta: float):
     """Average squared filtering errors over all snapshots.
 
@@ -230,7 +234,8 @@ def avg_filter_errors(basis: PODBasis, r: int, delta: float):
     |w|^2_S + e^T G e / K with G = grad_gram. No N-sized array is
     touched.
     """
-    filt = build_filter(rom_stiffness(basis, r), delta)
+    _check_r(basis, r)
+    filt = build_filter(basis.grad_gram[:r, :r], delta)
     e = basis.snap_coords.copy()
     e[:r] -= apply_filter(filt, e[:r])
     count = e.shape[1]
@@ -283,6 +288,7 @@ class StudyContext:
         A larger r than any before rebuilds the tensor and drops every
         forcing series; the initial coordinates are projected each call.
         """
+        _check_r(self.basis, r)
         if r > self._width:
             self._width = r
             self._tensor = build_trilinear_tensor(self.basis, r, self.space)
@@ -294,7 +300,7 @@ class StudyContext:
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
         u0 = interpolate(self.space, self.solution.velocity, 0.0)
-        return ROMOperators(r=r, s_r=rom_stiffness(self.basis, r),
+        return ROMOperators(r=r, s_r=self.basis.grad_gram[:r, :r],
                             tensor=self._tensor[:r, :r, :r],
                             forcing=self._forcing[key][:, :r],
                             a0=project_Pr(self.basis, r, self.m_op, u0))
@@ -311,13 +317,12 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     cpath = None
     if cfg.cache_dir is not None:
         cpath = cache_path(cfg.cache_dir, cfg.mesh_n, cfg.snap_dt, m)
-        basis = load_pod_cache(cpath, cfg.mesh_n, cfg.snap_dt, m,
-                               h1_seminorm=cfg.h1_seminorm)
+        basis = load_pod_cache(cpath, cfg.mesh_n, cfg.snap_dt, m)
         if basis is not None and basis.modes.shape[0] != space.n_dofs:
             basis = None
     if basis is None:
         basis = build_pod_basis(collect_snapshots(space, solution, times),
-                                m_op, s_op, h1_seminorm=cfg.h1_seminorm)
+                                m_op, s_op)
         if cpath is not None:
             save_pod_cache(cpath, basis, cfg.mesh_n, cfg.snap_dt, m)
     return StudyContext(space=space, m_op=m_op, s_op=s_op, basis=basis,

@@ -13,7 +13,8 @@ the tensor once per run. avg_filter_errors_fe forms each snapshot's
 filtering error in the FE space, and checks the filter studies, which
 evaluate it from the snapshot Gram matrices. l2_norm, h1_semi_norm and
 l2_inner are the FE norms of coefficient vectors, through the assembled
-operators.
+operators. signed_areas and velocity_grad are the mesh's triangle areas
+and the analytic velocity's Jacobian, which only the tests read.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from scipy.linalg import cho_solve
 
 from romlab.fe import VelocitySpace, quad_point_data
 from romlab.filtering import apply_filter, build_filter
-from romlab.pod import rom_stiffness
 
 
 def _p2_local(lam):
@@ -194,9 +194,14 @@ def _convective_integral(space: VelocitySpace, u: np.ndarray, v: np.ndarray,
                          w: np.ndarray) -> float:
     """Integral of ((u . grad) v) . w over the domain."""
     all_el = np.arange(space.edofs.shape[0])
-    uu, _, wdet = quad_point_data(space, u, all_el)
-    vv, gv, _ = quad_point_data(space, v, all_el)
-    ww, _, _ = quad_point_data(space, w, all_el)
+
+    def at_points(f):
+        vals, grads, wdet = quad_point_data(space, f[:, None], all_el)
+        return vals[:, 0], grads[:, 0], wdet
+
+    uu, _, wdet = at_points(u)
+    vv, gv, _ = at_points(v)
+    ww, _, _ = at_points(w)
     conv = np.einsum("pa,pca->pc", uu, gv)
     return float(np.einsum("p,pc,pc->", wdet, conv, ww))
 
@@ -222,7 +227,7 @@ def reference_step(ops, filt, cfg, a_k, f_next):
         abar = cho_solve(filt.cho, a) if filt is not None else a
         return np.tensordot(abar, ops.tensor, axes=(0, 0)).T
 
-    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r.matrix
+    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r
     rhs = a_k / cfg.dt + f_next
     denom = np.linalg.norm(rhs) or 1.0
     if cfg.linearization == "semi-implicit":
@@ -247,12 +252,11 @@ def reference_run(ops, filt, cfg):
     return np.array(states), np.array(iters)
 
 
-def avg_filter_errors_fe(basis, r, delta, snapshots, m_op, s_op):
-    """Mean squared L2 and H1-seminorm filtering errors, each snapshot's
-    error u_k - Phi_r filt(a_k) formed as an FE vector."""
-    s_r = rom_stiffness(basis, r)
-    filt = build_filter(s_r, delta)
-    u = snapshots.matrix
+def avg_filter_errors_fe(basis, r, delta, u, m_op, s_op):
+    """Mean squared L2 and H1-seminorm filtering errors of the (N, K)
+    snapshots u, each snapshot's error u_k - Phi_r filt(a_k) formed as
+    an FE vector."""
+    filt = build_filter(basis.grad_gram[:r, :r], delta)
     coords = basis.modes[:, :r].T @ (m_op @ u)
     abar = apply_filter(filt, coords)
     err = u - basis.modes[:, :r] @ abar
@@ -280,3 +284,21 @@ def h1_semi_norm(s_op, u) -> float:
 
 def l2_inner(m_op, u, v) -> float:
     return float(_coeffs(u, m_op) @ (m_op @ _coeffs(v, m_op)))
+
+
+def signed_areas(mesh) -> np.ndarray:
+    """Signed area of each triangle, positive when counterclockwise."""
+    p = mesh.nodes[mesh.triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def velocity_grad(sol, x, y, t):
+    """Jacobian entries (du/dx, du/dy, dv/dx, dv/dy) of the analytic
+    velocity, from the profile derivative its forcing uses.
+
+    du/dx and dv/dy vanish identically.
+    """
+    zeros = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+    return zeros, sol._g_s(y, t), sol._g_s(x, t), zeros.copy()

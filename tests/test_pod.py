@@ -3,10 +3,10 @@ import pytest
 
 from oracles import l2_norm
 from romlab.exact import AnalyticSolution
-from romlab.pod import (SnapshotSet, build_pod_basis, cache_path,
-                        collect_snapshots, correlation_matrix, default_times,
-                        load_pod_cache, project_Pr, rom_stiffness,
-                        save_pod_cache, symmetric_eig, truncation_errors)
+from romlab.pod import (build_pod_basis, cache_path, collect_snapshots,
+                        correlation_matrix, default_times, load_pod_cache,
+                        project_Pr, save_pod_cache, symmetric_eig,
+                        truncation_errors)
 
 
 def test_default_times():
@@ -35,16 +35,17 @@ def test_collect_snapshots_columns(small):
     k = 10
     t = small.times[k]
     u = interpolate(small.space, small.solution.velocity, t)
-    assert np.array_equal(small.snapshots.matrix[:, k], u)
+    assert small.snapshots.shape == (small.space.n_dofs, small.times.size)
+    assert np.array_equal(small.snapshots[:, k], u)
 
 
 def test_correlation_matrix_properties(small):
     k = correlation_matrix(small.snapshots, small.m_op)
-    mp1 = small.snapshots.count
+    mp1 = small.snapshots.shape[1]
     assert k.shape == (mp1, mp1)
     assert np.abs(k - k.T).max() == 0.0
     # trace identity: (M+1) tr K = sum_k |u_k|^2
-    energies = [l2_norm(small.m_op, small.snapshots.matrix[:, j]) ** 2
+    energies = [l2_norm(small.m_op, small.snapshots[:, j]) ** 2
                 for j in range(mp1)]
     assert abs(mp1 * np.trace(k) - sum(energies)) < 1e-12 * sum(energies)
     # diagonal entries are snapshot energies / (M+1)
@@ -77,7 +78,7 @@ def test_single_snapshot_basis(small):
     snaps = collect_snapshots(small.space, small.solution, [0.4])
     basis = build_pod_basis(snaps, small.m_op, small.s_op)
     assert basis.d == 1
-    u = snaps.matrix[:, 0]
+    u = snaps[:, 0]
     nrm = l2_norm(small.m_op, u)
     assert abs(basis.eigenvalues[0] - nrm ** 2) < 1e-12 * nrm ** 2
     assert np.abs(np.abs(basis.modes[:, 0]) - np.abs(u) / nrm).max() < 1e-10
@@ -89,9 +90,8 @@ def test_modes_orthonormal(small):
     assert np.abs(gram - np.eye(small.basis.d)).max() < 1e-10
 
 
-def _fe_residual_energy(basis, snapshots, m_op, s_op):
+def _fe_residual_energy(basis, u, m_op, s_op):
     """Mean squared norms of u - Phi Phi^T M u, formed in the FE space."""
-    u = snapshots.matrix
     w = u - basis.modes @ (basis.modes.T @ (m_op @ u))
     return np.array([np.mean(np.sum(w * (op @ w), axis=0))
                      for op in (m_op, s_op)])
@@ -102,33 +102,29 @@ def test_snapshot_coords_and_residual_energy(small):
     norms of the snapshots' parts outside span(Phi): roundoff on the
     full basis (the 21 snapshots have rank 15), exactly 0 when d = K,
     and the FE-space value on a 6-mode basis."""
-    basis, snaps = small.basis, small.snapshots
-    u = snaps.matrix
+    basis, u = small.basis, small.snapshots
     direct = basis.modes.T @ (small.m_op @ u)
-    assert basis.snap_coords.shape == (basis.d, snaps.count)
+    assert basis.snap_coords.shape == (basis.d, u.shape[1])
     assert np.abs(basis.snap_coords - direct).max() \
         < 1e-13 * np.abs(direct).max()
     energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
                        for op in (small.m_op, small.s_op)])
     assert np.all(0 <= basis.residual_energy)
     assert np.all(basis.residual_energy < 1e-20 * energy)
-    every_other = SnapshotSet(space=small.space, times=snaps.times[::2],
-                              matrix=u[:, ::2])
-    full_rank = build_pod_basis(every_other, small.m_op, small.s_op)
-    assert full_rank.d == every_other.count
+    full_rank = build_pod_basis(u[:, ::2], small.m_op, small.s_op)
+    assert full_rank.d == u[:, ::2].shape[1]
     assert np.array_equal(full_rank.residual_energy, [0.0, 0.0])
     lam = basis.eigenvalues
-    six = build_pod_basis(snaps, small.m_op, small.s_op,
+    six = build_pod_basis(u, small.m_op, small.s_op,
                           rank_tol=np.sqrt(lam[5] * lam[6]) / lam[0])
     assert six.d == 6
-    want = _fe_residual_energy(six, snaps, small.m_op, small.s_op)
+    want = _fe_residual_energy(six, u, small.m_op, small.s_op)
     assert np.all(want > [1e-3, 1.0])
     np.testing.assert_allclose(six.residual_energy, want, rtol=1e-12)
 
 
 def test_degenerate_ensemble_raises(small):
-    zero = SnapshotSet(space=small.space, times=np.array([0.0]),
-                       matrix=np.zeros((small.space.n_dofs, 1)))
+    zero = np.zeros((small.space.n_dofs, 1))
     with pytest.raises(ValueError):
         build_pod_basis(zero, small.m_op, small.s_op)
 
@@ -137,7 +133,7 @@ def test_truncation_error_matches_projection(small):
     """Tail eigenvalue sums equal the mean squared projection errors,
     computed here by explicit projection."""
     basis, m_op = small.basis, small.m_op
-    u = small.snapshots.matrix
+    u = small.snapshots
     for r in (2, 5, 10):
         lam_l2, lam_h1 = truncation_errors(basis, r)
         phi = basis.modes[:, :r]
@@ -161,22 +157,30 @@ def test_truncation_monotone(small):
         truncation_errors(small.basis, small.basis.d + 1)
 
 
-def test_rom_stiffness_nested(small):
-    s3 = rom_stiffness(small.basis, 3)
-    s8 = rom_stiffness(small.basis, 8)
-    assert np.array_equal(s3.matrix, s8.matrix[:3, :3])
-    assert s8.norm2 >= s3.norm2 - 1e-12
+def test_grad_gram_nested(small):
+    """The leading blocks of grad_gram are the reduced stiffnesses S_r.
+    The spectrum of S_3 interlaces that of S_8 (Cauchy), so the 2-norm
+    grows with r."""
+    gram = small.basis.grad_gram
+    assert np.array_equal(gram, gram.T)
+    s3, s8 = gram[:3, :3], gram[:8, :8]
+    mu3, mu8 = np.linalg.eigvalsh(s3), np.linalg.eigvalsh(s8)
+    tol = 1e-12 * mu8[-1]
+    assert np.all(mu8[:3] <= mu3 + tol) and np.all(mu3 <= mu8[5:] + tol)
     # entries are gradient inner products of the modes
     phi = small.basis.modes
     direct = phi[:, :3].T @ (small.s_op @ phi[:, :3])
-    assert np.abs(s3.matrix - direct).max() < 1e-10
+    assert np.abs(s3 - direct).max() < 1e-10
 
 
-def test_rom_stiffness_h1_values(small):
-    """phi_h1_sq = 1 + |grad phi|^2 under the full-norm convention."""
-    s_r = rom_stiffness(small.basis, small.basis.d)
-    assert np.allclose(small.basis.phi_h1_sq,
-                       np.diag(s_r.matrix) + 1.0, rtol=1e-12)
+def test_truncation_errors_h1_weights(small):
+    """Lambda_H1 weighs each tail eigenvalue by the full squared H1 norm
+    of its mode, 1 + phi_j^T S phi_j with the FE stiffness S."""
+    basis, phi = small.basis, small.basis.modes
+    h1_sq = 1.0 + np.einsum("ij,ij->j", phi, small.s_op @ phi)
+    for r in (0, 3, basis.d - 1):
+        want = float(np.sum(h1_sq[r:] * basis.eigenvalues[r:]))
+        assert abs(truncation_errors(basis, r)[1] - want) <= 1e-12 * want
 
 
 def test_project_pr_reproduces_rom_fields(small, rng):
@@ -193,13 +197,13 @@ def test_project_pr_reproduces_rom_fields(small, rng):
 
 
 def test_cache_roundtrip(tmp_path, small):
-    m = small.snapshots.count - 1
+    m = small.snapshots.shape[1] - 1
     path = cache_path(tmp_path, small.n, 0.05, m)
     save_pod_cache(path, small.basis, small.n, 0.05, m)
     loaded = load_pod_cache(path, small.n, 0.05, m)
     assert loaded is not None
-    for name in ("eigenvalues", "modes", "grad_gram", "phi_h1_sq",
-                 "snap_coords", "residual_energy"):
+    for name in ("eigenvalues", "modes", "grad_gram", "snap_coords",
+                 "residual_energy"):
         assert np.array_equal(getattr(loaded, name),
                               getattr(small.basis, name)), name
     assert loaded.snap_coords.shape == (small.basis.d, m + 1)
@@ -207,10 +211,11 @@ def test_cache_roundtrip(tmp_path, small):
     # a basis from another snapshot count is refused, not written
     with pytest.raises(ValueError, match="snapshots"):
         save_pod_cache(path, small.basis, small.n, 0.05, m + 1)
+    assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
 
 def test_cache_mismatch_and_corruption(tmp_path, small):
-    m = small.snapshots.count - 1
+    m = small.snapshots.shape[1] - 1
     path = cache_path(tmp_path, small.n, 0.05, m)
     save_pod_cache(path, small.basis, small.n, 0.05, m)
     assert load_pod_cache(path, small.n + 1, 0.05, m) is None

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import reference_run, trilinear_bstar
 from romlab.filtering import build_filter
-from romlab.pod import RomStiffness
 from romlab.rom import (LROMConfig, ROMOperators, StepDivergenceError,
                         _advection_matrix, build_trilinear_tensor,
                         project_forcing, run, stability_check)
@@ -202,9 +201,8 @@ def test_config_rejects_nonfinite(name, bad):
     """The step settings are checked by LROMConfig; delta by the filter
     that carries it."""
     if name == "delta":
-        s_r = RomStiffness(r=1, matrix=np.ones((1, 1)), norm2=1.0)
         with pytest.raises(ValueError, match="finite"):
-            build_filter(s_r, bad)
+            build_filter(np.ones((1, 1)), bad)
         return
     kw = dict(dt=1e-2)
     kw[name] = bad
@@ -217,7 +215,7 @@ def test_r1_closed_form_step(small_ctx):
     implicit step has a scalar closed form."""
     ops = small_ctx.operators(1, 1e-2, 1.0)
     cfg = LROMConfig(dt=1e-2)
-    s = ops.s_r.matrix[0, 0]
+    s = ops.s_r[0, 0]
     a_next, iters = _one_step(ops, None, cfg, ops.a0, ops.forcing[1])
     expect = (ops.a0[0] / cfg.dt + ops.forcing[1, 0]) \
         / (1.0 / cfg.dt + cfg.nu * s)
@@ -246,7 +244,7 @@ def test_grom_step_newton_oracle(small_ctx, rng):
     a_pic, _ = _one_step(ops, None, cfg, a_k, f)
 
     t = ops.tensor
-    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r.matrix
+    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r
     a = a_k.copy()
     for _ in range(60):
         nl = np.einsum("i,j,ijm->m", a, a, t)
@@ -327,11 +325,10 @@ def test_delta_continuity(small_ctx):
 
 def test_picard_nonconvergence_raises():
     """A strong synthetic nonlinearity with a single allowed iteration."""
-    s_r = RomStiffness(r=2, matrix=np.zeros((2, 2)), norm2=0.0)
     tensor = np.zeros((2, 2, 2))
     tensor[0, 1, 0], tensor[0, 0, 1] = 5.0, -5.0
     tensor[1, 0, 1], tensor[1, 1, 0] = 3.0, -3.0
-    ops = ROMOperators(r=2, s_r=s_r, tensor=tensor,
+    ops = ROMOperators(r=2, s_r=np.zeros((2, 2)), tensor=tensor,
                        forcing=np.zeros((2, 2)), a0=np.array([1.0, -1.0]))
     cfg = LROMConfig(dt=1.0, t_final=1.0, picard_max_iters=1)
     with pytest.raises(StepDivergenceError) as exc:
@@ -344,14 +341,14 @@ def test_picard_nonconvergence_raises():
 
 def test_picard_slow_contraction_reports_ratio():
     """On an n = 4 context, lrom-dt at r = 4, dt = 0.1 fails step 5 at
-    the default 50 iterations while the residual still contracts by
-    about 0.65 per iteration; 80 iterations converge that step."""
+    50 iterations while the residual still contracts by about 0.65 per
+    iteration; 80 iterations converge that step."""
     cfg = StudyConfig(kind="lrom-dt", mesh_n=4, r=4, sweep=[0.1])
     ctx = build_context(cfg)
     ops = ctx.operators(4, 0.1, 1.0)
     filt = build_filter(ops.s_r, cfg.delta)
     with pytest.raises(StepDivergenceError) as exc:
-        run(ops, filt, LROMConfig(dt=0.1))
+        run(ops, filt, LROMConfig(dt=0.1, picard_max_iters=50))
     assert exc.value.step == 5
     assert exc.value.residual > 1e-10
     assert 0.5 < exc.value.ratio < 0.8
@@ -364,8 +361,7 @@ def test_picard_slow_contraction_reports_ratio():
 
 
 def test_blowup_guard():
-    s_r = RomStiffness(r=1, matrix=np.zeros((1, 1)), norm2=0.0)
-    ops = ROMOperators(r=1, s_r=s_r, tensor=np.zeros((1, 1, 1)),
+    ops = ROMOperators(r=1, s_r=np.zeros((1, 1)), tensor=np.zeros((1, 1, 1)),
                        forcing=np.full((3, 1), 1e9), a0=np.zeros(1))
     cfg = LROMConfig(dt=1.0, t_final=2.0)
     with pytest.raises(StepDivergenceError) as exc:
