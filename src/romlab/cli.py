@@ -89,11 +89,7 @@ def main(argv=None) -> int:
         print("warning: regression impossible (fewer than 2 surviving points)",
               file=sys.stderr)
 
-    if result.n_failed:
-        return 3
-    if result.slope is None:
-        return 4
-    return 0
+    return {"ok": 0, "sweep-failures": 3, "no-regression": 4}[result.status]
 
 
 if __name__ == "__main__":

@@ -141,6 +141,16 @@ class VelocitySpace:
     def n_dofs(self) -> int:
         return 2 * self.n_scalar
 
+    def grid_side(self) -> np.ndarray:
+        """The m = 2n + 1 node coordinates along a side; the nodes form
+        the y-major m x m grid of these. Raises ValueError otherwise."""
+        m = 2 * self.mesh.n + 1
+        side = self.dof_coords[:m, 0]
+        grid = np.column_stack([np.tile(side, m), np.repeat(side, m)])
+        if not np.array_equal(self.dof_coords, grid):
+            raise ValueError("dof coordinates are not a y-major tensor grid")
+        return side
+
     def orientation_elements(self, o: int) -> np.ndarray:
         """Element indices of orientation o (0: lower, 1: upper triangle)."""
         return np.arange(o, self.edofs.shape[0], 2)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .fe import VelocitySpace, interpolate
+from .fe import VelocitySpace
 
 __all__ = [
     "collect_snapshots",
@@ -41,17 +41,22 @@ def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
 
 
 def collect_snapshots(space: VelocitySpace, solution, times) -> np.ndarray:
-    """The exact velocity on the FE mesh at the given times: an (N, K)
-    array with one snapshot per column."""
+    """The nodal interpolants of the exact velocity at the given times:
+    an (N, K) array with one snapshot per column. The velocity is called
+    once on broadcast (y, x, t) axes of the y-major node grid."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty snapshot time list")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("snapshot times must be strictly increasing")
-    cols = np.empty((space.n_dofs, times.size))
-    for k, t in enumerate(times):
-        cols[:, k] = interpolate(space, solution.velocity, t)
-    return cols
+    side = space.grid_side()
+    m = side.size
+    vel = solution.velocity(side[None, :, None], side[:, None, None], times)
+    if not all(np.all(np.isfinite(c)) for c in vel):
+        raise ValueError("function evaluation produced non-finite nodal values")
+    cols = np.empty((2, m, m, times.size))    # (N, K) in dof order
+    cols[0], cols[1] = vel
+    return cols.reshape(space.n_dofs, times.size)
 
 
 def correlation_matrix(u: np.ndarray, m_op: sp.csr_matrix) -> np.ndarray:

@@ -89,12 +89,8 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     T*m points rather than T*m^2.
     """
     times = np.asarray(times, dtype=float)
-    m = 2 * space.mesh.n + 1
-    side = space.dof_coords[:m, 0]
-    grid = np.column_stack([np.tile(side, m), np.repeat(side, m)])
-    if space.dof_coords.shape != grid.shape or \
-            not np.array_equal(space.dof_coords, grid):
-        raise ValueError("dof coordinates are not a y-major tensor grid")
+    side = space.grid_side()
+    m = side.size
     q = m_op @ basis.modes[:, :r]                     # (N, r)
     x = side[None, None, :]
     y = side[None, :, None]

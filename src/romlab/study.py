@@ -174,6 +174,12 @@ class SweepRecord:
     def ok(self) -> bool:
         return self.error is None
 
+    @property
+    def usable(self) -> bool:
+        # enters the log-log fit; at r = d the abscissa Lambda_H1 is 0
+        return (self.ok and self.e_l2 is not None and self.e_l2 > 0
+                and self.regression_x > 0)
+
 
 @dataclass
 class StudyResult:
@@ -217,7 +223,7 @@ def loglog_regression(xs, ys):
 
 def _check_r(basis: PODBasis, r: int) -> None:
     if not 1 <= r <= basis.d:
-        raise ValueError(f"r={r} outside [1, d={basis.d}]")
+        raise InvalidStudyError(f"r={r} outside [1, d={basis.d}]")
 
 
 def avg_filter_errors(basis: PODBasis, r: int, delta: float):
@@ -342,45 +348,27 @@ def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
     return rec, params["r"], params["delta"], params["dt"]
 
 
-def _run_filter_study(cfg: StudyConfig, ctx: StudyContext):
-    records = []
-    for value in cfg.sweep:
-        rec, r, delta, _ = _sweep_point(cfg, ctx, value)
-        try:
-            rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
-        except _POINT_ERRORS as exc:
-            rec.error = str(exc)
-        records.append(rec)
-    return records
+def _filter_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
+                  r: int, delta: float, dt: float) -> None:
+    rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
 
 
-def _run_lrom_study(cfg: StudyConfig, ctx: StudyContext):
-    records = []
-    # ask for the study's largest r first, so that the tensor and each
-    # forcing series are built once, at that width
-    ctx.operators(max(cfg.r_values), cfg._values("dt")[0], cfg.t_final)
-
-    for value in cfg.sweep:
-        rec, r, delta, dt = _sweep_point(cfg, ctx, value)
-        try:
-            rom_cfg = LROMConfig(dt=dt, t_final=cfg.t_final, nu=cfg.nu,
-                                 linearization=cfg.linearization)
-            ops = ctx.operators(r, dt, cfg.t_final)
-            filt = build_filter(ops.s_r, delta)
-            traj = run(ops, filt, rom_cfg)
-            ledger_max = float(stability_check(traj, ops, rom_cfg).max())
-            if not np.isfinite(ledger_max):
-                raise StepDivergenceError("stability ledger is non-finite")
-            rec.stability_max = ledger_max
-            rec.e_l2 = final_time_error(
-                traj, ctx.solution, ctx.basis, r, ctx.m_op, ctx.space,
-                cfg.t_final, variant=cfg.final_error_variant, filt=filt)
-            rec.picard_mean = float(traj.iter_counts.mean())
-            rec.picard_max = int(traj.iter_counts.max())
-        except _POINT_ERRORS as exc:
-            rec.error = str(exc)
-        records.append(rec)
-    return records
+def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
+                r: int, delta: float, dt: float) -> None:
+    rom_cfg = LROMConfig(dt=dt, t_final=cfg.t_final, nu=cfg.nu,
+                         linearization=cfg.linearization)
+    ops = ctx.operators(r, dt, cfg.t_final)
+    filt = build_filter(ops.s_r, delta)
+    traj = run(ops, filt, rom_cfg)
+    ledger_max = float(stability_check(traj, ops, rom_cfg).max())
+    if not np.isfinite(ledger_max):
+        raise StepDivergenceError("stability ledger is non-finite")
+    rec.stability_max = ledger_max
+    rec.e_l2 = final_time_error(
+        traj, ctx.solution, ctx.basis, r, ctx.m_op, ctx.space,
+        cfg.t_final, variant=cfg.final_error_variant, filt=filt)
+    rec.picard_mean = float(traj.iter_counts.mean())
+    rec.picard_max = int(traj.iter_counts.max())
 
 
 def _fmt(x) -> str:
@@ -393,7 +381,7 @@ def write_csv(path, cfg: StudyConfig, records):
     xs, ys = [], []
     for rec in records:
         slope_running = ""
-        if rec.ok and rec.e_l2 is not None and rec.e_l2 > 0:
+        if rec.usable:
             xs.append(rec.regression_x)
             ys.append(rec.e_l2)
             if len(xs) >= 2:
@@ -407,8 +395,7 @@ def write_csv(path, cfg: StudyConfig, records):
 
 def write_plot_data(path, result: "StudyResult"):
     """log10(param) log10(error) pairs plus a fitted-line sample."""
-    recs = [r for r in result.records
-            if r.ok and r.e_l2 is not None and r.e_l2 > 0]
+    recs = [r for r in result.records if r.usable]
     lines = ["# log10(param) log10(e_l2)"]
     for rec in recs:
         lines.append(f"{math.log10(rec.regression_x):.17g} "
@@ -427,17 +414,24 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
     """Build the pipeline, sweep the parameter, regress, and emit files."""
     if ctx is None:
         ctx = build_context(cfg)
-    # every r is checked before any operator is built
-    for r in cfg.r_values:
-        if not 1 <= r <= ctx.basis.d:
-            raise InvalidStudyError(f"r={r} outside [1, d={ctx.basis.d}]")
-    if cfg.kind.startswith("filter"):
-        records = _run_filter_study(cfg, ctx)
-    else:
-        records = _run_lrom_study(cfg, ctx)
+    for r in cfg.r_values:  # all checked before any operator is built
+        _check_r(ctx.basis, r)
+    point = _filter_point if cfg.kind.startswith("filter") else _lrom_point
+    if point is _lrom_point:
+        # ask for the study's largest r first, so that the tensor and each
+        # forcing series are built once, at that width
+        ctx.operators(max(cfg.r_values), cfg._values("dt")[0], cfg.t_final)
+    records = []
+    for value in cfg.sweep:
+        rec, r, delta, dt = _sweep_point(cfg, ctx, value)
+        try:
+            point(cfg, ctx, rec, r, delta, dt)
+        except _POINT_ERRORS as exc:
+            rec.error = str(exc)
+        records.append(rec)
 
     result = StudyResult(config=cfg, records=records)
-    good = [r for r in records if r.ok and r.e_l2 is not None and r.e_l2 > 0]
+    good = [r for r in records if r.usable]
     if len(good) >= 2:
         xs = [r.regression_x for r in good]
         result.slope, result.intercept, result.r_squared = loglog_regression(

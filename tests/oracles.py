@@ -18,7 +18,7 @@ and the analytic velocity's Jacobian, which only the tests read.
 """
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from romlab.fe import VelocitySpace, quad_point_data
 from romlab.filtering import apply_filter, build_filter
@@ -224,7 +224,8 @@ def reference_step(ops, filt, cfg, a_k, f_next):
     """
 
     def adv(a):
-        abar = cho_solve(filt.cho, a) if filt is not None else a
+        abar = (cho_solve(cho_factor(filt.matrix), a) if filt is not None
+                else a)
         return np.tensordot(abar, ops.tensor, axes=(0, 0)).T
 
     core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r

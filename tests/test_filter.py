@@ -1,5 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+
+import romlab
 
 from romlab.filtering import apply_filter, build_filter
 from romlab.pod import project_Pr
@@ -27,11 +33,47 @@ def test_scalar_case():
     assert abs(out[0] - 3.0 / (1 + 0.25 * 4.0)) < 1e-14
 
 
-def test_cholesky_factor_reconstruction(s_r):
+def test_filter_matrix(s_r):
     filt = build_filter(s_r, 2e-2)
-    low = np.tril(filt.cho[0])
-    a = np.eye(8) + 4e-4 * s_r
-    assert np.abs(low @ low.T - a).max() < 1e-12 * np.abs(a).max()
+    assert np.array_equal(filt.matrix, np.eye(8) + 2e-2 ** 2 * s_r)
+    np.linalg.cholesky(filt.matrix)  # SPD: raises LinAlgError otherwise
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-2, 0.5, 5.0])
+def test_apply_filter_matches_cholesky(small_ctx, rng, delta):
+    """numpy's LU solve agrees with scipy's Cholesky solve of the same
+    SPD system, to roundoff scaled by the condition number."""
+    s = small_ctx.basis.grad_gram
+    f = np.eye(s.shape[0]) + delta ** 2 * s
+    filt = build_filter(s, delta)
+    cho = cho_factor(f)
+    tol = 1e-14 * np.linalg.cond(f)
+    for a in (rng.standard_normal(s.shape[0]),
+              rng.standard_normal((s.shape[0], 7))):
+        err = np.abs(apply_filter(filt, a) - cho_solve(cho, a)).max()
+        assert err <= tol * np.abs(a).max()
+
+
+def test_only_pod_imports_scipy_linalg():
+    """scipy.linalg links its own OpenBLAS, with its own thread pool. Small
+    ROM-space solves on that pool alternating with numpy products (G @ e)
+    on numpy's pool made one filter sweep point 12x slower on 2 cores
+    (8.0 ms against 0.65-0.69 ms at n = 64, r = 95), so small dense
+    solves stay in numpy. pod.py keeps its two large one-off triangular
+    solves."""
+    importers = set()
+    for path in sorted(Path(romlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                   for n in names):
+                importers.add(path.name)
+    assert importers == {"pod.py"}
 
 
 def test_eigenvector_scaling(s_r):

@@ -31,12 +31,28 @@ def test_collect_snapshots_validation(small):
 
 
 def test_collect_snapshots_columns(small):
+    """The broadcast grid evaluation equals each column's interpolant."""
     from romlab.fe import interpolate
-    k = 10
-    t = small.times[k]
-    u = interpolate(small.space, small.solution.velocity, t)
     assert small.snapshots.shape == (small.space.n_dofs, small.times.size)
-    assert np.array_equal(small.snapshots[:, k], u)
+    for k, t in enumerate(small.times):
+        u = interpolate(small.space, small.solution.velocity, t)
+        assert np.array_equal(small.snapshots[:, k], u)
+
+
+def test_collect_snapshots_rejects_non_grid_space(small):
+    from dataclasses import replace
+    x_major = replace(small.space,
+                      dof_coords=small.space.dof_coords[:, ::-1].copy())
+    with pytest.raises(ValueError, match="grid"):
+        collect_snapshots(x_major, small.solution, [0.0])
+
+
+def test_collect_snapshots_rejects_nonfinite(small):
+    class Bad:
+        def velocity(self, x, y, t):
+            return np.nan * (x + t), y + t
+    with pytest.raises(ValueError, match="non-finite"):
+        collect_snapshots(small.space, Bad(), [0.0, 0.5])
 
 
 def test_correlation_matrix_properties(small):

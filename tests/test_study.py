@@ -112,6 +112,23 @@ def test_lrom_dt_study_and_stability(small_ctx):
     assert res.slope is not None
 
 
+def test_lrom_r_sweep_ending_at_d(small_ctx, tmp_path):
+    """At r = d the abscissa Lambda_H1 is 0: the row is kept, the fit
+    leaves it out."""
+    d = small_ctx.basis.d
+    out = tmp_path / "r.csv"
+    cfg = _small_cfg(kind="lrom-r", dt=1e-2, sweep=[d - 8, d - 4, d],
+                     out=str(out))
+    res = run_study(cfg, small_ctx)
+    assert res.status == "ok"
+    assert res.records[-1].regression_x == 0 and res.records[-1].e_l2 > 0
+    assert not res.records[-1].usable
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 3 and rows[-1].endswith(",")
+    assert main(["lrom-r", "--mesh-n", "8", "--dt", "1e-2",
+                 "--sweep", f"{d - 8},{d - 4},{d}"]) == 0
+
+
 def test_lrom_sweep_point_failure(small_ctx):
     """A step too large for Picard to converge (relative residual near
     1 after 200 iterations) fails that point only."""
@@ -335,6 +352,18 @@ def test_cli_picard_converges_where_50_iterations_did_not(capsys):
              for line in capsys.readouterr().out.splitlines()
              if line.startswith("dt=")]
     assert len(worst) == 3 and max(worst) > 50
+
+
+def test_cli_r_sweep_through_d(tmp_path):
+    """d = 7 on the n = 4 mesh; r = 7 used to crash the regression."""
+    out = tmp_path / "r.csv"
+    code = main(["filter-r", "--mesh-n", "4", "--delta", "1e-3",
+                 "--sweep", "3,5,7", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 3 and rows[-1].split(",")[5:] == ["0", ""]
+    plot = (tmp_path / "r.csv.plot").read_text().split("\n\n")[0]
+    assert len(plot.strip().split("\n")) == 1 + 2
 
 
 def test_cli_no_regression(tmp_path):
