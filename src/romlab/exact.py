@@ -78,7 +78,11 @@ class AnalyticSolution:
         du_dy = self._g_s(y, t)
         dv_dx = self._g_s(x, t)
         # (u . grad) u = (v * du/dy, u * dv/dx) since du/dx = dv/dy = 0
-        f1 = ut1 - self.nu * l1 + v * du_dy
-        f2 = ut2 - self.nu * l2 + u * dv_dx
+        # the product term first, so that the full-size array is summed
+        # into in place (a + b == b + a, bit for bit)
+        f1 = v * du_dy
+        f1 += ut1 - self.nu * l1
+        f2 = u * dv_dx
+        f2 += ut2 - self.nu * l2
         return f1, f2
 

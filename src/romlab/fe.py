@@ -258,34 +258,3 @@ def interpolate(space: VelocitySpace, g: Callable,
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("function evaluation produced non-finite nodal values")
     return coeffs
-
-
-def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
-                    elements: np.ndarray):
-    """Values and gradients at the quadrature points of given elements.
-
-    coeffs is an (n_dofs, r) matrix, one field per column. Returns
-    (vals, grads, wdet) with shapes (ne*nq, r, 2), (ne*nq, r, 2, 2),
-    (ne*nq,); the gradient axes are (component, derivative direction).
-    """
-    r = coeffs.shape[1]
-    ns = space.n_scalar
-    nq = len(space.rule.weights)
-    ne = len(elements)
-    nvals = space.shape_vals
-
-    vals = np.empty((ne, nq, r, 2))
-    grads = np.empty((ne, nq, r, 2, 2))
-    # orientation is element parity on this structured mesh
-    for o in range(2):
-        sel = np.nonzero(elements % 2 == o)[0]
-        if len(sel) == 0:
-            continue
-        ed = space.edofs[elements[sel]]            # (m, 6)
-        g = space.phys_grads[o]                    # (nq, 6, 2)
-        for comp in range(2):
-            el_c = coeffs[comp * ns:(comp + 1) * ns][ed]   # (m, 6, r)
-            vals[sel, :, :, comp] = np.einsum("ql,mlr->mqr", nvals, el_c)
-            grads[sel, :, :, comp, :] = np.einsum("qla,mlr->mqra", g, el_c)
-    wdet = np.tile(space.rule.weights * space.det_j, ne)
-    return vals.reshape(ne * nq, r, 2), grads.reshape(ne * nq, r, 2, 2), wdet

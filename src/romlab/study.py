@@ -273,6 +273,11 @@ def final_time_error(traj, solution, basis: PODBasis, r: int,
     return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
 
 
+# The StudyConfig fields a context is built from; run_study refuses a
+# context built under other values.
+CONTEXT_SETTINGS = ("mesh_n", "snap_dt", "t_final", "nu")
+
+
 @dataclass
 class StudyContext:
     """Objects shared across sweep points and run_study calls."""
@@ -282,6 +287,7 @@ class StudyContext:
     s_op: sp.csr_matrix
     basis: PODBasis
     solution: AnalyticSolution
+    settings: dict            # CONTEXT_SETTINGS -> the values built from
     # advection tensor and forcing series per (dt, t_final), all built for
     # the largest r asked for so far; leading blocks serve smaller r
     _width: int = field(default=0, init=False, repr=False)
@@ -331,8 +337,9 @@ def build_context(cfg: StudyConfig) -> StudyContext:
                                 m_op, s_op)
         if cpath is not None:
             save_pod_cache(cpath, basis, cfg.mesh_n, cfg.snap_dt, m)
+    settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
     return StudyContext(space=space, m_op=m_op, s_op=s_op, basis=basis,
-                        solution=solution)
+                        solution=solution, settings=settings)
 
 
 def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
@@ -414,6 +421,11 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
     """Build the pipeline, sweep the parameter, regress, and emit files."""
     if ctx is None:
         ctx = build_context(cfg)
+    for name, built in ctx.settings.items():
+        if getattr(cfg, name) != built:
+            raise InvalidStudyError(
+                f"{name}={getattr(cfg, name)} differs from the context's "
+                f"{name}={built}")
     for r in cfg.r_values:  # all checked before any operator is built
         _check_r(ctx.basis, r)
     point = _filter_point if cfg.kind.startswith("filter") else _lrom_point

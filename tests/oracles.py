@@ -4,9 +4,11 @@ Everything here is written from scratch against the mathematical
 definitions (barycentric P2 shape functions, per-triangle Gauss
 quadrature via the Duffy map) and deliberately shares no code paths
 with the package internals it is used to check. The exceptions are at
-the end. trilinear_bstar evaluates b* one triple at a time from the
-package's quadrature-point data, and checks the blocked tensor build
-that contracts the same data for all triples at once. reference_step
+the end. quad_point_data evaluates fields at the quadrature points
+element by element from the space's shape tables, and trilinear_bstar
+evaluates b* from it one triple at a time; they check the blocked
+tensor build, which evaluates all modes by dense products against the
+same tables and contracts all triples at once. reference_step
 is the Picard step in its unfolded form (filter, then contract, on
 every iteration), and checks the stepper that folds the filter into
 the tensor once per run. avg_filter_errors_fe forms each snapshot's
@@ -20,7 +22,7 @@ and the analytic velocity's Jacobian, which only the tests read.
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from romlab.fe import VelocitySpace, quad_point_data
+from romlab.fe import VelocitySpace
 from romlab.filtering import apply_filter, build_filter
 
 
@@ -188,6 +190,37 @@ def integrate(n, fn, p=8):
     same per-triangle rule (useful as an exact-value oracle)."""
     pts, w = triangle_quad_points(n, p)
     return float(np.sum(w * fn(pts[:, 0], pts[:, 1])))
+
+
+def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,
+                    elements: np.ndarray):
+    """Values and gradients at the quadrature points of given elements.
+
+    coeffs is an (n_dofs, r) matrix, one field per column. Returns
+    (vals, grads, wdet) with shapes (ne*nq, r, 2), (ne*nq, r, 2, 2),
+    (ne*nq,); the gradient axes are (component, derivative direction).
+    """
+    r = coeffs.shape[1]
+    ns = space.n_scalar
+    nq = len(space.rule.weights)
+    ne = len(elements)
+    nvals = space.shape_vals
+
+    vals = np.empty((ne, nq, r, 2))
+    grads = np.empty((ne, nq, r, 2, 2))
+    # orientation is element parity on this structured mesh
+    for o in range(2):
+        sel = np.nonzero(elements % 2 == o)[0]
+        if len(sel) == 0:
+            continue
+        ed = space.edofs[elements[sel]]            # (m, 6)
+        g = space.phys_grads[o]                    # (nq, 6, 2)
+        for comp in range(2):
+            el_c = coeffs[comp * ns:(comp + 1) * ns][ed]   # (m, 6, r)
+            vals[sel, :, :, comp] = np.einsum("ql,mlr->mqr", nvals, el_c)
+            grads[sel, :, :, comp, :] = np.einsum("qla,mlr->mqra", g, el_c)
+    wdet = np.tile(space.rule.weights * space.det_j, ne)
+    return vals.reshape(ne * nq, r, 2), grads.reshape(ne * nq, r, 2, 2), wdet
 
 
 def _convective_integral(space: VelocitySpace, u: np.ndarray, v: np.ndarray,

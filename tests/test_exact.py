@@ -121,19 +121,23 @@ def test_viscous_term_isolation(rng):
 
 
 def test_forcing_term_sum(rng):
-    """f equals the momentum-equation terms assembled from the public
-    derivative methods."""
+    """f equals, bit for bit, the momentum-equation terms assembled from
+    the public derivative methods: at scattered points, and on the
+    broadcast (t, y, x) grid axes the forcing projection uses."""
     sol = AnalyticSolution()
-    x = rng.uniform(0, 1, 100)
-    y = rng.uniform(0, 1, 100)
-    t = 0.65
-    f1, f2 = sol.forcing(x, y, t)
-    u, v = sol.velocity(x, y, t)
-    ut, vt = sol.velocity_dt(x, y, t)
-    l1, l2 = sol.laplacian(x, y, t)
-    _, dudy, dvdx, _ = velocity_grad(sol, x, y, t)
-    assert np.allclose(f1, ut - sol.nu * l1 + v * dudy, rtol=0, atol=1e-12)
-    assert np.allclose(f2, vt - sol.nu * l2 + u * dvdx, rtol=0, atol=1e-12)
+    side = np.linspace(0.0, 1.0, 17)
+    for x, y, t in [
+        (rng.uniform(0, 1, 100), rng.uniform(0, 1, 100), 0.65),
+        (side[None, None, :], side[None, :, None],
+         np.linspace(0.0, 1.0, 5)[:, None, None]),
+    ]:
+        f1, f2 = sol.forcing(x, y, t)
+        u, v = sol.velocity(x, y, t)
+        ut, vt = sol.velocity_dt(x, y, t)
+        l1, l2 = sol.laplacian(x, y, t)
+        _, dudy, dvdx, _ = velocity_grad(sol, x, y, t)
+        assert np.array_equal(f1, ut - sol.nu * l1 + v * dudy)
+        assert np.array_equal(f2, vt - sol.nu * l2 + u * dvdx)
 
 
 def test_broadcasting():

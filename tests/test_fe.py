@@ -217,3 +217,29 @@ def test_norm_dimension_checks():
         l2_norm(m_op, np.zeros(3))
     with pytest.raises(ValueError):
         l2_inner(m_op, np.zeros(space.n_dofs), np.zeros(3))
+
+
+def test_quad_point_data_matches_pointwise_evaluation(small, rng):
+    """The oracle's quadrature-point values and gradients equal the
+    stand-alone P2 evaluator at the physical points of the default
+    degree-4 rule, on an odd, unsorted, non-contiguous set of elements
+    of both orientations."""
+    space = small.space
+    assert space.rule.degree == 4
+    coeffs = rng.standard_normal((space.n_dofs, 3))
+    els = np.array([77, 4, 127, 9, 30, 1, 100])
+    vals, grads, wdet = oracles.quad_point_data(space, coeffs, els)
+    verts = space.mesh.nodes[space.mesh.triangles[els]]       # (ne, 3, 2)
+    xi, eta = space.rule.points.T
+    p0, p1, p2 = (verts[:, None, i] for i in range(3))        # (ne, 1, 2)
+    pts = p0 + xi[:, None] * (p1 - p0) + eta[:, None] * (p2 - p0)
+    px, py = pts.reshape(-1, 2).T
+    for k in range(3):
+        ref_vals, ref_jac = oracles.p2_eval(small.n, coeffs[:, k], px, py,
+                                            grad=True)
+        scale = np.abs(ref_jac).max()
+        assert np.abs(vals[:, k] - ref_vals).max() <= \
+            1e-13 * np.abs(ref_vals).max()
+        assert np.abs(grads[:, k] - ref_jac).max() <= 1e-13 * scale
+    assert np.allclose(wdet, np.tile(space.rule.weights * space.mesh.h ** 2,
+                                     els.size), rtol=1e-15, atol=0)

@@ -58,12 +58,14 @@ def test_tensor_matches_bstar_per_triple(small, tensor):
 
 
 def test_tensor_block_streaming_invariant(small):
-    """The blocked accumulation is independent of the block budget."""
+    """The blocked accumulation is independent of the block budget, down
+    to block_bytes=1: one element of each orientation per block."""
     a = build_trilinear_tensor(small.basis, 4, small.space)
-    b = build_trilinear_tensor(small.basis, 4, small.space,
-                               block_bytes=1 << 14)
-    # summation order differs between block sizes; allow roundoff
-    assert np.abs(a - b).max() < 1e-13 * (1 + np.abs(a).max())
+    for block_bytes in (1 << 14, 1):
+        b = build_trilinear_tensor(small.basis, 4, small.space,
+                                   block_bytes=block_bytes)
+        # summation order differs between block sizes; allow roundoff
+        assert np.abs(a - b).max() < 1e-13 * (1 + np.abs(a).max())
 
 
 def test_tensor_nested(small, tensor):

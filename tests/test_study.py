@@ -281,6 +281,22 @@ def test_study_builds_tensor_and_forcing_once(build_counts, kind):
     assert build_counts["forcing"] == [6] * (2 if kind == "lrom-dt" else 1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("mesh_n", 8), ("snap_dt", 0.05), ("t_final", 0.5), ("nu", 0.1)])
+def test_run_study_rejects_context_built_for_other_settings(
+        build_counts, name, value):
+    """A context serves only studies with the settings it was built
+    from; any other mesh, snapshot step, final time or viscosity is
+    refused before an operator is built."""
+    ctx = build_context(StudyConfig(kind="lrom-dt", mesh_n=4))
+    assert ctx.settings == dict(mesh_n=4, snap_dt=1e-2, t_final=1.0, nu=1e-3)
+    cfg = dict(kind="lrom-dt", mesh_n=4, r=4, delta=1e-2, sweep=[0.1, 0.05])
+    cfg[name] = value
+    with pytest.raises(InvalidStudyError, match=f"{name}="):
+        run_study(StudyConfig(**cfg), ctx)
+    assert build_counts == {"tensor": [], "forcing": []}
+
+
 @pytest.mark.parametrize("kind,sweep", [
     ("filter-delta", [4e-2, 2e-2, 1e-2, 5e-3]), ("filter-r", [2, 4, 6])])
 def test_filter_study_needs_no_fe_space(small_ctx, kind, sweep):
