@@ -2,7 +2,7 @@
 
     romlab <study-kind> [--mesh-n N] [--r R] [--delta D] [--dt DT]
            [--nu NU] [--t-final T] [--sweep v1,v2,...] [--out PATH]
-           [--cache DIR] [--linearization MODE] [--final-error VARIANT]
+           [--linearization MODE] [--final-error VARIANT]
 
 Exit codes: 0 success; 2 invalid config; 3 sweep-point failure(s) with
 partial output; 4 regression impossible.
@@ -33,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", type=str, default=None,
                    help="comma-separated sweep values")
     p.add_argument("--out", type=str, default=None, help="CSV output path")
-    p.add_argument("--cache", type=str, default=None,
-                   help="directory for the POD basis cache")
     p.add_argument("--linearization", type=str, default="picard-implicit",
                    choices=["picard-implicit", "semi-implicit"])
     p.add_argument("--final-error", type=str, default="rom",
@@ -56,7 +54,6 @@ def main(argv=None) -> int:
             sweep=(None if args.sweep is None
                    else _parse_sweep(args.sweep)),
             out=args.out,
-            cache_dir=args.cache,
             linearization=args.linearization,
             final_error_variant=args.final_error,
         )

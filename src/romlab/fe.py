@@ -156,10 +156,9 @@ class VelocitySpace:
         return np.arange(o, self.edofs.shape[0], 2)
 
 
-def build_space(n_or_mesh, quad_degree: int = 4) -> VelocitySpace:
+def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
     """Construct the vector P2 space on an n x n structured mesh."""
-    mesh = n_or_mesh if isinstance(n_or_mesh, TriMesh) else build_mesh(n_or_mesh)
-    n = mesh.n
+    mesh = build_mesh(n)
     m = 2 * n + 1
     side = np.linspace(0.0, 1.0, m)
     xx, yy = np.meshgrid(side, side, indexing="xy")

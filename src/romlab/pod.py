@@ -6,11 +6,7 @@ from the eigendecomposition of the (M+1) x (M+1) snapshot correlation
 matrix. No centering is applied.
 """
 
-import os
-import struct
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +22,6 @@ __all__ = [
     "build_pod_basis",
     "truncation_errors",
     "project_Pr",
-    "save_pod_cache",
-    "load_pod_cache",
 ]
 
 
@@ -169,75 +163,3 @@ def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     if v.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
     return basis.modes[:, :r].T @ (m_op @ v)
-
-
-# ---------------------------------------------------------------------------
-# Binary cache: little-endian array dump with a version header.
-#
-# Layout (all little-endian):
-#   magic   8 bytes  b"RLPODV4\0"
-#   header  <IIdQQ   n, M, dT, N, d
-#   arrays  float64, C order: eigenvalues (d), modes (N*d), grad_gram
-#           (d*d), snap_coords (d*K), residual_energy (2), with
-#           K = M + 1 snapshots
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"RLPODV4\0"
-_FIELDS = ("eigenvalues", "modes", "grad_gram", "snap_coords",
-           "residual_energy")
-_HEADER = "<IIdQQ"
-
-
-def cache_path(cache_dir, n: int, dt_snap: float, m: int) -> Path:
-    return Path(cache_dir) / f"pod_n{n}_dT{dt_snap:g}_M{m}.rlpod"
-
-
-def save_pod_cache(path, basis: PODBasis, n: int, dt_snap: float, m: int) -> None:
-    """Write the cache atomically: a temp file in the same directory is
-    renamed over path, so concurrent writers never interleave."""
-    if basis.snap_coords.shape[1] != m + 1:
-        raise ValueError(f"basis built from {basis.snap_coords.shape[1]} "
-                         f"snapshots, expected M + 1 = {m + 1}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    nn = basis.modes.shape[0]
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack(_HEADER, n, m, dt_snap, nn, basis.d))
-            for name in _FIELDS:
-                fh.write(np.ascontiguousarray(getattr(basis, name),
-                                              dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_pod_cache(path, n: int, dt_snap: float, m: int) -> PODBasis | None:
-    """Load a cached basis; returns None on any key or format mismatch."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            return None
-        hdr = fh.read(struct.calcsize(_HEADER))
-        if len(hdr) != struct.calcsize(_HEADER):
-            return None
-        cn, cm, cdt, nn, d = struct.unpack(_HEADER, hdr)
-        if (cn, cm) != (n, m) or cdt != dt_snap:
-            return None
-        def rd(*shape):
-            count = int(np.prod(shape))
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                return None
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        k = m + 1
-        shapes = ((d,), (nn, d), (d, d), (d, k), (2,))
-        arrays = dict(zip(_FIELDS, (rd(*shape) for shape in shapes)))
-        if any(a is None for a in arrays.values()):
-            return None
-    return PODBasis(**arrays)

@@ -28,9 +28,8 @@ from .exact import AnalyticSolution
 from .fe import (VelocitySpace, assemble_mass, assemble_stiffness,
                  build_space, interpolate)
 from .filtering import apply_filter, build_filter
-from .pod import (PODBasis, build_pod_basis, cache_path, collect_snapshots,
-                  default_times, load_pod_cache, project_Pr, save_pod_cache,
-                  truncation_errors)
+from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
+                  project_Pr, truncation_errors)
 from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
                   project_forcing, ROMOperators, run, stability_check)
 
@@ -90,7 +89,6 @@ class StudyConfig:
     dt: float | None = None
     sweep: list | None = None
     out: str | None = None
-    cache_dir: str | None = None
     linearization: str = "picard-implicit"
     final_error_variant: str = "rom"
 
@@ -288,14 +286,16 @@ class StudyContext:
     basis: PODBasis
     solution: AnalyticSolution
     settings: dict            # CONTEXT_SETTINGS -> the values built from
-    # advection tensor and forcing series per (dt, t_final), all built for
-    # the largest r asked for so far; leading blocks serve smaller r
+    # the advection tensor, and one forcing series per dt on the levels
+    # 0, dt, ..., settings["t_final"]; all built for the largest r asked
+    # for so far, whose leading blocks serve smaller r
     _width: int = field(default=0, init=False, repr=False)
     _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
     _forcing: dict = field(default_factory=dict, init=False, repr=False)
 
-    def operators(self, r: int, dt: float, t_final: float) -> ROMOperators:
-        """ROM operators on r modes for the time levels 0, dt, ..., t_final.
+    def operators(self, r: int, dt: float) -> ROMOperators:
+        """ROM operators on r modes for the time levels 0, dt, ..., t_final,
+        with t_final from the context's settings.
 
         A larger r than any before rebuilds the tensor and drops every
         forcing series; the initial coordinates are projected each call.
@@ -305,16 +305,15 @@ class StudyContext:
             self._width = r
             self._tensor = build_trilinear_tensor(self.basis, r, self.space)
             self._forcing = {}
-        key = (dt, t_final)
-        if key not in self._forcing:
-            times = np.linspace(0.0, t_final, round(t_final / dt) + 1)
-            self._forcing[key] = project_forcing(
+        if dt not in self._forcing:
+            times = default_times(dt, self.settings["t_final"])
+            self._forcing[dt] = project_forcing(
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
         u0 = interpolate(self.space, self.solution.velocity, 0.0)
         return ROMOperators(r=r, s_r=self.basis.grad_gram[:r, :r],
                             tensor=self._tensor[:r, :r, :r],
-                            forcing=self._forcing[key][:, :r],
+                            forcing=self._forcing[dt][:, :r],
                             a0=project_Pr(self.basis, r, self.m_op, u0))
 
 
@@ -324,19 +323,8 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     m_op = assemble_mass(space)
     s_op = assemble_stiffness(space)
     times = default_times(cfg.snap_dt, cfg.t_final)
-    m = times.size - 1
-    basis = None
-    cpath = None
-    if cfg.cache_dir is not None:
-        cpath = cache_path(cfg.cache_dir, cfg.mesh_n, cfg.snap_dt, m)
-        basis = load_pod_cache(cpath, cfg.mesh_n, cfg.snap_dt, m)
-        if basis is not None and basis.modes.shape[0] != space.n_dofs:
-            basis = None
-    if basis is None:
-        basis = build_pod_basis(collect_snapshots(space, solution, times),
-                                m_op, s_op)
-        if cpath is not None:
-            save_pod_cache(cpath, basis, cfg.mesh_n, cfg.snap_dt, m)
+    basis = build_pod_basis(collect_snapshots(space, solution, times),
+                            m_op, s_op)
     settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
     return StudyContext(space=space, m_op=m_op, s_op=s_op, basis=basis,
                         solution=solution, settings=settings)
@@ -364,7 +352,7 @@ def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
                 r: int, delta: float, dt: float) -> None:
     rom_cfg = LROMConfig(dt=dt, t_final=cfg.t_final, nu=cfg.nu,
                          linearization=cfg.linearization)
-    ops = ctx.operators(r, dt, cfg.t_final)
+    ops = ctx.operators(r, dt)
     filt = build_filter(ops.s_r, delta)
     traj = run(ops, filt, rom_cfg)
     ledger_max = float(stability_check(traj, ops, rom_cfg).max())
@@ -432,7 +420,7 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
     if point is _lrom_point:
         # ask for the study's largest r first, so that the tensor and each
         # forcing series are built once, at that width
-        ctx.operators(max(cfg.r_values), cfg._values("dt")[0], cfg.t_final)
+        ctx.operators(max(cfg.r_values), cfg._values("dt")[0])
     records = []
     for value in cfg.sweep:
         rec, r, delta, dt = _sweep_point(cfg, ctx, value)

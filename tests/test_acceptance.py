@@ -133,11 +133,16 @@ def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
 
 def test_criterion_02_tensor_skew_and_oracle(bench_ctx, small):
     failures = []
-    tensor = bench_ctx.operators(99, 1e-2, 1.0).tensor
+    tensor = bench_ctx.operators(99, 1e-2).tensor
     scale = np.abs(tensor).max()
     skew = np.abs(tensor + tensor.transpose(0, 2, 1)).max()
     if skew > 1e-12 * scale:
         failures.append(f"skew violation {skew:.2e} > 1e-12 * max|T|")
+    # rank one in the first index: T_ijk = mu_i (C_jk - C_kj)
+    sv = np.linalg.svd(tensor.reshape(tensor.shape[0], -1), compute_uv=False)
+    if sv[1] > 1e-12 * sv[0]:
+        failures.append(f"unfolding sigma_2/sigma_1 = {sv[1] / sv[0]:.2e} "
+                        f"> 1e-12")
     # independent per-triple evaluation on the small tier
     t_small = build_trilinear_tensor(small.basis, 4, small.space)
     s_scale = np.abs(t_small).max()
@@ -279,7 +284,7 @@ def test_criterion_09_stability(table3_result, small_ctx):
                 f"energy ledger {rec.stability_max:.3e} exploded at dt={rec.value}")
     # unforced decay over 1000 implicit steps
     r = 6
-    ops_full = small_ctx.operators(r, 1.0, 1.0)
+    ops_full = small_ctx.operators(r, 1.0)
     ops = ROMOperators(r=r, s_r=ops_full.s_r, tensor=ops_full.tensor,
                        forcing=np.zeros((1001, r)), a0=ops_full.a0)
     traj = run(ops, None, LROMConfig(dt=1e-3))
@@ -292,7 +297,7 @@ def test_criterion_09_stability(table3_result, small_ctx):
 def test_criterion_10_zero_radius_reduces_to_grom(bench_ctx):
     failures = []
     r, dt = 99, 1e-2
-    ops = bench_ctx.operators(r, dt, 1.0)
+    ops = bench_ctx.operators(r, dt)
     cfg = LROMConfig(dt=dt)
     traj_l = run(ops, build_filter(ops.s_r, 0.0), cfg)
     traj_g = run(ops, None, cfg)

@@ -3,10 +3,9 @@ import pytest
 
 from oracles import l2_norm
 from romlab.exact import AnalyticSolution
-from romlab.pod import (build_pod_basis, cache_path, collect_snapshots,
-                        correlation_matrix, default_times, load_pod_cache,
-                        project_Pr, save_pod_cache, symmetric_eig,
-                        truncation_errors)
+from romlab.pod import (build_pod_basis, collect_snapshots,
+                        correlation_matrix, default_times, project_Pr,
+                        symmetric_eig, truncation_errors)
 
 
 def test_default_times():
@@ -211,42 +210,3 @@ def test_project_pr_reproduces_rom_fields(small, rng):
         a = project_Pr(small.basis, r, small.m_op, w)
         assert np.linalg.norm(a) <= l2_norm(small.m_op, w) * (1 + 1e-10)
 
-
-def test_cache_roundtrip(tmp_path, small):
-    m = small.snapshots.shape[1] - 1
-    path = cache_path(tmp_path, small.n, 0.05, m)
-    save_pod_cache(path, small.basis, small.n, 0.05, m)
-    loaded = load_pod_cache(path, small.n, 0.05, m)
-    assert loaded is not None
-    for name in ("eigenvalues", "modes", "grad_gram", "snap_coords",
-                 "residual_energy"):
-        assert np.array_equal(getattr(loaded, name),
-                              getattr(small.basis, name)), name
-    assert loaded.snap_coords.shape == (small.basis.d, m + 1)
-    assert loaded.residual_energy.shape == (2,)
-    # a basis from another snapshot count is refused, not written
-    with pytest.raises(ValueError, match="snapshots"):
-        save_pod_cache(path, small.basis, small.n, 0.05, m + 1)
-    assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
-
-
-def test_cache_mismatch_and_corruption(tmp_path, small):
-    m = small.snapshots.shape[1] - 1
-    path = cache_path(tmp_path, small.n, 0.05, m)
-    save_pod_cache(path, small.basis, small.n, 0.05, m)
-    assert load_pod_cache(path, small.n + 1, 0.05, m) is None
-    assert load_pod_cache(path, small.n, 0.01, m) is None
-    assert load_pod_cache(path, small.n, 0.05, m + 2) is None
-    assert load_pod_cache(tmp_path / "missing.rlpod", small.n, 0.05, m) is None
-    # truncated file
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    assert load_pod_cache(path, small.n, 0.05, m) is None
-    # wrong magic
-    path.write_bytes(b"XXXXXXXX" + data[8:])
-    assert load_pod_cache(path, small.n, 0.05, m) is None
-    # the older layouts: V2 also stored the correlation eigenvectors,
-    # V3 lacked the snapshot coordinates and residual energies
-    for magic in (b"RLPODV2\0", b"RLPODV3\0"):
-        path.write_bytes(magic + data[8:])
-        assert load_pod_cache(path, small.n, 0.05, m) is None

@@ -57,6 +57,16 @@ def test_tensor_matches_bstar_per_triple(small, tensor):
                 assert abs(tensor[i, j, k] - ref) <= 1e-11 * scale, (i, j, k)
 
 
+def test_tensor_rank_one_in_first_index(small):
+    """Every snapshot of the benchmark flow is (g(y, t), g(x, t)), so
+    every mode is (psi(y), psi(x)) and T_ijk = mu_i (C_jk - C_kj): the
+    (r, r^2) unfolding has one nonzero singular value."""
+    d = small.basis.d
+    tensor = build_trilinear_tensor(small.basis, d, small.space)
+    sv = np.linalg.svd(tensor.reshape(d, d * d), compute_uv=False)
+    assert sv[1] <= 1e-12 * sv[0]
+
+
 def test_tensor_block_streaming_invariant(small):
     """The blocked accumulation is independent of the block budget, down
     to block_bytes=1: one element of each orientation per block."""
@@ -215,7 +225,7 @@ def test_config_rejects_nonfinite(name, bad):
 def test_r1_closed_form_step(small_ctx):
     """With one mode the advection term vanishes (T_111 = 0) and the
     implicit step has a scalar closed form."""
-    ops = small_ctx.operators(1, 1e-2, 1.0)
+    ops = small_ctx.operators(1, 1e-2)
     cfg = LROMConfig(dt=1e-2)
     s = ops.s_r[0, 0]
     a_next, iters = _one_step(ops, None, cfg, ops.a0, ops.forcing[1])
@@ -226,7 +236,7 @@ def test_r1_closed_form_step(small_ctx):
 
 
 def test_zero_delta_equals_grom(small_ctx, rng):
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     cfg = LROMConfig(dt=1e-2)
     filt = build_filter(ops.s_r, 0.0)
     a = rng.standard_normal(R_SMALL)
@@ -239,7 +249,7 @@ def test_zero_delta_equals_grom(small_ctx, rng):
 def test_grom_step_newton_oracle(small_ctx, rng):
     """The Picard fixed point solves the nonlinear step equation;
     cross-checked with a Newton iteration written from scratch."""
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     cfg = LROMConfig(dt=1e-2, picard_tol=1e-13)
     a_k = ops.a0 + 0.1 * rng.standard_normal(R_SMALL)
     f = ops.forcing[1]
@@ -268,7 +278,7 @@ def test_run_matches_reference_stepper(small_ctx, delta, linearization):
     """The folded stepper (filter applied to T once per run, one
     contraction per Picard iteration) follows the stepper that filters
     and contracts on every iteration, with the same Picard counts."""
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     filt = None if delta is None else build_filter(ops.s_r, delta)
     cfg = LROMConfig(dt=1e-2, linearization=linearization)
     traj = run(ops, filt, cfg)
@@ -278,7 +288,7 @@ def test_run_matches_reference_stepper(small_ctx, delta, linearization):
 
 
 def test_semi_implicit_variant(small_ctx):
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     filt = build_filter(ops.s_r, 1e-2)
     cfg = LROMConfig(dt=1e-2, linearization="semi-implicit")
     traj = run(ops, filt, cfg)
@@ -291,7 +301,7 @@ def test_semi_implicit_variant(small_ctx):
 
 
 def test_run_shapes_and_projection_start(small_ctx):
-    ops = small_ctx.operators(4, 5e-2, 1.0)
+    ops = small_ctx.operators(4, 5e-2)
     filt = build_filter(ops.s_r, 1e-2)
     traj = run(ops, filt, LROMConfig(dt=5e-2))
     assert traj.states.shape == (21, 4)
@@ -300,7 +310,7 @@ def test_run_shapes_and_projection_start(small_ctx):
 
 
 def test_run_forcing_length_guard(small_ctx):
-    ops = small_ctx.operators(4, 1e-1, 1.0)
+    ops = small_ctx.operators(4, 1e-1)
     filt = build_filter(ops.s_r, 0.0)
     with pytest.raises(ValueError):
         run(ops, filt, LROMConfig(dt=1e-2))
@@ -309,7 +319,7 @@ def test_run_forcing_length_guard(small_ctx):
 def test_energy_decay_without_forcing(small_ctx):
     """f = 0, skew advection and PSD stiffness: the implicit step is
     unconditionally dissipative."""
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     no_force = ROMOperators(r=ops.r, s_r=ops.s_r, tensor=ops.tensor,
                             forcing=np.zeros((1001, ops.r)), a0=ops.a0)
     cfg = LROMConfig(dt=1e-3)
@@ -319,7 +329,7 @@ def test_energy_decay_without_forcing(small_ctx):
 
 
 def test_delta_continuity(small_ctx):
-    ops = small_ctx.operators(R_SMALL, 1e-2, 1.0)
+    ops = small_ctx.operators(R_SMALL, 1e-2)
     t0 = run(ops, build_filter(ops.s_r, 0.0), LROMConfig(dt=1e-2))
     t1 = run(ops, build_filter(ops.s_r, 1e-8), LROMConfig(dt=1e-2))
     assert np.abs(t0.states - t1.states).max() < 1e-6
@@ -347,7 +357,7 @@ def test_picard_slow_contraction_reports_ratio():
     iteration; 80 iterations converge that step."""
     cfg = StudyConfig(kind="lrom-dt", mesh_n=4, r=4, sweep=[0.1])
     ctx = build_context(cfg)
-    ops = ctx.operators(4, 0.1, 1.0)
+    ops = ctx.operators(4, 0.1)
     filt = build_filter(ops.s_r, cfg.delta)
     with pytest.raises(StepDivergenceError) as exc:
         run(ops, filt, LROMConfig(dt=0.1, picard_max_iters=50))
@@ -372,7 +382,7 @@ def test_blowup_guard():
 
 
 def test_nonfinite_state_guard(small_ctx):
-    ops = small_ctx.operators(4, 1e-1, 1.0)
+    ops = small_ctx.operators(4, 1e-1)
     cfg = LROMConfig(dt=1e-1)
     with pytest.raises(StepDivergenceError, match="non-finite state"):
         _one_step(ops, None, cfg, np.array([np.nan, 0.0, 0.0, 0.0]),
@@ -380,7 +390,7 @@ def test_nonfinite_state_guard(small_ctx):
 
 
 def test_stability_check(small_ctx):
-    ops = small_ctx.operators(4, 1e-1, 1.0)
+    ops = small_ctx.operators(4, 1e-1)
     filt = build_filter(ops.s_r, 1e-2)
     cfg = LROMConfig(dt=1e-1)
     traj = run(ops, filt, cfg)

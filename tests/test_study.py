@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from oracles import avg_filter_errors_fe
-from romlab import study
+from romlab import cli, study
 from romlab.cli import main
 from romlab.fe import interpolate
 from romlab.filtering import build_filter
@@ -149,23 +150,13 @@ def test_study_deterministic(small_ctx, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_context_cache_roundtrip(tmp_path):
-    cfg = _small_cfg(kind="filter-delta", r=8, cache_dir=str(tmp_path))
-    ctx1 = build_context(cfg)
-    files = list(tmp_path.glob("*.rlpod"))
-    assert len(files) == 1
-    ctx2 = build_context(cfg)
-    assert np.array_equal(ctx1.basis.modes, ctx2.basis.modes)
-    assert np.array_equal(ctx1.basis.eigenvalues, ctx2.basis.eigenvalues)
-
-
 def test_r_outside_basis_rank_raises(small_ctx):
     """The reduced stiffness exists for 1 <= r <= d only."""
     for r in (0, small_ctx.basis.d + 1):
         with pytest.raises(ValueError, match=f"r={r} outside"):
             avg_filter_errors(small_ctx.basis, r, 1e-3)
         with pytest.raises(ValueError, match=f"r={r} outside"):
-            small_ctx.operators(r, 0.1, 1.0)
+            small_ctx.operators(r, 0.1)
 
 
 def test_avg_filter_errors_decrease_with_r(small_ctx):
@@ -211,7 +202,7 @@ def test_avg_filter_errors_match_fe_oracle(small_ctx, small, k, stride):
 
 
 def test_final_time_error_variants(small_ctx):
-    ops = small_ctx.operators(6, 2e-2, 1.0)
+    ops = small_ctx.operators(6, 2e-2)
     filt = build_filter(ops.s_r, 1e-3)
     traj = run(ops, filt, LROMConfig(dt=2e-2))
     e_rom = final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
@@ -250,16 +241,16 @@ def build_counts(monkeypatch):
 
 def test_context_tensor_and_forcing_caches(build_counts):
     ctx = build_context(_small_cfg(kind="lrom-r"))
-    ops4 = ctx.operators(4, 0.1, 1.0)
-    ops6 = ctx.operators(6, 0.1, 1.0)
+    ops4 = ctx.operators(4, 0.1)
+    ops6 = ctx.operators(6, 0.1)
     assert build_counts == {"tensor": [4, 6], "forcing": [4, 6]}
-    again = ctx.operators(4, 0.1, 1.0)
+    again = ctx.operators(4, 0.1)
     assert build_counts == {"tensor": [4, 6], "forcing": [4, 6]}
     assert np.array_equal(again.tensor, ops6.tensor[:4, :4, :4])
     assert again.forcing.shape == (11, 4)
     assert np.array_equal(again.forcing, ops6.forcing[:, :4])
     # a new time grid is projected at the context's width
-    assert ctx.operators(4, 0.05, 1.0).forcing.shape == (21, 4)
+    assert ctx.operators(4, 0.05).forcing.shape == (21, 4)
     assert build_counts["forcing"] == [4, 6, 6]
     # the initial coordinates are the L2 projection of u0 at any r
     # (projected per call, so equal to roundoff across r)
@@ -389,8 +380,28 @@ def test_cli_no_regression(tmp_path):
 
 
 def test_cli_unknown_kind():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["not-a-study"])
+    assert exc.value.code == 2
+
+
+def test_cli_cache_option_is_gone(tmp_path, capsys):
+    """The POD basis is always built in process; --cache is an unknown
+    option, refused before anything is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-delta", "--mesh-n", "4", "--cache", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_usage_lists_exactly_the_parser_options():
+    """The usage in the module docstring names every --option the
+    parser accepts, and no other."""
+    documented = set(re.findall(r"--[a-z][a-z-]*", cli.__doc__))
+    parsed = {opt for action in cli.build_parser()._actions
+              for opt in action.option_strings if opt.startswith("--")}
+    assert documented == parsed - {"--help"}
 
 
 # ------------------------------------------------------------- hardening
