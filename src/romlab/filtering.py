@@ -23,9 +23,10 @@ class FilterOperator:
 
 def build_filter(s_r: np.ndarray, delta: float) -> FilterOperator:
     """Form I + delta^2 S_r for the (r, r) reduced stiffness s_r."""
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(
-            f"filter radius must be finite and nonnegative, got {delta}")
+    if not (math.isfinite(delta) and delta >= 0
+            and math.isfinite(float(delta) * float(delta))):
+        raise ValueError("filter radius must be finite and nonnegative, "
+                         f"with a finite square, got {delta}")
     r = s_r.shape[0]
     return FilterOperator(r=r, matrix=np.eye(r) + delta ** 2 * s_r)
 

@@ -122,6 +122,9 @@ class StudyConfig:
             raise InvalidStudyError("dt must be positive")
         if any(v < 0 for v in self._values("delta")):
             raise InvalidStudyError("delta must be nonnegative")
+        if any(not math.isfinite(float(v) * float(v))
+               for v in self._values("delta")):
+            raise InvalidStudyError("delta squared must be finite")
         for name in ("snap_dt", "dt"):
             for step in self._values(name):
                 ratio = self.t_final / step

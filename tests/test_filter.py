@@ -19,6 +19,9 @@ def s_r(small):
 def test_build_filter_validation(s_r):
     with pytest.raises(ValueError):
         build_filter(s_r, -1e-3)
+    # finite, but delta ** 2 overflows
+    with pytest.raises(ValueError, match="finite square"):
+        build_filter(s_r, 1e200)
 
 
 def test_zero_radius_is_identity(s_r, rng):

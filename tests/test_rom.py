@@ -283,7 +283,46 @@ def test_run_matches_reference_stepper(small_ctx, delta, linearization):
     cfg = LROMConfig(dt=1e-2, linearization=linearization)
     traj = run(ops, filt, cfg)
     states, iters = reference_run(ops, filt, cfg)
+    assert traj.tensor_rank == 1  # the scalar Picard path
     assert np.array_equal(traj.iter_counts, iters)
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+    if linearization == "semi-implicit":
+        assert np.all(np.isnan(traj.residuals))
+    else:
+        assert np.all(traj.residuals <= cfg.picard_tol)
+
+
+@pytest.mark.parametrize("linearization", ["picard-implicit",
+                                           "semi-implicit"])
+def test_full_rank_tensor_takes_general_loop(small_ctx, rng, linearization):
+    """A random tensor, skew in its last two indices and of full rank in
+    its first, takes the solve-and-contract loop and matches the
+    reference stepper."""
+    base = small_ctx.operators(R_SMALL, 1e-2)
+    t = rng.standard_normal((R_SMALL,) * 3)
+    ops = replace(base, tensor=np.abs(base.tensor).max() * (t - t.mT))
+    filt = build_filter(ops.s_r, 1e-2)
+    sv = np.linalg.svd(ops.tensor.reshape(R_SMALL, -1), compute_uv=False)
+    assert sv[-1] > 1e-2 * sv[0]
+    cfg = LROMConfig(dt=1e-2, linearization=linearization)
+    traj = run(ops, filt, cfg)
+    states, iters = reference_run(ops, filt, cfg)
+    assert traj.tensor_rank == R_SMALL
+    assert iters.max() > 1 or linearization == "semi-implicit"
+    assert np.array_equal(traj.iter_counts, iters)
+    assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
+
+
+def test_zero_tensor_at_r1_takes_scalar_path(small_ctx):
+    """At r = 1, T_111 = 0: rank 0, and one Picard iteration per step."""
+    ops = small_ctx.operators(1, 1e-2)
+    assert not ops.tensor.any()
+    filt = build_filter(ops.s_r, 1e-2)
+    cfg = LROMConfig(dt=1e-2)
+    traj = run(ops, filt, cfg)
+    states, iters = reference_run(ops, filt, cfg)
+    assert traj.tensor_rank == 0
+    assert np.all(iters == 1) and np.array_equal(traj.iter_counts, iters)
     assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
 
 

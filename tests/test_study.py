@@ -474,6 +474,24 @@ def test_cli_rejects_out_of_range_and_nonfinite(argv, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lrom-delta", "--mesh-n", "2", "--r", "2", "--sweep", "1e308"],
+    ["filter-r", "--mesh-n", "4", "--sweep", "1,2", "--delta", "1e200"],
+])
+def test_cli_rejects_radius_whose_square_overflows(argv, capsys):
+    """delta ** 2 used to raise OverflowError here, a traceback with
+    exit 1."""
+    assert main(argv) == 2
+    assert "delta squared must be finite" in capsys.readouterr().err
+
+
+def test_cli_huge_radius_with_finite_square_runs(capsys):
+    """A radius whose square is finite is still a valid config."""
+    argv = ["lrom-delta", "--mesh-n", "2", "--r", "2",
+            "--sweep", "1e100,1e150"]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
 def test_cli_rejects_dt_off_the_time_grid(capsys):
     argv = ["lrom-dt", "--mesh-n", "4", "--r", "3", "--sweep", "0.03,0.02"]
     assert main(argv) == 2
