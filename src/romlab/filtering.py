@@ -22,11 +22,19 @@ class FilterOperator:
 
 
 def build_filter(s_r: np.ndarray, delta: float) -> FilterOperator:
-    """Form I + delta^2 S_r for the (r, r) reduced stiffness s_r."""
+    """Form I + delta^2 S_r for the (r, r) SPD reduced stiffness s_r.
+
+    |S_ij| <= max_k S_kk for an SPD S_r, so delta^2 S_r is finite when
+    delta^2 max_k S_kk is; that product is taken in Python floats, which
+    overflow to inf without a warning.
+    """
     if not (math.isfinite(delta) and delta >= 0
             and math.isfinite(float(delta) * float(delta))):
         raise ValueError("filter radius must be finite and nonnegative, "
                          f"with a finite square, got {delta}")
+    scale = float(delta) * float(delta) * float(s_r.diagonal().max(initial=0))
+    if not math.isfinite(scale):
+        raise ValueError(f"delta^2 S_r overflows at filter radius {delta}")
     r = s_r.shape[0]
     return FilterOperator(r=r, matrix=np.eye(r) + delta ** 2 * s_r)
 

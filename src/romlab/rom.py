@@ -207,6 +207,8 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     m, r, dt = cfg.n_steps, ops.r, cfg.dt
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
+    if not np.all(np.isfinite(ops.a0)):
+        raise StepDivergenceError("non-finite state entering step", step=0)
     t2 = _folded_tensor(ops.tensor, filt)
     core = np.eye(r) / dt + cfg.nu * ops.s_r
     u, sv, vt = np.linalg.svd(t2, full_matrices=False)
@@ -215,35 +217,41 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     if scalar:
         # core = L L^T and the Hermitian i L^-1 A L^-T = Q diag(lam) Q^H give
         # (core + s A)^-1 = Z diag(1 / (1 - i s lam)) C, C = Q^H L^-1 and
-        # Z = L^-T Q
+        # Z = L^-T Q. The loop calls ndarray.dot, the same BLAS call as @
+        # with less overhead per call, on these r-sized operands.
         w, skew = u[:, 0], sv[0] * vt[0].reshape(r, r).T
         chol = np.linalg.cholesky(core)
         l_inv = np.linalg.inv(chol)
         lam, q = np.linalg.eigh(1j * (l_inv @ skew @ l_inv.T))
         to_eig, from_eig = q.conj().T @ l_inv, l_inv.T @ q
         p = q.T @ (l_inv @ w)                 # w.(Z y) = p.y
-        skew_eig = (chol @ q) * (-1j * lam)   # A (Z y) = skew_eig y
+        mlam = -1j * lam                      # 1 + s mlam == 1 - i s lam
+        skew_eig = (chol @ q) * mlam          # A (Z y) = skew_eig y
     semi = cfg.linearization == "semi-implicit"
+    max_iters, tol = 1 if semi else cfg.picard_max_iters, cfg.picard_tol
+    forcing = ops.forcing
     states = np.empty((m + 1, r))
     iters = np.zeros(m, dtype=int)
     residuals = np.full(m, np.nan)
     states[0] = a = ops.a0
     adv = None if scalar else _advection_matrix(t2, a)
     blowup = 1e6 * (1.0 + np.linalg.norm(ops.a0))
+    # a finite a_k enters step k: a0 is checked above, and every later
+    # state by the end-of-step guard
     for k in range(m):
-        if not np.all(np.isfinite(a)):
-            raise StepDivergenceError("non-finite state entering step", step=k)
-        rhs = a / dt + ops.forcing[k + 1]
-        denom = np.linalg.norm(rhs) or 1.0
-        residual = np.nan
+        rhs = a / dt + forcing[k + 1]
+        denom = math.sqrt(rhs.dot(rhs)) or 1.0
+        residual = math.nan
         if scalar:
-            s, c = w @ a, to_eig @ rhs
-        for it in range(1, 2 if semi else cfg.picard_max_iters + 1):
+            s, c = float(w.dot(a)), to_eig.dot(rhs)
+        for it in range(1, max_iters + 1):
             if scalar:  # y = C rhs / (1 - i s lam) stands for a = Z y
-                y = c / (1 - 1j * s * lam)
-                s, s_solved = (p @ y).real, s
-                change = abs(s - s_solved) \
-                    * np.linalg.norm((skew_eig @ y).real)
+                d = 1 + s * mlam
+                y = c / d
+                s, s_solved = float(p.dot(y).real), s
+                # contiguous: a strided dot sums in another order than norm()
+                v = skew_eig.dot(y).real.copy()
+                change = abs(s - s_solved) * math.sqrt(v.dot(v))
             else:
                 a = np.linalg.solve(core + adv, rhs)
                 adv = _advection_matrix(t2, a)
@@ -251,10 +259,10 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
             if semi:
                 break
             last, residual = residual, change / denom
-            if not np.isfinite(residual):
+            if not math.isfinite(residual):
                 raise StepDivergenceError("non-finite Picard residual",
                                           residual=residual, step=k)
-            if residual <= cfg.picard_tol:
+            if residual <= tol:
                 break
         else:
             ratio = residual / last
@@ -263,16 +271,20 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
                 f"(relative residual {residual:.3e}, last ratio {ratio:.3g})",
                 residual=residual, step=k, ratio=ratio)
         if scalar:  # the last iterate, refined once in real arithmetic
-            a = (from_eig @ y).real
-            fix = rhs - core @ a - s_solved * (skew @ a)
-            a += (from_eig @ (to_eig @ fix / (1 - 1j * s_solved * lam))).real
-        if semi and not np.all(np.isfinite(a)):
+            a = from_eig.dot(y).real
+            fix = rhs - core.dot(a) - s_solved * skew.dot(a)
+            a += from_eig.dot(to_eig.dot(fix) / d).real
+        row = states[k + 1]
+        row[:] = a
+        size = math.sqrt(row.dot(row))
+        # NaN fails the comparison, and inf passes it only when |a0|^2
+        # overflowed and blowup is inf
+        if not size <= blowup or (size == math.inf
+                                  and not np.isfinite(row).all()):
             raise StepDivergenceError(
-                "semi-implicit solve produced non-finite state", step=k)
-        if not np.all(np.isfinite(a)) or np.linalg.norm(a) > blowup:
-            raise StepDivergenceError(
-                f"trajectory blow-up at step {k + 1}", step=k)
-        states[k + 1] = a
+                "semi-implicit solve produced non-finite state"
+                if semi and not np.isfinite(row).all()
+                else f"trajectory blow-up at step {k + 1}", step=k)
         iters[k] = it
         residuals[k] = residual
     return ROMTrajectory(states=states, iter_counts=iters,
@@ -285,6 +297,6 @@ def stability_check(traj: ROMTrajectory, ops: ROMOperators,
     q(M~) = |a_{M~}|^2 + dt * sum_{k<M~} a_{k+1}^T S_r a_{k+1}.
     """
     a = traj.states
-    grad_energy = np.einsum("ki,ij,kj->k", a[1:], ops.s_r, a[1:])
+    grad_energy = np.sum((a[1:] @ ops.s_r) * a[1:], axis=1)
     cum = cfg.dt * np.concatenate([[0.0], np.cumsum(grad_energy)])
     return np.sum(a * a, axis=1) + cum

@@ -11,12 +11,15 @@ tensor build, which evaluates all modes by dense products against the
 same tables and contracts all triples at once. reference_step
 is the Picard step in its unfolded form (filter, then contract, on
 every iteration), and checks the stepper that folds the filter into
-the tensor once per run. avg_filter_errors_fe forms each snapshot's
-filtering error in the FE space, and checks the filter studies, which
-evaluate it from the snapshot Gram matrices. l2_norm, h1_semi_norm and
-l2_inner are the FE norms of coefficient vectors, through the assembled
-operators. signed_areas and velocity_grad are the mesh's triangle areas
-and the analytic velocity's Jacobian, which only the tests read.
+the tensor once per run. energy_ledger_einsum sums the energy ledger's
+quadratic forms with one three-operand einsum, and checks
+stability_check, which forms them by one GEMM. avg_filter_errors_fe
+forms each snapshot's filtering error in the FE space, and checks the
+filter studies, which evaluate it from the snapshot Gram matrices.
+l2_norm, h1_semi_norm and l2_inner are the FE norms of coefficient
+vectors, through the assembled operators. signed_areas and
+velocity_grad are the mesh's triangle areas and the analytic velocity's
+Jacobian, which only the tests read.
 """
 
 import numpy as np
@@ -284,6 +287,14 @@ def reference_run(ops, filt, cfg):
         states.append(a)
         iters.append(it)
     return np.array(states), np.array(iters)
+
+
+def energy_ledger_einsum(states, s_r, dt):
+    """q(M~) = |a_M~|^2 + dt * sum_{k<M~} a_{k+1}^T S_r a_{k+1} for the
+    (M+1, r) state series, the quadratic forms by einsum."""
+    grad_energy = np.einsum("ki,ij,kj->k", states[1:], s_r, states[1:])
+    cum = dt * np.concatenate([[0.0], np.cumsum(grad_energy)])
+    return np.sum(states * states, axis=1) + cum
 
 
 def avg_filter_errors_fe(basis, r, delta, u, m_op, s_op):

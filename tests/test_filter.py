@@ -22,6 +22,11 @@ def test_build_filter_validation(s_r):
     # finite, but delta ** 2 overflows
     with pytest.raises(ValueError, match="finite square"):
         build_filter(s_r, 1e200)
+    # delta ** 2 is finite, but delta ** 2 * S_r overflows (no warning)
+    delta = 2.0 * np.sqrt(np.finfo(float).max / s_r.diagonal().max())
+    assert np.isfinite(delta ** 2)
+    with pytest.raises(ValueError, match="overflows"):
+        build_filter(s_r, delta)
 
 
 def test_zero_radius_is_identity(s_r, rng):

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import reference_run, trilinear_bstar
+from oracles import energy_ledger_einsum, reference_run, trilinear_bstar
 from romlab.filtering import build_filter
-from romlab.rom import (LROMConfig, ROMOperators, StepDivergenceError,
-                        _advection_matrix, build_trilinear_tensor,
-                        project_forcing, run, stability_check)
+from romlab.rom import (LROMConfig, ROMOperators, ROMTrajectory,
+                        StepDivergenceError, _advection_matrix,
+                        build_trilinear_tensor, project_forcing, run,
+                        stability_check)
 from romlab.study import StudyConfig, build_context
 
 
@@ -24,6 +25,17 @@ def _one_step(ops, filt, cfg, a_k, f_next):
                        a0=np.asarray(a_k, dtype=float))
     traj = run(one, filt, replace(cfg, t_final=cfg.dt))
     return traj.states[1], int(traj.iter_counts[0])
+
+
+def _ops_on_path(small_ctx, rng, path):
+    """small_ctx's operators at dt = 1e-2, whose tensor has rank one
+    (path "scalar"), or the same with a random tensor, skew in its last
+    two indices and of full rank in its first (path "general")."""
+    ops = small_ctx.operators(R_SMALL, 1e-2)
+    if path == "general":
+        t = rng.standard_normal((R_SMALL,) * 3)
+        ops = replace(ops, tensor=np.abs(ops.tensor).max() * (t - t.mT))
+    return ops
 
 
 @pytest.fixture
@@ -298,9 +310,7 @@ def test_full_rank_tensor_takes_general_loop(small_ctx, rng, linearization):
     """A random tensor, skew in its last two indices and of full rank in
     its first, takes the solve-and-contract loop and matches the
     reference stepper."""
-    base = small_ctx.operators(R_SMALL, 1e-2)
-    t = rng.standard_normal((R_SMALL,) * 3)
-    ops = replace(base, tensor=np.abs(base.tensor).max() * (t - t.mT))
+    ops = _ops_on_path(small_ctx, rng, "general")
     filt = build_filter(ops.s_r, 1e-2)
     sv = np.linalg.svd(ops.tensor.reshape(R_SMALL, -1), compute_uv=False)
     assert sv[-1] > 1e-2 * sv[0]
@@ -428,6 +438,54 @@ def test_nonfinite_state_guard(small_ctx):
                   ops.forcing[1])
 
 
+@pytest.mark.parametrize("path", ["scalar", "general"])
+def test_nonfinite_a0_raises_entering_step_0(small_ctx, rng, path):
+    ops = _ops_on_path(small_ctx, rng, path)
+    a0 = ops.a0.copy()
+    a0[2] = np.nan
+    with pytest.raises(StepDivergenceError,
+                       match="non-finite state entering step") as exc:
+        run(replace(ops, a0=a0), build_filter(ops.s_r, 1e-2),
+            LROMConfig(dt=1e-2))
+    assert exc.value.step == 0
+
+
+@pytest.mark.parametrize("linearization, message", [
+    ("picard-implicit", "non-finite Picard residual"),
+    ("semi-implicit", "semi-implicit solve produced non-finite state")])
+@pytest.mark.parametrize("path", ["scalar", "general"])
+def test_nan_forcing_row_raises_at_its_step(small_ctx, rng, path,
+                                            linearization, message):
+    """Step k = 3 reads the forcing row F_4; a NaN there fails step 3."""
+    ops = _ops_on_path(small_ctx, rng, path)
+    forcing = ops.forcing.copy()
+    forcing[4, 1] = np.nan
+    cfg = LROMConfig(dt=1e-2, linearization=linearization)
+    with pytest.raises(StepDivergenceError, match=message) as exc:
+        run(replace(ops, forcing=forcing), build_filter(ops.s_r, 1e-2), cfg)
+    assert exc.value.step == 3
+
+
+def test_infinite_state_raises_under_infinite_blowup_bound():
+    """|a0|^2 overflows, so the blow-up bound is inf, and an inf state
+    with no NaN must still raise. With T_0 = 0 and a0 along e_0 the
+    advection vanishes, core = I/dt = 1e-300 I, and the semi-implicit
+    solve of the general path overflows: a_1 = (1e10, 0, 0, 0) / 1e-300."""
+    r = 4
+    t = np.random.default_rng(4).standard_normal((r, r, r))
+    t = t - t.mT
+    t[0] = 0.0
+    assert np.linalg.matrix_rank(t.reshape(r, -1)) == 3  # the general path
+    ops = ROMOperators(r=r, s_r=np.zeros((r, r)), tensor=t,
+                       forcing=np.array([[0.0] * r, [1e10, 0.0, 0.0, 0.0]]),
+                       a0=np.array([1e200, 0.0, 0.0, 0.0]))
+    cfg = LROMConfig(dt=1e300, t_final=1e300, linearization="semi-implicit")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            StepDivergenceError, match="non-finite state") as exc:
+        run(ops, None, cfg)
+    assert exc.value.step == 0
+
+
 def test_stability_check(small_ctx):
     ops = small_ctx.operators(4, 1e-1)
     filt = build_filter(ops.s_r, 1e-2)
@@ -440,3 +498,23 @@ def test_stability_check(small_ctx):
     # the accumulated gradient part is non-decreasing
     grad_part = series - np.sum(traj.states ** 2, axis=1)
     assert np.all(np.diff(grad_part) >= -1e-14)
+
+
+def test_stability_check_matches_einsum_oracle(small_ctx, rng):
+    """The one-GEMM ledger against the einsum sum of its quadratic forms,
+    on a small_ctx trajectory and on a random r = 7 state series."""
+    ops = small_ctx.operators(R_SMALL, 1e-2)
+    cfg = LROMConfig(dt=1e-2)
+    traj = run(ops, build_filter(ops.s_r, 1e-2), cfg)
+    g = rng.standard_normal((7, 7))
+    states = rng.standard_normal((41, 7))
+    rand_ops = ROMOperators(r=7, s_r=g @ g.T, tensor=np.zeros((7, 7, 7)),
+                            forcing=np.zeros((41, 7)), a0=states[0])
+    rand_traj = ROMTrajectory(states=states, iter_counts=np.ones(40, int),
+                              residuals=np.zeros(40), tensor_rank=0)
+    rand_cfg = LROMConfig(dt=2.5e-2)
+    for t, o, c in [(traj, ops, cfg), (rand_traj, rand_ops, rand_cfg)]:
+        ref = energy_ledger_einsum(t.states, o.s_r, c.dt)
+        series = stability_check(t, o, c)
+        assert series.shape == ref.shape
+        assert np.all(np.abs(series - ref) <= 1e-14 * ref)

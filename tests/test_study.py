@@ -492,6 +492,19 @@ def test_cli_huge_radius_with_finite_square_runs(capsys):
     assert main(argv) == 0, capsys.readouterr().err
 
 
+def test_cli_radius_overflowing_with_s_r_fails_its_point(tmp_path, capsys):
+    """delta = 1e154 has a finite square, but delta^2 S_r overflows: that
+    point fails (exit 3) instead of giving the delta -> inf limit."""
+    out = tmp_path / "fd.csv"
+    argv = ["filter-delta", "--mesh-n", "2", "--r", "2",
+            "--sweep", "1e150,1e153,1e154", "--out", str(out)]
+    assert main(argv) == 3
+    assert "delta=1e+154  FAILED: delta^2 S_r overflows" \
+        in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] != "" for row in rows] == [True, True, False]
+
+
 def test_cli_rejects_dt_off_the_time_grid(capsys):
     argv = ["lrom-dt", "--mesh-n", "4", "--r", "3", "--sweep", "0.03,0.02"]
     assert main(argv) == 2
