@@ -7,7 +7,6 @@ are eliminated anywhere; operators are assembled over all dofs.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,7 +20,6 @@ __all__ = [
     "build_space",
     "assemble_mass",
     "assemble_stiffness",
-    "interpolate",
 ]
 
 
@@ -239,21 +237,3 @@ def assemble_stiffness(space: VelocitySpace) -> sp.csr_matrix:
         local[o] = 0.5 * (kloc + kloc.T)
     return _vectorize(_assemble_scalar(space, local))
 
-
-def interpolate(space: VelocitySpace, g: Callable,
-                t: float | None = None) -> np.ndarray:
-    """Nodal interpolant: the coefficient vector of g at the P2 nodes.
-
-    g is called as g(x, y) or g(x, y, t) and must return the two
-    velocity components (arrays broadcast over the nodes).
-    """
-    x = space.dof_coords[:, 0]
-    y = space.dof_coords[:, 1]
-    out = g(x, y) if t is None else g(x, y, t)
-    u, v = out
-    u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
-    v = np.broadcast_to(np.asarray(v, dtype=float), x.shape)
-    coeffs = np.concatenate([u, v])
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("function evaluation produced non-finite nodal values")
-    return coeffs

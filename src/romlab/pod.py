@@ -21,7 +21,6 @@ __all__ = [
     "PODBasis",
     "build_pod_basis",
     "truncation_errors",
-    "project_Pr",
 ]
 
 
@@ -82,9 +81,10 @@ class PODBasis:
     grad_gram : (d, d) Gram matrix of mode gradients; its leading r x r
         block is the reduced stiffness S_r for any r <= d, and its
         diagonal holds the squared H1 seminorms of the modes.
-    snap_coords : (d, K) POD coordinates Phi^T M U of the K snapshots U.
-    residual_energy : (2,) mean squared L2 norm and H1 seminorm of the
-        snapshots' parts outside span(Phi), w = u - Phi Phi^T M u; both
+    snap_coords : (d, K) POD coordinates Phi^T M U of the K snapshots U;
+        in a study, column 0 is t = 0 and column K - 1 is t_final.
+    residual_energy : (2, K) squared L2 norm and H1 seminorm of each
+        snapshot's part outside span(Phi), w = u - Phi Phi^T M u; all
         are 0 when d = K.
 
     snap_coords and residual_energy belong to the basis as built: a
@@ -119,11 +119,13 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
     m_plus_1 = u.shape[1]
     # The snapshots' parts outside span(Phi) are U V V^T over the dropped
-    # eigenvectors V, so their mean squared norms are tr(Z^T M Z) / K and
-    # tr(Z^T S Z) / K with Z = U V; Z is empty when d = K.
-    z = u @ vecs[:, d:]
-    residual = np.array([np.einsum("ij,ij->", z, op @ z)
-                         for op in (m_op, s_op)]) / m_plus_1
+    # eigenvectors V, so their squared norms are the diagonal of
+    # V (Z^T op Z) V^T with Z = U V, for op = M and S; Z is empty when
+    # d = K.
+    drop = vecs[:, d:]
+    z = u @ drop
+    residual = np.array([np.sum((drop @ (z.T @ (op @ z))) * drop, axis=1)
+                         for op in (m_op, s_op)])
     del z
     vals = vals[:d]
     vecs = vecs[:, :d]
@@ -155,11 +157,3 @@ def truncation_errors(basis: PODBasis, r: int):
     h1_sq = np.diag(basis.grad_gram)[r:] + 1.0
     return float(tail.sum()), float((h1_sq * tail).sum())
 
-
-def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
-               v) -> np.ndarray:
-    """ROM L2 projection coordinates a_i = (v, phi_i), i = 1..r."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != m_op.shape[0]:
-        raise ValueError("dimension mismatch")
-    return basis.modes[:, :r].T @ (m_op @ v)

@@ -248,7 +248,10 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
             if scalar:  # y = C rhs / (1 - i s lam) stands for a = Z y
                 d = 1 + s * mlam
                 y = c / d
-                s, s_solved = float(p.dot(y).real), s
+                s_solved = s
+                if semi:  # no residual, and s is formed again next step
+                    break
+                s = float(p.dot(y).real)
                 # contiguous: a strided dot sums in another order than norm()
                 v = skew_eig.dot(y).real.copy()
                 change = abs(s - s_solved) * math.sqrt(v.dot(v))

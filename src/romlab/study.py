@@ -25,11 +25,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exact import AnalyticSolution
-from .fe import (VelocitySpace, assemble_mass, assemble_stiffness,
-                 build_space, interpolate)
+from .fe import VelocitySpace, assemble_mass, assemble_stiffness, build_space
 from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
-                  project_Pr, truncation_errors)
+                  truncation_errors)
 from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
                   project_forcing, ROMOperators, run, stability_check)
 
@@ -95,6 +94,15 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise InvalidStudyError(f"unknown study kind {self.kind!r}")
+        if self.linearization not in ("picard-implicit", "semi-implicit"):
+            raise InvalidStudyError(
+                f"unknown linearization {self.linearization!r}")
+        if self.final_error_variant not in ("rom", "filtered-snapshot"):
+            raise InvalidStudyError(
+                f"unknown final_error_variant {self.final_error_variant!r}")
+        if isinstance(self.mesh_n, bool) \
+                or not isinstance(self.mesh_n, (int, np.integer)):
+            raise InvalidStudyError(f"mesh_n must be an int: {self.mesh_n!r}")
         defaults = DEFAULT_FIXED[self.kind]
         if self.r is None:
             self.r = defaults["r"]
@@ -246,32 +254,32 @@ def avg_filter_errors(basis: PODBasis, r: int, delta: float):
     e = basis.snap_coords.copy()
     e[:r] -= apply_filter(filt, e[:r])
     count = e.shape[1]
-    res_l2, res_h1 = basis.residual_energy
-    return (float(res_l2 + np.sum(e * e) / count),
-            float(res_h1 + np.sum(e * (basis.grad_gram @ e)) / count))
+    res_l2, res_h1 = basis.residual_energy.sum(axis=1)
+    return (float((res_l2 + np.sum(e * e)) / count),
+            float((res_h1 + np.sum(e * (basis.grad_gram @ e))) / count))
 
 
-def final_time_error(traj, solution, basis: PODBasis, r: int,
-                     m_op: sp.csr_matrix, space, t_final: float,
-                     variant: str = "rom", filt=None) -> float:
-    """L2 error at the final time.
+def final_time_error(traj, basis: PODBasis, r: int, variant: str = "rom",
+                     filt=None) -> float:
+    """L2 error at the final time, the last snapshot u(T) = Phi c + w.
 
     variant="rom" measures |u(T) - u_r(T)|; variant="filtered-snapshot"
     measures |u(T) - filt(P_r u(T))| instead (the literal filtered-
-    snapshot definition), which needs a FilterOperator.
+    snapshot definition), which needs a FilterOperator. With a the
+    approximation's coordinates, the error is w + Phi e for
+    e = c - (a; 0), and its squared norm is |w|^2 + e . e, since the
+    modes are L2-orthonormal and M-orthogonal to w.
     """
-    u_exact = interpolate(space, solution.velocity, t_final)
+    e = basis.snap_coords[:, -1].copy()
     if variant == "rom":
-        approx = basis.modes[:, :r] @ traj.final_state
+        e[:r] -= traj.final_state
     elif variant == "filtered-snapshot":
         if filt is None:
             raise ValueError("filtered-snapshot variant needs a filter")
-        coords = project_Pr(basis, r, m_op, u_exact)
-        approx = basis.modes[:, :r] @ apply_filter(filt, coords)
+        e[:r] -= apply_filter(filt, e[:r])
     else:
         raise ValueError(f"unknown final-error variant {variant!r}")
-    diff = u_exact - approx
-    return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
+    return math.sqrt(basis.residual_energy[0, -1] + e @ e)
 
 
 # The StudyConfig fields a context is built from; run_study refuses a
@@ -285,7 +293,6 @@ class StudyContext:
 
     space: VelocitySpace
     m_op: sp.csr_matrix
-    s_op: sp.csr_matrix
     basis: PODBasis
     solution: AnalyticSolution
     settings: dict            # CONTEXT_SETTINGS -> the values built from
@@ -301,7 +308,8 @@ class StudyContext:
         with t_final from the context's settings.
 
         A larger r than any before rebuilds the tensor and drops every
-        forcing series; the initial coordinates are projected each call.
+        forcing series. The initial coordinates are those of the first
+        snapshot, u(0).
         """
         _check_r(self.basis, r)
         if r > self._width:
@@ -313,23 +321,21 @@ class StudyContext:
             self._forcing[dt] = project_forcing(
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
-        u0 = interpolate(self.space, self.solution.velocity, 0.0)
         return ROMOperators(r=r, s_r=self.basis.grad_gram[:r, :r],
                             tensor=self._tensor[:r, :r, :r],
                             forcing=self._forcing[dt][:, :r],
-                            a0=project_Pr(self.basis, r, self.m_op, u0))
+                            a0=self.basis.snap_coords[:r, 0].copy())
 
 
 def build_context(cfg: StudyConfig) -> StudyContext:
     solution = AnalyticSolution(nu=cfg.nu)
     space = build_space(cfg.mesh_n)
     m_op = assemble_mass(space)
-    s_op = assemble_stiffness(space)
     times = default_times(cfg.snap_dt, cfg.t_final)
     basis = build_pod_basis(collect_snapshots(space, solution, times),
-                            m_op, s_op)
+                            m_op, assemble_stiffness(space))
     settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
-    return StudyContext(space=space, m_op=m_op, s_op=s_op, basis=basis,
+    return StudyContext(space=space, m_op=m_op, basis=basis,
                         solution=solution, settings=settings)
 
 
@@ -362,9 +368,8 @@ def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
     if not np.isfinite(ledger_max):
         raise StepDivergenceError("stability ledger is non-finite")
     rec.stability_max = ledger_max
-    rec.e_l2 = final_time_error(
-        traj, ctx.solution, ctx.basis, r, ctx.m_op, ctx.space,
-        cfg.t_final, variant=cfg.final_error_variant, filt=filt)
+    rec.e_l2 = final_time_error(traj, ctx.basis, r,
+                                variant=cfg.final_error_variant, filt=filt)
     rec.picard_mean = float(traj.iter_counts.mean())
     rec.picard_max = int(traj.iter_counts.max())
 

@@ -16,17 +16,26 @@ quadratic forms with one three-operand einsum, and checks
 stability_check, which forms them by one GEMM. avg_filter_errors_fe
 forms each snapshot's filtering error in the FE space, and checks the
 filter studies, which evaluate it from the snapshot Gram matrices.
-l2_norm, h1_semi_norm and l2_inner are the FE norms of coefficient
-vectors, through the assembled operators. signed_areas and
-velocity_grad are the mesh's triangle areas and the analytic velocity's
-Jacobian, which only the tests read.
+interpolate is the nodal interpolant of a function called on the dof
+coordinates, and checks the snapshots, which call the velocity once on
+broadcast grid axes. project_Pr gives the coordinates (v, phi_i) of an
+FE vector. final_time_error_fe forms the final-time error in the FE
+space from the interpolant of u(T), and checks final_time_error, which
+reads the last snapshot's POD coordinates. l2_norm, h1_semi_norm and
+l2_inner are the FE norms of coefficient vectors, through the assembled
+operators. signed_areas and velocity_grad are the mesh's triangle areas
+and the analytic velocity's Jacobian, which only the tests read.
 """
 
+from typing import Callable
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from romlab.fe import VelocitySpace
 from romlab.filtering import apply_filter, build_filter
+from romlab.pod import PODBasis
 
 
 def _p2_local(lam):
@@ -308,6 +317,57 @@ def avg_filter_errors_fe(basis, r, delta, u, m_op, s_op):
     e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
     e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
     return e_l2, e_h1
+
+
+def interpolate(space: VelocitySpace, g: Callable,
+                t: float | None = None) -> np.ndarray:
+    """Nodal interpolant: the coefficient vector of g at the P2 nodes.
+
+    g is called as g(x, y) or g(x, y, t) and must return the two
+    velocity components (arrays broadcast over the nodes).
+    """
+    x = space.dof_coords[:, 0]
+    y = space.dof_coords[:, 1]
+    out = g(x, y) if t is None else g(x, y, t)
+    u, v = out
+    u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
+    v = np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+    coeffs = np.concatenate([u, v])
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("function evaluation produced non-finite nodal values")
+    return coeffs
+
+
+def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
+               v) -> np.ndarray:
+    """ROM L2 projection coordinates a_i = (v, phi_i), i = 1..r."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != m_op.shape[0]:
+        raise ValueError("dimension mismatch")
+    return basis.modes[:, :r].T @ (m_op @ v)
+
+
+def final_time_error_fe(traj, solution, basis: PODBasis, r: int,
+                        m_op: sp.csr_matrix, space, t_final: float,
+                        variant: str = "rom", filt=None) -> float:
+    """L2 error at the final time, formed as an FE vector.
+
+    variant="rom" measures |u(T) - u_r(T)|; variant="filtered-snapshot"
+    measures |u(T) - filt(P_r u(T))| instead (the literal filtered-
+    snapshot definition), which needs a FilterOperator.
+    """
+    u_exact = interpolate(space, solution.velocity, t_final)
+    if variant == "rom":
+        approx = basis.modes[:, :r] @ traj.final_state
+    elif variant == "filtered-snapshot":
+        if filt is None:
+            raise ValueError("filtered-snapshot variant needs a filter")
+        coords = project_Pr(basis, r, m_op, u_exact)
+        approx = basis.modes[:, :r] @ apply_filter(filt, coords)
+    else:
+        raise ValueError(f"unknown final-error variant {variant!r}")
+    diff = u_exact - approx
+    return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
 
 
 def _coeffs(u, op):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import h1_semi_norm, l2_inner, l2_norm, trilinear_bstar
+from oracles import (h1_semi_norm, interpolate, l2_inner, l2_norm,
+                     trilinear_bstar)
 from romlab.fe import (assemble_mass, assemble_stiffness, build_space,
-                       interpolate, triangle_rule)
+                       triangle_rule)
 
 
 # ---------------------------------------------------------------- quadrature

@@ -7,8 +7,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 import romlab
 
+from oracles import project_Pr
 from romlab.filtering import apply_filter, build_filter
-from romlab.pod import project_Pr
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import l2_norm
+from oracles import interpolate, l2_norm, project_Pr
 from romlab.exact import AnalyticSolution
 from romlab.pod import (build_pod_basis, collect_snapshots,
-                        correlation_matrix, default_times, project_Pr,
-                        symmetric_eig, truncation_errors)
+                        correlation_matrix, default_times, symmetric_eig,
+                        truncation_errors)
 
 
 def test_default_times():
@@ -31,7 +31,6 @@ def test_collect_snapshots_validation(small):
 
 def test_collect_snapshots_columns(small):
     """The broadcast grid evaluation equals each column's interpolant."""
-    from romlab.fe import interpolate
     assert small.snapshots.shape == (small.space.n_dofs, small.times.size)
     for k, t in enumerate(small.times):
         u = interpolate(small.space, small.solution.velocity, t)
@@ -106,17 +105,27 @@ def test_modes_orthonormal(small):
 
 
 def _fe_residual_energy(basis, u, m_op, s_op):
-    """Mean squared norms of u - Phi Phi^T M u, formed in the FE space."""
+    """Squared norms of each column of u - Phi Phi^T M u, formed in the
+    FE space: shape (2, K)."""
     w = u - basis.modes @ (basis.modes.T @ (m_op @ u))
-    return np.array([np.mean(np.sum(w * (op @ w), axis=0))
-                     for op in (m_op, s_op)])
+    return np.array([np.sum(w * (op @ w), axis=0) for op in (m_op, s_op)])
+
+
+def _trace_residual_energy(u, m_op, s_op, d):
+    """Mean squared norms of the snapshots' parts outside the span of
+    the d leading POD modes, as the traces tr(Z^T op Z) / K of
+    Z = U V over the dropped correlation eigenvectors V."""
+    z = u @ symmetric_eig(correlation_matrix(u, m_op))[1][:, d:]
+    return np.array([np.einsum("ij,ij->", z, op @ z)
+                     for op in (m_op, s_op)]) / u.shape[1]
 
 
 def test_snapshot_coords_and_residual_energy(small):
-    """snap_coords is Phi^T M U, and residual_energy the mean squared
-    norms of the snapshots' parts outside span(Phi): roundoff on the
+    """snap_coords is Phi^T M U, and residual_energy holds the squared
+    norms of each snapshot's part outside span(Phi): roundoff on the
     full basis (the 21 snapshots have rank 15), exactly 0 when d = K,
-    and the FE-space value on a 6-mode basis."""
+    and the FE-space values on a 6-mode basis, whose mean is the trace
+    of the dropped block of the snapshot Gram matrices."""
     basis, u = small.basis, small.snapshots
     direct = basis.modes.T @ (small.m_op @ u)
     assert basis.snap_coords.shape == (basis.d, u.shape[1])
@@ -124,18 +133,25 @@ def test_snapshot_coords_and_residual_energy(small):
         < 1e-13 * np.abs(direct).max()
     energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
                        for op in (small.m_op, small.s_op)])
+    assert basis.residual_energy.shape == (2, u.shape[1])
     assert np.all(0 <= basis.residual_energy)
-    assert np.all(basis.residual_energy < 1e-20 * energy)
+    assert np.all(basis.residual_energy < 1e-20 * energy[:, None])
     full_rank = build_pod_basis(u[:, ::2], small.m_op, small.s_op)
     assert full_rank.d == u[:, ::2].shape[1]
-    assert np.array_equal(full_rank.residual_energy, [0.0, 0.0])
+    assert np.array_equal(full_rank.residual_energy,
+                          np.zeros((2, full_rank.d)))
     lam = basis.eigenvalues
     six = build_pod_basis(u, small.m_op, small.s_op,
                           rank_tol=np.sqrt(lam[5] * lam[6]) / lam[0])
     assert six.d == 6
     want = _fe_residual_energy(six, u, small.m_op, small.s_op)
-    assert np.all(want > [1e-3, 1.0])
+    assert np.all(want.mean(axis=1) > [1e-3, 1.0])
     np.testing.assert_allclose(six.residual_energy, want, rtol=1e-12)
+    # the two differ in summation order only: 4.1e-15 and 3.3e-15
+    # relative, as do tr(Z^T op Z) by one GEMM and by one einsum
+    np.testing.assert_allclose(
+        six.residual_energy.mean(axis=1),
+        _trace_residual_energy(u, small.m_op, small.s_op, 6), rtol=1e-14)
 
 
 def test_degenerate_ensemble_raises(small):

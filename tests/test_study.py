@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from oracles import avg_filter_errors_fe
+from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
+                     project_Pr)
 from romlab import cli, study
 from romlab.cli import main
-from romlab.fe import interpolate
 from romlab.filtering import build_filter
-from romlab.pod import build_pod_basis, project_Pr
+from romlab.pod import build_pod_basis
 from romlab.rom import LROMConfig, build_trilinear_tensor, project_forcing, run
 from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
@@ -53,6 +53,19 @@ def test_config_defaults():
     assert cfg.r == 99 and cfg.delta == 1e-4
     assert cfg.sweep == [1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4]
     assert cfg.param_name == "dt"
+
+
+@pytest.mark.parametrize("name,value", [
+    ("linearization", "bogus"), ("final_error_variant", "bogus"),
+    ("mesh_n", 4.5), ("mesh_n", 4.0), ("mesh_n", True)])
+def test_config_rejects_unknown_modes_and_non_int_mesh_n(name, value):
+    """An unknown linearization or final-error variant used to fail every
+    sweep point after the whole context was built, and a float mesh_n
+    raised TypeError from build_space; each is now an invalid config."""
+    cfg = dict(kind="lrom-dt", mesh_n=4, r=3, sweep=[0.1, 0.05])
+    with pytest.raises(InvalidStudyError, match=name):
+        StudyConfig(**{**cfg, name: value})
+    assert StudyConfig(**{**cfg, "mesh_n": np.int64(4)}).mesh_n == 4
 
 
 def test_config_validation():
@@ -187,7 +200,8 @@ def test_avg_filter_errors_match_fe_oracle(small_ctx, small, k, stride):
         lam = basis.eigenvalues
         basis = build_pod_basis(u, small.m_op, small.s_op,
                                 rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0])
-        assert basis.d == k and np.all(basis.residual_energy > [1e-3, 1.0])
+        assert basis.d == k
+        assert np.all(basis.residual_energy.mean(axis=1) > [1e-3, 1.0])
     energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
                        for op in (small.m_op, small.s_op)])
     for r in (1, basis.d // 2, basis.d):
@@ -205,20 +219,41 @@ def test_final_time_error_variants(small_ctx):
     ops = small_ctx.operators(6, 2e-2)
     filt = build_filter(ops.s_r, 1e-3)
     traj = run(ops, filt, LROMConfig(dt=2e-2))
-    e_rom = final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
-                             small_ctx.m_op, small_ctx.space, 1.0)
-    e_snap = final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
-                              small_ctx.m_op, small_ctx.space, 1.0,
+    e_rom = final_time_error(traj, small_ctx.basis, 6)
+    e_snap = final_time_error(traj, small_ctx.basis, 6,
                               variant="filtered-snapshot", filt=filt)
     assert e_rom > 0 and e_snap > 0
     with pytest.raises(ValueError):
-        final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
-                         small_ctx.m_op, small_ctx.space, 1.0,
+        final_time_error(traj, small_ctx.basis, 6,
                          variant="filtered-snapshot")
     with pytest.raises(ValueError):
-        final_time_error(traj, small_ctx.solution, small_ctx.basis, 6,
-                         small_ctx.m_op, small_ctx.space, 1.0,
-                         variant="bogus")
+        final_time_error(traj, small_ctx.basis, 6, variant="bogus")
+
+
+@pytest.mark.parametrize("k", [None, 6])
+def test_final_time_error_matches_fe_oracle(small_ctx, small, k):
+    """The final-time error from the last snapshot's POD coordinates
+    equals the one formed in the FE space from the interpolant of u(T),
+    for both variants: on small_ctx's basis, and on a basis of k = 6
+    modes, where u(T) leaves span(Phi) and its part outside counts."""
+    ctx = small_ctx
+    if k is not None:
+        lam = ctx.basis.eigenvalues
+        ctx = dataclasses.replace(ctx, basis=build_pod_basis(
+            small.snapshots, small.m_op, small.s_op,
+            rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0]))
+        assert ctx.basis.d == k and ctx.basis.residual_energy[0, -1] > 1e-3
+    d = ctx.basis.d
+    for r in (1, d // 2, d):
+        ops = ctx.operators(r, 1e-2)
+        filt = build_filter(ops.s_r, 1e-2)
+        traj = run(ops, filt, LROMConfig(dt=1e-2))
+        for variant in ("rom", "filtered-snapshot"):
+            got = final_time_error(traj, ctx.basis, r, variant, filt)
+            want = final_time_error_fe(traj, ctx.solution, ctx.basis, r,
+                                       ctx.m_op, ctx.space, 1.0, variant,
+                                       filt)
+            assert abs(got - want) <= 1e-12 * want, (r, variant, got, want)
 
 
 @pytest.fixture
@@ -252,8 +287,8 @@ def test_context_tensor_and_forcing_caches(build_counts):
     # a new time grid is projected at the context's width
     assert ctx.operators(4, 0.05).forcing.shape == (21, 4)
     assert build_counts["forcing"] == [4, 6, 6]
-    # the initial coordinates are the L2 projection of u0 at any r
-    # (projected per call, so equal to roundoff across r)
+    # the initial coordinates are the first snapshot's POD coordinates,
+    # the L2 projection of u0, at any r
     u0 = interpolate(ctx.space, ctx.solution.velocity, 0.0)
     ref = project_Pr(ctx.basis, 6, ctx.m_op, u0)
     tol = 1e-14 * np.abs(ref).max()
@@ -294,10 +329,25 @@ def test_filter_study_needs_no_fe_space(small_ctx, kind, sweep):
     """A filter study reads only the POD basis: without the FE space and
     operators it gives the same records."""
     cfg = _small_cfg(kind=kind, r=8, delta=1e-3, sweep=sweep)
-    bare = dataclasses.replace(small_ctx, space=None, m_op=None, s_op=None)
+    bare = dataclasses.replace(small_ctx, space=None, m_op=None)
     result = run_study(cfg, bare)
     assert result.n_failed == 0 and len(result.records) == len(sweep)
     assert result.records == run_study(cfg, small_ctx).records
+
+
+@pytest.mark.parametrize("variant", ["rom", "filtered-snapshot"])
+def test_warm_lrom_study_needs_no_fe_space(variant):
+    """Once a context holds the tensor and the forcing at (r, dt), an
+    L-ROM study there reads only them and the POD basis: without the FE
+    space, the mass operator and the analytic solution it gives the same
+    records."""
+    cfg = _small_cfg(kind="lrom-delta", r=6, dt=5e-2, sweep=[1e-1, 5e-2],
+                     final_error_variant=variant)
+    ctx = build_context(cfg)
+    primed = run_study(cfg, ctx)
+    assert primed.n_failed == 0
+    ctx.space = ctx.m_op = ctx.solution = None
+    assert run_study(cfg, ctx).records == primed.records
 
 
 # ------------------------------------------------------------- CLI
