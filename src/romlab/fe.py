@@ -11,8 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, build_mesh
-
 __all__ = [
     "TriangleRule",
     "triangle_rule",
@@ -116,69 +114,54 @@ def _p2_ref_grads(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VelocitySpace:
-    """Vector P2 space on a structured TriMesh.
+    """Vector P2 space on the n x n structured triangulation of [0,1]^2.
 
-    Scalar dofs live on the refined (2n+1) x (2n+1) grid (vertices plus
-    edge midpoints). The full coefficient vector stacks the x-component
-    first, then the y-component.
+    Scalar dofs are the nodes of the y-major m x m grid (m = 2n + 1,
+    x fastest): vertices plus edge midpoints. Square s = j n + i is
+    split along its lower-left to upper-right diagonal; triangles 2s and
+    2s + 1 are its lower and upper halves. The full coefficient vector
+    stacks the x-component first, then the y-component.
     """
 
-    mesh: TriMesh
+    n: int
     rule: TriangleRule
     edofs: np.ndarray         # (nel, 6) scalar dof indices per triangle
-    dof_coords: np.ndarray    # (Ns, 2) P2 node coordinates
     shape_vals: np.ndarray    # (nq, 6)
     phys_grads: np.ndarray    # (2, nq, 6, 2): per orientation
     det_j: float
 
     @property
     def n_scalar(self) -> int:
-        return self.dof_coords.shape[0]
+        return (2 * self.n + 1) ** 2
 
     @property
     def n_dofs(self) -> int:
         return 2 * self.n_scalar
 
     def grid_side(self) -> np.ndarray:
-        """The m = 2n + 1 node coordinates along a side; the nodes form
-        the y-major m x m grid of these. Raises ValueError otherwise."""
-        m = 2 * self.mesh.n + 1
-        side = self.dof_coords[:m, 0]
-        grid = np.column_stack([np.tile(side, m), np.repeat(side, m)])
-        if not np.array_equal(self.dof_coords, grid):
-            raise ValueError("dof coordinates are not a y-major tensor grid")
-        return side
-
-    def orientation_elements(self, o: int) -> np.ndarray:
-        """Element indices of orientation o (0: lower, 1: upper triangle)."""
-        return np.arange(o, self.edofs.shape[0], 2)
+        """The m = 2n + 1 node coordinates along a side."""
+        return np.linspace(0.0, 1.0, 2 * self.n + 1)
 
 
 def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
-    """Construct the vector P2 space on an n x n structured mesh."""
-    mesh = build_mesh(n)
+    """Construct the vector P2 space on the n x n structured mesh."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"the mesh needs an integer n >= 1, got {n!r}")
     m = 2 * n + 1
-    side = np.linspace(0.0, 1.0, m)
-    xx, yy = np.meshgrid(side, side, indexing="xy")
-    dof_coords = np.column_stack([xx.ravel(), yy.ravel()])
-
-    # Triangle vertices on the fine grid (units of h/2).
-    vi = mesh.triangles % (n + 1)
-    vj = mesh.triangles // (n + 1)
-    fx = 2 * vi
-    fy = 2 * vj
-    mid_fx = (fx + np.roll(fx, -1, axis=1))[:, [0, 1, 2]] // 2
-    mid_fy = (fy + np.roll(fy, -1, axis=1))[:, [0, 1, 2]] // 2
-    # local order: v0 v1 v2, mid(0,1), mid(1,2), mid(0,2)
-    efx = np.column_stack([fx, mid_fx[:, 0], mid_fx[:, 1], mid_fx[:, 2]])
-    efy = np.column_stack([fy, mid_fy[:, 0], mid_fy[:, 1], mid_fy[:, 2]])
-    edofs = efy * m + efx
+    # Offsets from the square's lower-left node, in the local order
+    # v0 v1 v2, mid(0,1), mid(1,2), mid(0,2).
+    offsets = np.array([[0, 2, 2 * m + 2, 1, m + 2, m + 1],     # lower
+                        [0, 2 * m + 2, 2 * m, m + 1, 2 * m + 1, m]],  # upper
+                       dtype=np.int64)
+    sq = np.arange(n, dtype=np.int64)
+    corner = 2 * (m * sq[:, None] + sq).ravel()
+    edofs = (corner[:, None, None] + offsets).reshape(-1, 6)
 
     rule = triangle_rule(quad_degree)
     shape_vals = _p2_values(rule.points)
     ref_grads = _p2_ref_grads(rule.points)
 
-    h = mesh.h
+    h = 1.0 / n
     jac = np.array(
         [
             [[h, h], [0.0, h]],   # (p00, p10, p11)
@@ -190,8 +173,7 @@ def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
     for o in range(2):
         jinv_t = np.linalg.inv(jac[o]).T
         phys_grads[o] = ref_grads @ jinv_t.T
-    return VelocitySpace(mesh=mesh, rule=rule, edofs=edofs,
-                         dof_coords=dof_coords, shape_vals=shape_vals,
+    return VelocitySpace(n=n, rule=rule, edofs=edofs, shape_vals=shape_vals,
                          phys_grads=phys_grads, det_j=det_j)
 
 
@@ -200,11 +182,10 @@ def _assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
     ns = space.n_scalar
     rows, cols, vals = [], [], []
     for o in range(2):
-        els = space.orientation_elements(o)
-        ed = space.edofs[els]
+        ed = space.edofs[o::2]
         rows.append(np.repeat(ed, 6, axis=1).ravel())
         cols.append(np.tile(ed, (1, 6)).ravel())
-        vals.append(np.tile(local[o].ravel(), len(els)))
+        vals.append(np.tile(local[o].ravel(), len(ed)))
     a = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(ns, ns),

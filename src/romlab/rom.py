@@ -258,9 +258,9 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
             else:
                 a = np.linalg.solve(core + adv, rhs)
                 adv = _advection_matrix(t2, a)
+                if semi:
+                    break
                 change = np.linalg.norm(core @ a + adv @ a - rhs)
-            if semi:
-                break
             last, residual = residual, change / denom
             if not math.isfinite(residual):
                 raise StepDivergenceError("non-finite Picard residual",

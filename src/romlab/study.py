@@ -136,6 +136,11 @@ class StudyConfig:
         for name in ("snap_dt", "dt"):
             for step in self._values(name):
                 ratio = self.t_final / step
+                # from 2**53 on every float is an integer, so the test
+                # below cannot fail, and the time grid would not fit
+                if not ratio < 2 ** 53:
+                    raise InvalidStudyError(
+                        f"t_final/{name} = {ratio:g} must be below 2**53")
                 if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                     raise InvalidStudyError(
                         f"t_final must be a positive integer multiple of "

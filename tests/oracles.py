@@ -23,8 +23,9 @@ FE vector. final_time_error_fe forms the final-time error in the FE
 space from the interpolant of u(T), and checks final_time_error, which
 reads the last snapshot's POD coordinates. l2_norm, h1_semi_norm and
 l2_inner are the FE norms of coefficient vectors, through the assembled
-operators. signed_areas and velocity_grad are the mesh's triangle areas
-and the analytic velocity's Jacobian, which only the tests read.
+operators. node_coords and signed_areas are the dofs' coordinates and
+the triangle areas, and velocity_grad is the analytic velocity's
+Jacobian, which only the tests read.
 """
 
 from typing import Callable
@@ -326,8 +327,7 @@ def interpolate(space: VelocitySpace, g: Callable,
     g is called as g(x, y) or g(x, y, t) and must return the two
     velocity components (arrays broadcast over the nodes).
     """
-    x = space.dof_coords[:, 0]
-    y = space.dof_coords[:, 1]
+    x, y = node_coords(space).T
     out = g(x, y) if t is None else g(x, y, t)
     u, v = out
     u = np.broadcast_to(np.asarray(u, dtype=float), x.shape)
@@ -391,9 +391,18 @@ def l2_inner(m_op, u, v) -> float:
     return float(_coeffs(u, m_op) @ (m_op @ _coeffs(v, m_op)))
 
 
-def signed_areas(mesh) -> np.ndarray:
-    """Signed area of each triangle, positive when counterclockwise."""
-    p = mesh.nodes[mesh.triangles]
+def node_coords(space: VelocitySpace) -> np.ndarray:
+    """(N_s, 2) coordinates of the scalar dofs, the y-major grid of
+    grid_side() with x fastest."""
+    side = space.grid_side()
+    return np.column_stack([np.tile(side, side.size),
+                            np.repeat(side, side.size)])
+
+
+def signed_areas(space: VelocitySpace) -> np.ndarray:
+    """Signed area of each triangle, from its vertex dofs' coordinates;
+    positive when counterclockwise."""
+    p = node_coords(space)[space.edofs[:, :3]]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from oracles import (h1_semi_norm, interpolate, l2_inner, l2_norm,
-                     trilinear_bstar)
+                     node_coords, signed_areas, trilinear_bstar)
 from romlab.fe import (assemble_mass, assemble_stiffness, build_space,
                        triangle_rule)
 
@@ -45,6 +47,92 @@ def test_dunavant_degree4_exact():
                             * rule.points[:, 1] ** b)
             exact = factorial(a) * factorial(b) / factorial(a + b + 2)
             assert abs(approx - exact) < 1e-15, (a, b)
+
+
+# ---------------------------------------------------------------- mesh
+# The triangulation is read from the space: vertex dofs edofs[:, :3] and
+# node coordinates from grid_side().
+
+def test_mesh_single_square():
+    space = build_space(1)
+    assert len(np.unique(space.edofs[:, :3])) == 4
+    assert space.edofs.shape == (2, 6)
+    assert space.det_j == 1.0
+
+
+def test_mesh_invalid_n():
+    with pytest.raises(ValueError):
+        build_space(0)
+    with pytest.raises(ValueError):
+        build_space(-3)
+
+
+@pytest.mark.parametrize("n", [True, np.True_, 4.5, 4.0, "4"],
+                         ids=["True", "np.True_", "4.5", "4.0", "str"])
+def test_build_space_rejects_non_int_n(n):
+    with pytest.raises(ValueError, match="integer n"):
+        build_space(n)
+
+
+def test_mesh_counts_and_tiling():
+    for n in (1, 2, 3, 8):
+        space = build_space(n)
+        verts = np.unique(space.edofs[:, :3])
+        assert verts.size == (n + 1) ** 2
+        assert space.edofs.shape == (2 * n * n, 6)
+        assert space.edofs.dtype == np.int64
+        areas = signed_areas(space)
+        assert np.all(areas > 0)
+        assert np.allclose(areas, 0.5 / n ** 2, rtol=1e-13)
+        assert abs(areas.sum() - 1.0) < 1e-13
+        xy = node_coords(space)[verts]
+        assert xy.min() == 0.0 and xy.max() == 1.0
+
+
+def test_mesh_edge_incidence_brute_force():
+    """Every interior edge is shared by exactly two triangles, every
+    boundary edge by one, counted from scratch on the n = 3 mesh."""
+    space = build_space(3)
+    nodes = node_coords(space)
+    counts = {}
+    for tri in space.edofs[:, :3]:
+        for a, b in itertools.combinations(sorted(tri), 2):
+            counts[(a, b)] = counts.get((a, b), 0) + 1
+    on_boundary = np.any((nodes == 0.0) | (nodes == 1.0), axis=1)
+    for (a, b), c in counts.items():
+        pa, pb = nodes[a], nodes[b]
+        boundary_edge = (
+            on_boundary[a] and on_boundary[b]
+            and (pa[0] == pb[0] and pa[0] in (0.0, 1.0)
+                 or pa[1] == pb[1] and pa[1] in (0.0, 1.0)))
+        assert c == (1 if boundary_edge else 2), (a, b)
+    # Euler check: V - E + F = 1 for a planar disc triangulation
+    v = len(np.unique(space.edofs[:, :3]))
+    e = len(counts)
+    f = space.edofs.shape[0]
+    assert v - e + f == 1
+
+
+def test_mesh_diagonal_orientation():
+    """The split runs from the lower-left to the upper-right corner."""
+    space = build_space(2)
+    nodes = node_coords(space)
+    first = nodes[space.edofs[0, :3]]
+    assert np.allclose(first, [[0, 0], [0.5, 0], [0.5, 0.5]])
+    second = nodes[space.edofs[1, :3]]
+    assert np.allclose(second, [[0, 0], [0.5, 0.5], [0, 0.5]])
+
+
+def test_midpoint_dofs_bisect_their_edges():
+    """Local dofs 3, 4, 5 sit at the midpoints of edges (0,1), (1,2) and
+    (0,2), and each triangle's six dofs are distinct."""
+    for n in (1, 3, 8):
+        space = build_space(n)
+        p = node_coords(space)[space.edofs]            # (nel, 6, 2)
+        for mid, (a, b) in zip((3, 4, 5), ((0, 1), (1, 2), (0, 2))):
+            assert np.abs(p[:, mid] - 0.5 * (p[:, a] + p[:, b])).max() \
+                <= 1e-15
+        assert all(len(set(row)) == 6 for row in space.edofs)
 
 
 # ---------------------------------------------------------------- operators
@@ -230,7 +318,7 @@ def test_quad_point_data_matches_pointwise_evaluation(small, rng):
     coeffs = rng.standard_normal((space.n_dofs, 3))
     els = np.array([77, 4, 127, 9, 30, 1, 100])
     vals, grads, wdet = oracles.quad_point_data(space, coeffs, els)
-    verts = space.mesh.nodes[space.mesh.triangles[els]]       # (ne, 3, 2)
+    verts = oracles.node_coords(space)[space.edofs[els, :3]]  # (ne, 3, 2)
     xi, eta = space.rule.points.T
     p0, p1, p2 = (verts[:, None, i] for i in range(3))        # (ne, 1, 2)
     pts = p0 + xi[:, None] * (p1 - p0) + eta[:, None] * (p2 - p0)
@@ -242,5 +330,5 @@ def test_quad_point_data_matches_pointwise_evaluation(small, rng):
         assert np.abs(vals[:, k] - ref_vals).max() <= \
             1e-13 * np.abs(ref_vals).max()
         assert np.abs(grads[:, k] - ref_jac).max() <= 1e-13 * scale
-    assert np.allclose(wdet, np.tile(space.rule.weights * space.mesh.h ** 2,
+    assert np.allclose(wdet, np.tile(space.rule.weights / space.n ** 2,
                                      els.size), rtol=1e-15, atol=0)

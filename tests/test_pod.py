@@ -37,14 +37,6 @@ def test_collect_snapshots_columns(small):
         assert np.array_equal(small.snapshots[:, k], u)
 
 
-def test_collect_snapshots_rejects_non_grid_space(small):
-    from dataclasses import replace
-    x_major = replace(small.space,
-                      dof_coords=small.space.dof_coords[:, ::-1].copy())
-    with pytest.raises(ValueError, match="grid"):
-        collect_snapshots(x_major, small.solution, [0.0])
-
-
 def test_collect_snapshots_rejects_nonfinite(small):
     class Bad:
         def velocity(self, x, y, t):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import energy_ledger_einsum, reference_run, trilinear_bstar
+from oracles import (energy_ledger_einsum, node_coords, reference_run,
+                     trilinear_bstar)
 from romlab.filtering import build_filter
 from romlab.rom import (LROMConfig, ROMOperators, ROMTrajectory,
                         StepDivergenceError, _advection_matrix,
@@ -112,7 +113,7 @@ class _ModeForcing:
 
     def __init__(self, space, coeffs):
         ns = space.n_scalar
-        m = 2 * space.mesh.n + 1
+        m = 2 * space.n + 1
         self.fx = np.asarray(coeffs[:ns]).reshape(m, m)
         self.fy = np.asarray(coeffs[ns:]).reshape(m, m)
 
@@ -164,23 +165,12 @@ def test_project_forcing_matches_nodal_evaluation(small):
     f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
                         space)
     q = small.m_op @ small.basis.modes[:, :5]
-    x = space.dof_coords[:, 0][None, :]
-    y = space.dof_coords[:, 1][None, :]
+    x, y = node_coords(space).T[:, None, :]
     ref = np.empty_like(f)
     for start in range(0, times.size, 1000):
         f1, f2 = small.solution.forcing(x, y, times[start:start + 1000, None])
         ref[start:start + 1000] = np.hstack([f1, f2]) @ q
     assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_project_forcing_rejects_non_grid_space(small):
-    """An x-major node order is not the y-major grid: refuse it."""
-    from dataclasses import replace
-    x_major = replace(small.space,
-                      dof_coords=small.space.dof_coords[:, ::-1].copy())
-    with pytest.raises(ValueError, match="grid"):
-        project_forcing(small.basis, 2, small.m_op, small.solution, [0.0],
-                        x_major)
 
 
 def test_project_forcing_rejects_nonfinite(small):

@@ -555,6 +555,20 @@ def test_cli_radius_overflowing_with_s_r_fails_its_point(tmp_path, capsys):
     assert [row[2] != "" for row in rows] == [True, True, False]
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["filter-delta", "--r", "2", "--t-final", "1e20"], "snap_dt"),
+    (["filter-delta", "--r", "2", "--t-final", "1e300", "--dt", "1e-300"],
+     "snap_dt"),
+    (["lrom-r", "--sweep", "1,2", "--dt", "1e-17"], "dt"),
+])
+def test_cli_rejects_time_grid_of_2_53_steps_or_more(argv, name, capsys):
+    """From t_final/step = 2**53 on, every float ratio is an integer, so
+    the multiple test passed and building the time grid raised ValueError
+    or OverflowError, a traceback with exit 1."""
+    assert main(argv + ["--mesh-n", "2"]) == 2
+    assert f"t_final/{name} = " in capsys.readouterr().err
+
+
 def test_cli_rejects_dt_off_the_time_grid(capsys):
     argv = ["lrom-dt", "--mesh-n", "4", "--r", "3", "--sweep", "0.03,0.02"]
     assert main(argv) == 2
