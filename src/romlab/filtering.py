@@ -2,9 +2,10 @@
 
 In L2-orthonormal ROM coordinates the Helmholtz-type filter problem
 reduces to the dense SPD system (I + delta^2 S_r) abar = a, solved by
-numpy. scipy.linalg links a second OpenBLAS with its own thread pool;
-small solves there alternating with numpy products (G @ e) made each
-filter sweep point about 12x slower on 2 cores.
+numpy, as every dense solve in romlab is. scipy.linalg links a second
+OpenBLAS with its own thread pool; small solves there alternating with
+numpy products (G @ e) made each filter sweep point about 12x slower on
+2 cores.
 """
 
 import math

@@ -10,14 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
 from .fe import VelocitySpace
 
 __all__ = [
     "collect_snapshots",
-    "correlation_matrix",
-    "symmetric_eig",
     "PODBasis",
     "build_pod_basis",
     "truncation_errors",
@@ -50,24 +47,6 @@ def collect_snapshots(space: VelocitySpace, solution, times) -> np.ndarray:
     cols = np.empty((2, m, m, times.size))    # (N, K) in dof order
     cols[0], cols[1] = vel
     return cols.reshape(space.n_dofs, times.size)
-
-
-def correlation_matrix(u: np.ndarray, m_op: sp.csr_matrix) -> np.ndarray:
-    """K = U^T M U / (M+1), symmetric positive semidefinite."""
-    if u.shape[0] != m_op.shape[0]:
-        raise ValueError("dimension mismatch between snapshots and mass operator")
-    k = u.T @ (m_op @ u) / u.shape[1]
-    return 0.5 * (k + k.T)
-
-
-def symmetric_eig(a: np.ndarray):
-    """Full spectrum of a dense symmetric matrix, eigenvalues descending."""
-    a = np.asarray(a, dtype=float)
-    scale = np.abs(a).max() if a.size else 0.0
-    if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -110,8 +89,10 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
     """
-    k = correlation_matrix(u, m_op)
-    vals, vecs = symmetric_eig(k)
+    # the correlation matrix U^T M U / K, made exactly symmetric
+    k = u.T @ (m_op @ u) / u.shape[1]
+    vals, vecs = np.linalg.eigh(0.5 * (k + k.T))
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     if vals.size == 0 or vals[0] <= 0:
         raise ValueError("degenerate snapshot ensemble: no positive energy")
     d = int(np.sum(vals > rank_tol * vals[0]))
@@ -134,14 +115,18 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     # 1/sqrt(lambda) normalization amplifies roundoff to ~1e-9 in the
     # Gram matrix. One triangular correction restores orthonormality to
     # machine precision while leaving the leading modes (and all nested
-    # spans, since L is lower triangular) essentially untouched.
+    # spans, since L^-1 is lower triangular) essentially untouched. L^-1
+    # is at most K x K, so it is formed once and applied by GEMMs in
+    # numpy: scipy.linalg would map a second OpenBLAS with its own
+    # thread pool next to numpy's.
     m_modes = m_op @ modes
     gram = modes.T @ m_modes
     low = np.linalg.cholesky(0.5 * (gram + gram.T))
+    low_inv = np.tril(np.linalg.inv(low))     # exact zeros above the diagonal
     # the corrected modes are Phi L^-T, so Phi^T M U = L^-1 (M Phi)^T U
-    snap_coords = solve_triangular(low, m_modes.T @ u, lower=True)
+    snap_coords = low_inv @ (m_modes.T @ u)
     del m_modes
-    modes = solve_triangular(low, modes.T, lower=True).T
+    modes = modes @ low_inv.T
     grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
     return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,

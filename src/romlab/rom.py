@@ -186,6 +186,20 @@ def _advection_matrix(tensor: np.ndarray, abar: np.ndarray) -> np.ndarray:
     return (abar @ tensor.reshape(abar.size, -1)).reshape(abar.size, -1).T
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| as sqrt(x.x), which is what np.linalg.norm computes; only when
+    x.x overflows is x first scaled by max|x|, so that a finite norm
+    reads finite and not inf."""
+    sq = x.dot(x)
+    if sq != math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(x).max())
+    if scale == math.inf:
+        return scale
+    x = x / scale
+    return scale * math.sqrt(x.dot(x))
+
+
 def _folded_tensor(tensor: np.ndarray, filt: FilterOperator | None):
     # (r, r*r) tensor t2 with _advection_matrix(t2, a) = B(filt(a))
     t2 = tensor.reshape(tensor.shape[0], -1)
@@ -235,61 +249,66 @@ def run(ops: ROMOperators, filt: FilterOperator | None,
     residuals = np.full(m, np.nan)
     states[0] = a = ops.a0
     adv = None if scalar else _advection_matrix(t2, a)
-    blowup = 1e6 * (1.0 + np.linalg.norm(ops.a0))
     # a finite a_k enters step k: a0 is checked above, and every later
-    # state by the end-of-step guard
-    for k in range(m):
-        rhs = a / dt + forcing[k + 1]
-        denom = math.sqrt(rhs.dot(rhs)) or 1.0
-        residual = math.nan
-        if scalar:
-            s, c = float(w.dot(a)), to_eig.dot(rhs)
-        for it in range(1, max_iters + 1):
-            if scalar:  # y = C rhs / (1 - i s lam) stands for a = Z y
-                d = 1 + s * mlam
-                y = c / d
-                s_solved = s
-                if semi:  # no residual, and s is formed again next step
+    # state by the end-of-step guard. _norm rescales a squared sum that
+    # overflows, and any other inf ends the run at the residual or state
+    # guard, so overflow is not warned about as well.
+    with np.errstate(over="ignore"):
+        blowup = 1e6 * (1.0 + _norm(ops.a0))
+        for k in range(m):
+            rhs = a / dt + forcing[k + 1]
+            denom = _norm(rhs) or 1.0
+            residual = math.nan
+            if scalar:
+                s, c = float(w.dot(a)), to_eig.dot(rhs)
+            for it in range(1, max_iters + 1):
+                if scalar:  # y = C rhs / (1 - i s lam) stands for a = Z y
+                    d = 1 + s * mlam
+                    y = c / d
+                    s_solved = s
+                    if semi:  # no residual, and s is formed again next step
+                        break
+                    s = float(p.dot(y).real)
+                    # contiguous: a strided dot would sum in another
+                    # order
+                    v = skew_eig.dot(y).real.copy()
+                    change = abs(s - s_solved) * _norm(v)
+                else:
+                    a = np.linalg.solve(core + adv, rhs)
+                    adv = _advection_matrix(t2, a)
+                    if semi:
+                        break
+                    change = _norm(core @ a + adv @ a - rhs)
+                last, residual = residual, change / denom
+                if not math.isfinite(residual):
+                    raise StepDivergenceError("non-finite Picard residual",
+                                              residual=residual, step=k)
+                if residual <= tol:
                     break
-                s = float(p.dot(y).real)
-                # contiguous: a strided dot sums in another order than norm()
-                v = skew_eig.dot(y).real.copy()
-                change = abs(s - s_solved) * math.sqrt(v.dot(v))
             else:
-                a = np.linalg.solve(core + adv, rhs)
-                adv = _advection_matrix(t2, a)
-                if semi:
-                    break
-                change = np.linalg.norm(core @ a + adv @ a - rhs)
-            last, residual = residual, change / denom
-            if not math.isfinite(residual):
-                raise StepDivergenceError("non-finite Picard residual",
-                                          residual=residual, step=k)
-            if residual <= tol:
-                break
-        else:
-            ratio = residual / last
-            raise StepDivergenceError(
-                f"Picard failed to converge in {it} iterations "
-                f"(relative residual {residual:.3e}, last ratio {ratio:.3g})",
-                residual=residual, step=k, ratio=ratio)
-        if scalar:  # the last iterate, refined once in real arithmetic
-            a = from_eig.dot(y).real
-            fix = rhs - core.dot(a) - s_solved * skew.dot(a)
-            a += from_eig.dot(to_eig.dot(fix) / d).real
-        row = states[k + 1]
-        row[:] = a
-        size = math.sqrt(row.dot(row))
-        # NaN fails the comparison, and inf passes it only when |a0|^2
-        # overflowed and blowup is inf
-        if not size <= blowup or (size == math.inf
-                                  and not np.isfinite(row).all()):
-            raise StepDivergenceError(
-                "semi-implicit solve produced non-finite state"
-                if semi and not np.isfinite(row).all()
-                else f"trajectory blow-up at step {k + 1}", step=k)
-        iters[k] = it
-        residuals[k] = residual
+                ratio = residual / last
+                raise StepDivergenceError(
+                    f"Picard failed to converge in {it} iterations "
+                    f"(relative residual {residual:.3e}, "
+                    f"last ratio {ratio:.3g})",
+                    residual=residual, step=k, ratio=ratio)
+            if scalar:  # the last iterate, refined once in real arithmetic
+                a = from_eig.dot(y).real
+                fix = rhs - core.dot(a) - s_solved * skew.dot(a)
+                a += from_eig.dot(to_eig.dot(fix) / d).real
+            row = states[k + 1]
+            row[:] = a
+            size = _norm(row)
+            # NaN fails the comparison, and inf passes it only when
+            # 1e6 (1 + |a0|) overflowed and blowup is inf
+            if not size <= blowup or (size == math.inf
+                                      and not np.isfinite(row).all()):
+                raise StepDivergenceError(
+                    "semi-implicit solve produced non-finite state"
+                    if semi and not np.isfinite(row).all()
+                    else f"trajectory blow-up at step {k + 1}", step=k)
+            iters[k] = it
+            residuals[k] = residual
     return ROMTrajectory(states=states, iter_counts=iters,
                          residuals=residuals, tensor_rank=rank)
 

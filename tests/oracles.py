@@ -21,9 +21,11 @@ coordinates, and checks the snapshots, which call the velocity once on
 broadcast grid axes. project_Pr gives the coordinates (v, phi_i) of an
 FE vector. final_time_error_fe forms the final-time error in the FE
 space from the interpolant of u(T), and checks final_time_error, which
-reads the last snapshot's POD coordinates. l2_norm, h1_semi_norm and
-l2_inner are the FE norms of coefficient vectors, through the assembled
-operators. node_coords and signed_areas are the dofs' coordinates and
+reads the last snapshot's POD coordinates. correlation_matrix and
+symmetric_eig are the POD's correlation matrix and its eigendecomposition
+with a symmetry check, which build_pod_basis forms inline. l2_norm,
+h1_semi_norm and l2_inner are the FE norms of coefficient vectors,
+through the assembled operators. node_coords and signed_areas are the dofs' coordinates and
 the triangle areas, and velocity_grad is the analytic velocity's
 Jacobian, which only the tests read.
 """
@@ -368,6 +370,24 @@ def final_time_error_fe(traj, solution, basis: PODBasis, r: int,
         raise ValueError(f"unknown final-error variant {variant!r}")
     diff = u_exact - approx
     return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
+
+
+def correlation_matrix(u: np.ndarray, m_op: sp.csr_matrix) -> np.ndarray:
+    """K = U^T M U / (M+1), symmetric positive semidefinite."""
+    if u.shape[0] != m_op.shape[0]:
+        raise ValueError("dimension mismatch between snapshots and mass operator")
+    k = u.T @ (m_op @ u) / u.shape[1]
+    return 0.5 * (k + k.T)
+
+
+def symmetric_eig(a: np.ndarray):
+    """Full spectrum of a dense symmetric matrix, eigenvalues descending."""
+    a = np.asarray(a, dtype=float)
+    scale = np.abs(a).max() if a.size else 0.0
+    if scale > 0 and np.abs(a - a.T).max() > 1e-10 * scale:
+        raise ValueError("matrix is not symmetric")
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def _coeffs(u, op):

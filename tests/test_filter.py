@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +65,13 @@ def test_apply_filter_matches_cholesky(small_ctx, rng, delta):
         assert err <= tol * np.abs(a).max()
 
 
-def test_only_pod_imports_scipy_linalg():
+def test_no_romlab_module_imports_scipy_linalg():
     """scipy.linalg links its own OpenBLAS, with its own thread pool. Small
     ROM-space solves on that pool alternating with numpy products (G @ e)
     on numpy's pool made one filter sweep point 12x slower on 2 cores
-    (8.0 ms against 0.65-0.69 ms at n = 64, r = 95), so small dense
-    solves stay in numpy. pod.py keeps its two large one-off triangular
-    solves."""
+    (8.0 ms against 0.65-0.69 ms at n = 64, r = 95), and the POD's two
+    triangular solves there cost 0.1-0.2 s per build even at n = 2.
+    Every dense solve stays in numpy."""
     importers = set()
     for path in sorted(Path(romlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -81,7 +84,35 @@ def test_only_pod_imports_scipy_linalg():
             if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
                    for n in names):
                 importers.add(path.name)
-    assert importers == {"pod.py"}
+    assert importers == set()
+
+
+_ALL_KINDS = """
+import sys
+from romlab.cli import main
+for argv in (
+        ["filter-delta", "--mesh-n", "2", "--r", "2", "--sweep", "1e-2,5e-3"],
+        ["filter-r", "--mesh-n", "3", "--sweep", "1,2"],
+        ["lrom-dt", "--mesh-n", "2", "--r", "2", "--sweep", "1e-2,5e-3"],
+        ["lrom-delta", "--mesh-n", "3", "--r", "2", "--dt", "1e-2",
+         "--sweep", "0.5,0.25"],
+        ["lrom-r", "--mesh-n", "4", "--dt", "0.1", "--sweep", "1,2"]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+assert not loaded, loaded
+"""
+
+
+def test_study_kinds_leave_scipy_linalg_unloaded(tmp_path):
+    """No module that the five study kinds run imports scipy.linalg, not
+    even indirectly. The tests import it themselves (cho_solve), so the
+    check runs in a process of its own."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _ALL_KINDS],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_eigenvector_scaling(s_r):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import interpolate, l2_norm, project_Pr
+from oracles import (correlation_matrix, interpolate, l2_norm, project_Pr,
+                     symmetric_eig)
 from romlab.exact import AnalyticSolution
-from romlab.pod import (build_pod_basis, collect_snapshots,
-                        correlation_matrix, default_times, symmetric_eig,
+from romlab.pod import (build_pod_basis, collect_snapshots, default_times,
                         truncation_errors)
 
 

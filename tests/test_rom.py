@@ -7,7 +7,7 @@ from oracles import (energy_ledger_einsum, node_coords, reference_run,
                      trilinear_bstar)
 from romlab.filtering import build_filter
 from romlab.rom import (LROMConfig, ROMOperators, ROMTrajectory,
-                        StepDivergenceError, _advection_matrix,
+                        StepDivergenceError, _advection_matrix, _norm,
                         build_trilinear_tensor, project_forcing, run,
                         stability_check)
 from romlab.study import StudyConfig, build_context
@@ -457,10 +457,11 @@ def test_nan_forcing_row_raises_at_its_step(small_ctx, rng, path,
 
 
 def test_infinite_state_raises_under_infinite_blowup_bound():
-    """|a0|^2 overflows, so the blow-up bound is inf, and an inf state
+    """1e6 |a0| overflows, so the blow-up bound is inf, and an inf state
     with no NaN must still raise. With T_0 = 0 and a0 along e_0 the
     advection vanishes, core = I/dt = 1e-300 I, and the semi-implicit
-    solve of the general path overflows: a_1 = (1e10, 0, 0, 0) / 1e-300."""
+    solve of the general path overflows: a_1 = (1e10 + 1e3, 0, 0, 0)
+    / 1e-300."""
     r = 4
     t = np.random.default_rng(4).standard_normal((r, r, r))
     t = t - t.mT
@@ -468,12 +469,47 @@ def test_infinite_state_raises_under_infinite_blowup_bound():
     assert np.linalg.matrix_rank(t.reshape(r, -1)) == 3  # the general path
     ops = ROMOperators(r=r, s_r=np.zeros((r, r)), tensor=t,
                        forcing=np.array([[0.0] * r, [1e10, 0.0, 0.0, 0.0]]),
-                       a0=np.array([1e200, 0.0, 0.0, 0.0]))
+                       a0=np.array([1e303, 0.0, 0.0, 0.0]))
     cfg = LROMConfig(dt=1e300, t_final=1e300, linearization="semi-implicit")
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             StepDivergenceError, match="non-finite state") as exc:
         run(ops, None, cfg)
     assert exc.value.step == 0
+
+
+def test_norm_rescales_only_an_overflowing_square():
+    """Below overflow _norm is sqrt(x.x) bit for bit, as np.linalg.norm;
+    when x.x overflows it is still the finite |x|. run calls it with
+    overflow warnings off."""
+    x = np.random.default_rng(7).standard_normal(50)
+    assert _norm(x) == np.linalg.norm(x)
+    with np.errstate(over="ignore"):
+        assert _norm(np.array([3e200, -4e200])) \
+            == pytest.approx(5e200, rel=1e-15)
+        assert _norm(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(_norm(np.array([np.nan, 1.0])))
+
+
+@pytest.mark.parametrize("path", ["scalar", "general"])
+def test_picard_residual_when_squares_overflow(small_ctx, rng, path):
+    """a0 and F times lam = 2**530 with T / lam scale the trajectory by
+    lam, and |rhs|^2 overflows. The residual used to read 0 there (one
+    Picard iteration per step, and states 8% off on the scalar path) or
+    raise (general path); now the iteration counts are the unscaled
+    run's, with no overflow warning."""
+    ops = _ops_on_path(small_ctx, rng, path)
+    lam = 2.0 ** 530
+    big = replace(ops, tensor=ops.tensor / lam, forcing=ops.forcing * lam,
+                  a0=ops.a0 * lam)
+    filt = build_filter(ops.s_r, 1e-2)
+    cfg = LROMConfig(dt=1e-2)
+    ref = run(ops, filt, cfg)
+    traj = run(big, filt, cfg)
+    assert np.array_equal(traj.iter_counts, ref.iter_counts)
+    assert ref.iter_counts.max() > 1
+    assert np.all(np.isfinite(traj.residuals))
+    assert np.abs(traj.states / lam - ref.states).max() \
+        <= 1e-12 * np.abs(ref.states).max()
 
 
 def test_stability_check(small_ctx):

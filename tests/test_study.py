@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,20 @@ def test_cli_huge_radius_with_finite_square_runs(capsys):
     argv = ["lrom-delta", "--mesh-n", "2", "--r", "2",
             "--sweep", "1e100,1e150"]
     assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_cli_viscosity_whose_squares_overflow_runs_quietly(capsys):
+    """nu = 1e300 makes |rhs|^2 overflow in every step. That printed an
+    overflow warning from rom.run (a traceback under -W error), and the
+    relative Picard residual read 0."""
+    argv = ["lrom-dt", "--mesh-n", "2", "--r", "3", "--nu", "1e300",
+            "--sweep", "0.5,0.25"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_radius_overflowing_with_s_r_fails_its_point(tmp_path, capsys):
