@@ -11,52 +11,41 @@ partial output; 4 regression impossible.
 import argparse
 import sys
 
-from .study import STUDY_KINDS, InvalidStudyError, StudyConfig, run_study
-
-
-def _parse_sweep(text: str):
-    # r sweeps stay floats here: StudyConfig rejects non-integers such as
-    # 3.7 instead of truncating them
-    return [float(v) for v in text.split(",") if v.strip()]
+from .rom import LINEARIZATIONS
+from .study import (FINAL_ERRORS, STUDY_KINDS, InvalidStudyError, StudyConfig,
+                    run_study)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="romlab",
-                                description="ROM filtering / Leray-ROM studies")
-    p.add_argument("study_kind", choices=STUDY_KINDS)
-    p.add_argument("--mesh-n", type=int, default=64)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--nu", type=float, default=1e-3)
-    p.add_argument("--t-final", type=float, default=1.0)
-    p.add_argument("--sweep", type=str, default=None,
-                   help="comma-separated sweep values")
-    p.add_argument("--out", type=str, default=None, help="CSV output path")
-    p.add_argument("--linearization", type=str, default="picard-implicit",
-                   choices=["picard-implicit", "semi-implicit"])
-    p.add_argument("--final-error", type=str, default="rom",
-                   choices=["rom", "filtered-snapshot"])
+    """The parser sets only the options given, named as the StudyConfig
+    fields they set; StudyConfig holds every default."""
+    p = argparse.ArgumentParser(
+        prog="romlab", description="ROM filtering / Leray-ROM studies",
+        argument_default=argparse.SUPPRESS)
+    p.add_argument("kind", choices=STUDY_KINDS)
+    p.add_argument("--mesh-n", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--nu", type=float)
+    p.add_argument("--t-final", type=float)
+    p.add_argument("--sweep", help="comma-separated sweep values")
+    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--linearization", choices=LINEARIZATIONS)
+    p.add_argument("--final-error", dest="final_error_variant",
+                   choices=FINAL_ERRORS)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        cfg = StudyConfig(
-            kind=args.study_kind,
-            mesh_n=args.mesh_n,
-            nu=args.nu,
-            t_final=args.t_final,
-            r=args.r,
-            delta=args.delta,
-            dt=args.dt,
-            sweep=(None if args.sweep is None
-                   else _parse_sweep(args.sweep)),
-            out=args.out,
-            linearization=args.linearization,
-            final_error_variant=args.final_error,
-        )
+        if "sweep" in args:
+            # r sweeps stay floats here: StudyConfig rejects non-integers
+            # such as 3.7 instead of truncating them
+            args["sweep"] = [float(v) for v in args["sweep"].split(",")
+                             if v.strip()]
+        cfg = StudyConfig(**args)
     except ValueError as exc:
         print(f"romlab: invalid config: {exc}", file=sys.stderr)
         return 2

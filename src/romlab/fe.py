@@ -3,7 +3,8 @@
 Only the velocity component of the Taylor-Hood pair is built: scalar P2
 shape functions on each triangle, two components stacked as
 [x-component dofs | y-component dofs]. No essential boundary conditions
-are eliminated anywhere; operators are assembled over all dofs.
+are eliminated anywhere; operators are assembled over all dofs. Every
+space integrates with one rule, the symmetric 6-point rule of degree 4.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "TriangleRule",
-    "triangle_rule",
     "VelocitySpace",
     "build_space",
     "assemble_mass",
@@ -30,44 +30,18 @@ class TriangleRule:
 
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
-    degree: int
 
 
-# Symmetric 6-point rule, exact for polynomials of degree 4.
-_DUNAVANT4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+# Symmetric 6-point rule, exact for polynomials of degree 4. Every space
+# shares it, so its arrays are read-only.
 _A1, _B1 = 0.445948490915965, 0.108103018168070
 _A2, _B2 = 0.091576213509771, 0.816847572980459
-_DUNAVANT4_P = np.array(
-    [
-        [_A1, _A1], [_B1, _A1], [_A1, _B1],
-        [_A2, _A2], [_B2, _A2], [_A2, _B2],
-    ]
-)
-
-
-def triangle_rule(degree: int) -> TriangleRule:
-    """Return a quadrature rule exact for polynomials up to `degree`.
-
-    Degree <= 4 uses the symmetric 6-point rule; higher degrees use a
-    Gauss-Legendre product rule collapsed onto the triangle (Duffy map),
-    which is exact for any requested degree.
-    """
-    if degree <= 4:
-        return TriangleRule(points=_DUNAVANT4_P.copy(),
-                            weights=0.5 * _DUNAVANT4_W.copy(), degree=4)
-    # Duffy: xi = u, eta = v * (1 - u), Jacobian (1 - u). The extra factor
-    # raises the u-degree by one, hence the +2 below.
-    p = (degree + 3) // 2
-    gu, wu = np.polynomial.legendre.leggauss(p)
-    gu = 0.5 * (gu + 1.0)
-    wu = 0.5 * wu
-    u, v = np.meshgrid(gu, gu, indexing="ij")
-    wuu, wvv = np.meshgrid(wu, wu, indexing="ij")
-    xi = u.ravel()
-    eta = (v * (1.0 - u)).ravel()
-    w = (wuu * wvv * (1.0 - u)).ravel()
-    return TriangleRule(points=np.column_stack([xi, eta]), weights=w,
-                        degree=degree)
+_RULE = TriangleRule(
+    points=np.array([[_A1, _A1], [_B1, _A1], [_A1, _B1],
+                     [_A2, _A2], [_B2, _A2], [_A2, _B2]]),
+    weights=0.5 * np.array([0.223381589678011] * 3
+                           + [0.109951743655322] * 3))
+_RULE.points.flags.writeable = _RULE.weights.flags.writeable = False
 
 
 def _p2_values(pts: np.ndarray) -> np.ndarray:
@@ -143,7 +117,7 @@ class VelocitySpace:
         return np.linspace(0.0, 1.0, 2 * self.n + 1)
 
 
-def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
+def build_space(n: int) -> VelocitySpace:
     """Construct the vector P2 space on the n x n structured mesh."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"the mesh needs an integer n >= 1, got {n!r}")
@@ -157,9 +131,8 @@ def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
     corner = 2 * (m * sq[:, None] + sq).ravel()
     edofs = (corner[:, None, None] + offsets).reshape(-1, 6)
 
-    rule = triangle_rule(quad_degree)
-    shape_vals = _p2_values(rule.points)
-    ref_grads = _p2_ref_grads(rule.points)
+    shape_vals = _p2_values(_RULE.points)
+    ref_grads = _p2_ref_grads(_RULE.points)
 
     h = 1.0 / n
     jac = np.array(
@@ -169,11 +142,11 @@ def build_space(n: int, quad_degree: int = 4) -> VelocitySpace:
         ]
     )
     det_j = h * h
-    phys_grads = np.empty((2, len(rule.weights), 6, 2))
+    phys_grads = np.empty((2, len(_RULE.weights), 6, 2))
     for o in range(2):
         jinv_t = np.linalg.inv(jac[o]).T
         phys_grads[o] = ref_grads @ jinv_t.T
-    return VelocitySpace(n=n, rule=rule, edofs=edofs, shape_vals=shape_vals,
+    return VelocitySpace(n=n, rule=_RULE, edofs=edofs, shape_vals=shape_vals,
                          phys_grads=phys_grads, det_j=det_j)
 
 

@@ -21,13 +21,26 @@ __all__ = [
 ]
 
 
-def default_times(dt_snap: float = 1e-2, t_final: float = 1.0) -> np.ndarray:
+def grid_steps(t_final: float, step: float, name: str = "dt") -> int:
+    """The number of steps of size step from 0 to t_final, the one time
+    grid rule: a positive integer below 2**53, with t_final/step within
+    1e-9 of it. name is the step's name in the error messages."""
+    ratio = t_final / step
+    # from 2**53 on every float is an integer, so the multiple test below
+    # cannot fail, and the time grid would not fit
+    if not ratio < 2 ** 53:
+        raise ValueError(f"t_final/{name} = {ratio:g} must be below 2**53")
+    steps = round(ratio) if ratio > 0 else 0
+    if steps < 1 or abs(ratio - steps) > 1e-9:
+        raise ValueError(f"t_final must be a positive integer multiple of "
+                         f"{name}, got {name}={step}")
+    return steps
+
+
+def default_times(dt_snap: float, t_final: float) -> np.ndarray:
     """Equispaced snapshot times 0, dt_snap, ..., t_final."""
-    m = round(t_final / dt_snap)
-    if m < 1 or abs(t_final / dt_snap - m) > 1e-9:
-        raise ValueError("t_final must be a positive integer multiple of "
-                         "dt_snap")
-    return np.linspace(0.0, t_final, m + 1)
+    return np.linspace(0.0, t_final,
+                       grid_steps(t_final, dt_snap, "dt_snap") + 1)
 
 
 def collect_snapshots(space: VelocitySpace, solution, times) -> np.ndarray:

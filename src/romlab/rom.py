@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .fe import VelocitySpace
 from .filtering import FilterOperator, apply_filter
-from .pod import PODBasis
+from .pod import PODBasis, grid_steps
 
 __all__ = [
     "ROMOperators",
@@ -110,8 +110,10 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            fields = solution.forcing(x, y, tt)
         f1, f2 = (np.broadcast_to(f, (tt.shape[0], m, m)).reshape(-1, m * m)
-                  for f in solution.forcing(x, y, tt))
+                  for f in fields)
         if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
             raise ValueError("non-finite forcing values")
         out[start:start + chunk] = f1 @ q[0] + f2 @ q[1]
@@ -129,6 +131,10 @@ class ROMOperators:
     a0: np.ndarray            # initial coordinates, L2 projection of u0
 
 
+# The step's linearizations; the first is the default.
+LINEARIZATIONS = ("picard-implicit", "semi-implicit")
+
+
 @dataclass(frozen=True)
 class LROMConfig:
     """Time-stepping settings; delta enters through the filter."""
@@ -138,28 +144,26 @@ class LROMConfig:
     nu: float = 1e-3
     picard_tol: float = 1e-10
     picard_max_iters: int = 200
-    linearization: str = "picard-implicit"
+    linearization: str = LINEARIZATIONS[0]
 
     def __post_init__(self):
         for name in ("dt", "t_final", "nu", "picard_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0 and name != "t_final":
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         its = self.picard_max_iters
         if isinstance(its, bool) or not isinstance(its, (int, np.integer)) \
                 or its < 1:
             raise ValueError(f"picard_max_iters must be an int >= 1: {its!r}")
-        steps = round(self.t_final / self.dt)
-        if steps < 0 or abs(self.t_final / self.dt - steps) > 1e-9:
-            raise ValueError("t_final must be an integer multiple of dt")
-        if self.linearization not in ("picard-implicit", "semi-implicit"):
+        grid_steps(self.t_final, self.dt)
+        if self.linearization not in LINEARIZATIONS:
             raise ValueError(f"unknown linearization {self.linearization!r}")
 
     @property
     def n_steps(self) -> int:
-        return round(self.t_final / self.dt)
+        return grid_steps(self.t_final, self.dt)
 
 
 @dataclass

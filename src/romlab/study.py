@@ -18,6 +18,7 @@ studies, L2 and H1) or the final-time L2 error (lrom studies).
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,9 +29,10 @@ from .exact import AnalyticSolution
 from .fe import VelocitySpace, assemble_mass, assemble_stiffness, build_space
 from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
-                  truncation_errors)
-from .rom import (LROMConfig, StepDivergenceError, build_trilinear_tensor,
-                  project_forcing, ROMOperators, run, stability_check)
+                  grid_steps, truncation_errors)
+from .rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
+                  build_trilinear_tensor, project_forcing, ROMOperators, run,
+                  stability_check)
 
 __all__ = [
     "STUDY_KINDS",
@@ -46,6 +48,9 @@ __all__ = [
 ]
 
 STUDY_KINDS = ("filter-delta", "filter-r", "lrom-dt", "lrom-delta", "lrom-r")
+
+# The lrom studies' final-time error variants; the first is the default.
+FINAL_ERRORS = ("rom", "filtered-snapshot")
 
 CSV_HEADER = "param,value,e_l2,e_h1,lambda_l2,lambda_h1,slope_running"
 
@@ -88,46 +93,41 @@ class StudyConfig:
     dt: float | None = None
     sweep: list | None = None
     out: str | None = None
-    linearization: str = "picard-implicit"
-    final_error_variant: str = "rom"
+    linearization: str = LINEARIZATIONS[0]
+    final_error_variant: str = FINAL_ERRORS[0]
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise InvalidStudyError(f"unknown study kind {self.kind!r}")
-        if self.linearization not in ("picard-implicit", "semi-implicit"):
+        if self.linearization not in LINEARIZATIONS:
             raise InvalidStudyError(
                 f"unknown linearization {self.linearization!r}")
-        if self.final_error_variant not in ("rom", "filtered-snapshot"):
+        if self.final_error_variant not in FINAL_ERRORS:
             raise InvalidStudyError(
                 f"unknown final_error_variant {self.final_error_variant!r}")
         if isinstance(self.mesh_n, bool) \
                 or not isinstance(self.mesh_n, (int, np.integer)):
             raise InvalidStudyError(f"mesh_n must be an int: {self.mesh_n!r}")
-        defaults = DEFAULT_FIXED[self.kind]
-        if self.r is None:
-            self.r = defaults["r"]
-        if self.delta is None:
-            self.delta = defaults["delta"]
-        if self.dt is None:
-            self.dt = defaults["dt"]
+        for name, default in DEFAULT_FIXED[self.kind].items():
+            if getattr(self, name) is None:
+                setattr(self, name, default)
         if self.sweep is None:
             self.sweep = list(DEFAULT_SWEEPS[self.kind])
         if len(self.sweep) == 0:
             raise InvalidStudyError("sweep list is empty")
         for name in ("snap_dt", "t_final", "nu", "delta", "dt", "r"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            # abs < inf, as math.isfinite raises OverflowError on a huge int
+            if value is not None and not abs(value) < math.inf:
                 raise InvalidStudyError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(v) for v in self.sweep):
             raise InvalidStudyError("sweep values must be finite")
         diffs = np.diff(np.asarray(self.sweep, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidStudyError("sweep values must be strictly monotone")
-        for name in ("mesh_n", "snap_dt", "t_final", "nu"):
-            if getattr(self, name) <= 0:
+        for name in ("mesh_n", "snap_dt", "t_final", "nu", "dt"):
+            if any(v <= 0 for v in self._values(name)):
                 raise InvalidStudyError(f"{name} must be positive")
-        if any(v <= 0 for v in self._values("dt")):
-            raise InvalidStudyError("dt must be positive")
         if any(v < 0 for v in self._values("delta")):
             raise InvalidStudyError("delta must be nonnegative")
         if any(not math.isfinite(float(v) * float(v))
@@ -135,16 +135,10 @@ class StudyConfig:
             raise InvalidStudyError("delta squared must be finite")
         for name in ("snap_dt", "dt"):
             for step in self._values(name):
-                ratio = self.t_final / step
-                # from 2**53 on every float is an integer, so the test
-                # below cannot fail, and the time grid would not fit
-                if not ratio < 2 ** 53:
-                    raise InvalidStudyError(
-                        f"t_final/{name} = {ratio:g} must be below 2**53")
-                if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
-                    raise InvalidStudyError(
-                        f"t_final must be a positive integer multiple of "
-                        f"{name}, got {name}={step}")
+                try:
+                    grid_steps(self.t_final, step, name)
+                except ValueError as exc:
+                    raise InvalidStudyError(str(exc)) from None
         for r in self.r_values:
             if r != int(r):
                 raise InvalidStudyError(f"r={r} is not an integer")
@@ -432,8 +426,10 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
     point = _filter_point if cfg.kind.startswith("filter") else _lrom_point
     if point is _lrom_point:
         # ask for the study's largest r first, so that the tensor and each
-        # forcing series are built once, at that width
-        ctx.operators(max(cfg.r_values), cfg._values("dt")[0])
+        # forcing series are built once, at that width; a failure here
+        # recurs at, and is recorded by, each point
+        with suppress(*_POINT_ERRORS):
+            ctx.operators(max(cfg.r_values), cfg._values("dt")[0])
     records = []
     for value in cfg.sweep:
         rec, r, delta, dt = _sweep_point(cfg, ctx, value)

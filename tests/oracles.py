@@ -2,9 +2,13 @@
 
 Everything here is written from scratch against the mathematical
 definitions (barycentric P2 shape functions, per-triangle Gauss
-quadrature via the Duffy map) and deliberately shares no code paths
-with the package internals it is used to check. The exceptions are at
-the end. quad_point_data evaluates fields at the quadrature points
+quadrature by duffy_rule, the Gauss product rule collapsed onto the
+triangle) and deliberately shares no code paths with the package
+internals it is used to check. The exceptions are at the end.
+space_on_rule rebuilds a space's shape tables on another rule, such as
+duffy_rule's, with the package's own P2 shape functions; it checks
+assembly and b* on rules of higher degree than the package's one
+degree-4 rule. quad_point_data evaluates fields at the quadrature points
 element by element from the space's shape tables, and trilinear_bstar
 evaluates b* from it one triple at a time; they check the blocked
 tensor build, which evaluates all modes by dense products against the
@@ -30,13 +34,14 @@ the triangle areas, and velocity_grad is the analytic velocity's
 Jacobian, which only the tests read.
 """
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from romlab.fe import VelocitySpace
+from romlab.fe import TriangleRule, VelocitySpace, _p2_ref_grads, _p2_values
 from romlab.filtering import apply_filter, build_filter
 from romlab.pod import PODBasis
 
@@ -150,6 +155,22 @@ def p2_eval(n, coeffs, x, y, grad=False):
     return vals, jac
 
 
+def duffy_rule(p) -> TriangleRule:
+    """The p x p Gauss-Legendre product rule collapsed onto the reference
+    triangle (0,0)-(1,0)-(0,1) by the Duffy map xi = u, eta = v (1 - u).
+
+    The Jacobian (1 - u) raises the u-degree by one, so the rule is exact
+    for polynomials of degree 2p - 2. The weights sum to 1/2.
+    """
+    gu, wu = np.polynomial.legendre.leggauss(p)
+    gu = 0.5 * (gu + 1.0)
+    wu = 0.5 * wu
+    u, v = np.meshgrid(gu, gu, indexing="ij")
+    return TriangleRule(
+        points=np.column_stack([u.ravel(), (v * (1.0 - u)).ravel()]),
+        weights=(np.outer(wu, wu) * (1.0 - u)).ravel())
+
+
 def triangle_quad_points(n, p=8):
     """Per-triangle Gauss points via the Duffy map, built from scratch.
 
@@ -157,13 +178,9 @@ def triangle_quad_points(n, p=8):
     structured triangulation and matching weights (physical measure
     included).
     """
-    gu, wu = np.polynomial.legendre.leggauss(p)
-    gu = 0.5 * (gu + 1.0)
-    wu = 0.5 * wu
-    u, v = np.meshgrid(gu, gu, indexing="ij")
-    wq = (np.outer(wu, wu) * (1.0 - u)).ravel()
-    xi = u.ravel()
-    eta = (v * (1.0 - u)).ravel()
+    rule = duffy_rule(p)
+    xi, eta = rule.points.T
+    wq = rule.weights
 
     h = 1.0 / n
     pts, wts = [], []
@@ -205,6 +222,19 @@ def integrate(n, fn, p=8):
     same per-triangle rule (useful as an exact-value oracle)."""
     pts, w = triangle_quad_points(n, p)
     return float(np.sum(w * fn(pts[:, 0], pts[:, 1])))
+
+
+def space_on_rule(space: VelocitySpace, rule: TriangleRule) -> VelocitySpace:
+    """The space with its quadrature rule replaced by rule: the package's
+    P2 shape tables at the new points, with the gradients mapped by each
+    orientation's Jacobian, read from its first element's vertices."""
+    verts = node_coords(space)[space.edofs[:2, :3]]         # (2, 3, 2)
+    # columns p1 - p0 and p2 - p0 per orientation
+    jac = (verts[:, 1:] - verts[:, :1]).transpose(0, 2, 1)
+    ref_grads = _p2_ref_grads(rule.points)
+    phys_grads = np.stack([ref_grads @ np.linalg.inv(j) for j in jac])
+    return replace(space, rule=rule, shape_vals=_p2_values(rule.points),
+                   phys_grads=phys_grads)
 
 
 def quad_point_data(space: VelocitySpace, coeffs: np.ndarray,

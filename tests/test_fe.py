@@ -4,29 +4,30 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import (h1_semi_norm, interpolate, l2_inner, l2_norm,
-                     node_coords, signed_areas, trilinear_bstar)
-from romlab.fe import (assemble_mass, assemble_stiffness, build_space,
-                       triangle_rule)
+from oracles import (duffy_rule, h1_semi_norm, interpolate, l2_inner,
+                     l2_norm, node_coords, signed_areas, space_on_rule,
+                     trilinear_bstar)
+from romlab.fe import assemble_mass, assemble_stiffness, build_space
 
 
 # ---------------------------------------------------------------- quadrature
 
 def test_rule_weights():
-    low = triangle_rule(4)
+    low = build_space(1).rule
     assert low.points.shape == (6, 2)
     assert np.all(low.weights > 0)
     assert abs(low.weights.sum() - 0.5) < 1e-14
-    high = triangle_rule(9)
+    high = duffy_rule(6)
     assert np.all(high.weights > 0)
     assert abs(high.weights.sum() - 0.5) < 1e-14
 
 
 @pytest.mark.parametrize("degree", [5, 7, 10])
 def test_rule_monomial_exactness(degree):
-    """The product rule integrates x^a y^b exactly on the reference
-    triangle; exact value a! b! / (a + b + 2)!."""
-    rule = triangle_rule(degree)
+    """The oracle's product rule on (degree + 3) // 2 Gauss points per
+    axis integrates x^a y^b exactly on the reference triangle; exact
+    value a! b! / (a + b + 2)!."""
+    rule = duffy_rule((degree + 3) // 2)
     from math import factorial
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -38,7 +39,7 @@ def test_rule_monomial_exactness(degree):
 
 
 def test_dunavant_degree4_exact():
-    rule = triangle_rule(4)
+    rule = build_space(1).rule
     from math import factorial
     for a in range(5):
         for b in range(5 - a):
@@ -47,6 +48,17 @@ def test_dunavant_degree4_exact():
                             * rule.points[:, 1] ** b)
             exact = factorial(a) * factorial(b) / factorial(a + b + 2)
             assert abs(approx - exact) < 1e-15, (a, b)
+
+
+def test_spaces_share_no_writable_array():
+    """Every space reads the one degree-4 rule, which is read-only."""
+    a, b = build_space(2), build_space(3)
+    assert a.rule is b.rule
+    for arr in (a.rule.points, a.rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert not np.shares_memory(a.shape_vals, b.shape_vals)
+    assert not np.shares_memory(a.phys_grads, b.phys_grads)
 
 
 # ---------------------------------------------------------------- mesh
@@ -182,8 +194,9 @@ def test_stiffness_linear_field():
 
 
 def test_mass_independent_of_quadrature_degree():
-    a = assemble_mass(build_space(4, quad_degree=4)).toarray()
-    b = assemble_mass(build_space(4, quad_degree=8)).toarray()
+    space = build_space(4)
+    a = assemble_mass(space).toarray()
+    b = assemble_mass(space_on_rule(space, duffy_rule(5))).toarray()
     assert np.abs(a - b).max() < 1e-14
 
 
@@ -276,11 +289,11 @@ def test_bstar_skew_symmetry(rng):
 def test_bstar_against_independent_quadrature(rng):
     """Random P2 fields, exact per-triangle quadrature on both sides.
 
-    The integrand has degree 5, so the package space is built with a
-    degree >= 5 rule for this comparison.
+    The integrand has degree 5, so the package space is rebuilt on a
+    degree-6 rule for this comparison.
     """
     n = 3
-    space = build_space(n, quad_degree=6)
+    space = space_on_rule(build_space(n), duffy_rule(4))
     for _ in range(5):
         cu, cv, cw = rng.standard_normal((3, space.n_dofs))
         got = trilinear_bstar(space, cu, cv, cw)
@@ -314,7 +327,6 @@ def test_quad_point_data_matches_pointwise_evaluation(small, rng):
     degree-4 rule, on an odd, unsorted, non-contiguous set of elements
     of both orientations."""
     space = small.space
-    assert space.rule.degree == 4
     coeffs = rng.standard_normal((space.n_dofs, 3))
     els = np.array([77, 4, 127, 9, 30, 1, 100])
     vals, grads, wdet = oracles.quad_point_data(space, coeffs, els)

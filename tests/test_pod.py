@@ -21,6 +21,14 @@ def test_default_times():
         default_times(1e-2, 1e-12)
 
 
+def test_default_times_rejects_2_53_levels_or_more():
+    """From t_final/dt_snap = 2**53 on, every float ratio is an integer:
+    such a grid used to pass the multiple test and fail in np.linspace.
+    The ratio is rejected before any array is made."""
+    with pytest.raises(ValueError, match=r"t_final/dt_snap = .* 2\*\*53"):
+        default_times(1e-300, 1.0)
+
+
 def test_collect_snapshots_validation(small):
     sol = AnalyticSolution()
     with pytest.raises(ValueError):

@@ -208,6 +208,18 @@ def test_config_validation():
     assert LROMConfig(dt=1e-2).n_steps == 100
 
 
+def test_config_uses_the_study_time_grid_rule():
+    """LROMConfig checks its grid by the rule StudyConfig uses: at least
+    one step, and fewer than 2**53. It used to accept t_final = 0 (no
+    step) and dt = 1e-300, with a 300-digit n_steps."""
+    with pytest.raises(ValueError, match=r"t_final/dt = .* 2\*\*53"):
+        LROMConfig(dt=1e-300)
+    with pytest.raises(ValueError, match="t_final"):
+        LROMConfig(dt=0.5, t_final=0.0)
+    with pytest.raises(ValueError, match="integer multiple of dt"):
+        LROMConfig(dt=0.4, t_final=1.0)
+
+
 @pytest.mark.parametrize("name", ["dt", "delta", "t_final", "nu",
                                   "picard_tol"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,9 +1,14 @@
 import dataclasses
+import io
 import re
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
@@ -11,8 +16,10 @@ from romlab import cli, study
 from romlab.cli import main
 from romlab.filtering import build_filter
 from romlab.pod import build_pod_basis
-from romlab.rom import LROMConfig, build_trilinear_tensor, project_forcing, run
-from romlab.study import (CSV_HEADER, InvalidStudyError, StudyConfig,
+from romlab.rom import (LINEARIZATIONS, LROMConfig, build_trilinear_tensor,
+                        project_forcing, run)
+from romlab.study import (CSV_HEADER, DEFAULT_SWEEPS, FINAL_ERRORS,
+                          STUDY_KINDS, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
                           loglog_regression, run_study)
 
@@ -446,6 +453,27 @@ def test_cli_cache_option_is_gone(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_parser_holds_no_defaults():
+    """The parser passes on only the options given, under the names of
+    the StudyConfig fields they set, and its choices are the config's own
+    name lists; StudyConfig holds every default."""
+    parser = cli.build_parser()
+    assert vars(parser.parse_args(["lrom-dt"])) == {"kind": "lrom-dt"}
+    args = parser.parse_args(["lrom-r", "--t-final", "0.5",
+                              "--final-error", "filtered-snapshot"])
+    assert vars(args) == {"kind": "lrom-r", "t_final": 0.5,
+                          "final_error_variant": "filtered-snapshot"}
+    choices = {a.dest: a.choices for a in parser._actions if a.choices}
+    assert choices == {"kind": STUDY_KINDS, "linearization": LINEARIZATIONS,
+                       "final_error_variant": FINAL_ERRORS}
+
+
+def test_cli_rejects_unparsable_sweep(capsys):
+    assert main(["lrom-dt", "--sweep", "a,b"]) == 2
+    assert capsys.readouterr().err == \
+        "romlab: invalid config: could not convert string to float: 'a'\n"
+
+
 def test_cli_usage_lists_exactly_the_parser_options():
     """The usage in the module docstring names every --option the
     parser accepts, and no other."""
@@ -588,3 +616,104 @@ def test_cli_rejects_dt_off_the_time_grid(capsys):
     argv = ["lrom-dt", "--mesh-n", "4", "--r", "3", "--sweep", "0.03,0.02"]
     assert main(argv) == 2
     assert "integer multiple of dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,points", [
+    (["lrom-delta", "--mesh-n", "2", "--r", "3", "--dt", "0.005",
+      "--nu", "1.7976931348623157e308", "--t-final", "0.05"], 6),
+    (["lrom-r", "--mesh-n", "2", "--sweep", "2,3", "--nu", "1e308",
+      "--t-final", "0.05"], 2),
+])
+def test_cli_viscosity_whose_forcing_overflows_fails_each_point(argv, points,
+                                                                capsys):
+    """nu g_ss overflows in the forcing. That printed two overflow
+    warnings, and the study's first operators call raised ValueError
+    outside the per-point handling: a traceback with exit 1."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert err.count("FAILED: non-finite forcing values") == points
+    assert "Traceback" not in err
+
+
+# ------------------------------------------------------ exit-code property
+# (ordinary, extreme) option values for romlab's argv. Every step ratio
+# they make is at most 1000 or at least 2**53, which StudyConfig rejects
+# before any array is made: a t_final is 0.01 to 0.1, or StudyConfig
+# refuses it (alone, or by its ratio to the snapshot spacing 0.01), and a
+# step is at least 1e-4 (the default dt) or at most 1e-20.
+_T_FINALS = (["0.01", "0.02", "0.05", "0.1"],
+             ["0", "-0.05", "0.015", "5e-324", "1e20", "1e308", "nan", "inf",
+              "-inf"])
+_STEPS = (["0.01", "0.005", "0.0025", "1e-3"],
+          ["0.02", "0.03", "0.05", "0", "-0.01", "5e-324", "1e-300", "1e-20",
+           "1e308", "nan", "inf"])
+_RADII = (["0", "1e-3", "0.1", "0.5", "1e100"],
+          ["1e154", "1e200", "1e308", "5e-324", "-0.01", "nan", "inf"])
+_MODES = (["1", "2"],
+          ["3", "5", "0", "-2", "99", "1" + "0" * 400, "2.5", "nan"])
+_VISCOSITIES = (["1e-3", "0.1", "1"],
+                ["1e300", "1e308", "1.7976931348623157e308", "5e-324", "0",
+                 "-1e-3", "nan", "inf"])
+_OPTIONS = {"--r": _MODES, "--delta": _RADII, "--dt": _STEPS,
+            "--nu": _VISCOSITIES, "--linearization": (LINEARIZATIONS,
+                                                      ["explicit"]),
+            "--final-error": (FINAL_ERRORS, ["exact"])}
+_SWEPT = {"delta": _RADII, "r": _MODES, "dt": _STEPS}
+
+
+@st.composite
+def _romlab_argv(draw):
+    """(argv, number of sweep points) over every kind and option. One
+    time in ten, a value is extreme, an option is left out, and a sweep
+    is not sorted. The choices come from a Random that hypothesis seeds:
+    its own draws lean to the ends of a range, and nearly every argv
+    they made was refused."""
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def one_in_ten():
+        return rnd.random() < 0.1
+
+    def value(pools):
+        return rnd.choice(pools[one_in_ten()])
+
+    kind = rnd.choice(STUDY_KINDS)
+    argv = [kind, f"--mesh-n={rnd.choice([1, 2])}",
+            "--t-final=" + value(_T_FINALS)]
+    argv += [f"{opt}={value(pools)}" for opt, pools in _OPTIONS.items()
+             if not one_in_ten()]
+    sweep = DEFAULT_SWEEPS[kind]
+    if not one_in_ten():
+        pools = _SWEPT[StudyConfig(kind=kind).param_name]
+        sweep = [value(pools) for _ in range(rnd.randint(1, 4))]
+        if not one_in_ten():
+            sweep = sorted(set(sweep), key=float, reverse=rnd.random() < 0.5)
+        argv.append("--sweep=" + ",".join(sweep))
+    return argv, len(sweep)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_romlab_argv())
+def test_cli_exit_code_contract(case):
+    """Any argv exits 0, 2, 3 or 4, with no traceback and no warning, and
+    a study that ran writes the CSV header and one row per sweep value."""
+    argv, points = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            redirect_stderr(err), redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        out = Path(tmp) / "study.csv"
+        try:
+            code = main(argv + [f"--out={out}"])
+        except SystemExit as exc:   # argparse refuses the argv
+            code = exc.code
+        rows = out.read_text().splitlines() if code != 2 else None
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if rows is not None:
+        assert rows[0] == CSV_HEADER and len(rows) == 1 + points
