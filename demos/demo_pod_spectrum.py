@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 
-from romlab import (AnalyticSolution, assemble_mass, assemble_stiffness,
-                    build_pod_basis, build_space, collect_snapshots,
-                    truncation_errors)
-from romlab.pod import default_times
+from romlab.exact import AnalyticSolution
+from romlab.fe import assemble_mass, assemble_stiffness, build_space
+from romlab.pod import (build_pod_basis, collect_snapshots, default_times,
+                        truncation_errors)
 
 
 def main():

@@ -117,10 +117,23 @@ class VelocitySpace:
         return np.linspace(0.0, 1.0, 2 * self.n + 1)
 
 
+# The largest mesh size: node indices, below 2 (2n + 1)^2, stay far inside
+# int64, and memory limits a practical n long before (n = 1024 has 8.4
+# million dofs; 101 snapshots of them take 6.8 GB).
+MESH_N_MAX = 2 ** 20
+
+
+def check_mesh_n(n) -> None:
+    """The one mesh-size rule: an int, not a bool, in [1, MESH_N_MAX]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+            or not 1 <= n <= MESH_N_MAX:
+        raise ValueError(f"mesh_n must be an integer n in [1, {MESH_N_MAX}],"
+                         f" got {n!r}")
+
+
 def build_space(n: int) -> VelocitySpace:
     """Construct the vector P2 space on the n x n structured mesh."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"the mesh needs an integer n >= 1, got {n!r}")
+    check_mesh_n(n)
     m = 2 * n + 1
     # Offsets from the square's lower-left node, in the local order
     # v0 v1 v2, mid(0,1), mid(1,2), mid(0,2).

@@ -81,7 +81,8 @@ class PODBasis:
 
     snap_coords and residual_energy belong to the basis as built: a
     basis with fewer modes comes from a larger rank_tol, not from
-    slicing the per-mode arrays.
+    slicing the per-mode arrays. Every array is read-only, as a study
+    context hands out views of them.
     """
 
     eigenvalues: np.ndarray
@@ -142,6 +143,8 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     modes = modes @ low_inv.T
     grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
+    for a in (vals, modes, grad_gram, snap_coords, residual):
+        a.flags.writeable = False
     return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,
                     snap_coords=snap_coords, residual_energy=residual)
 

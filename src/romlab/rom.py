@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fe import VelocitySpace
-from .filtering import FilterOperator, apply_filter
+from .filtering import apply_filter
 from .pod import PODBasis, grid_steps
 
 __all__ = [
@@ -124,7 +124,6 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
 class ROMOperators:
     """Everything the stepper needs, in ROM coordinates."""
 
-    r: int
     s_r: np.ndarray           # (r, r) reduced stiffness, grad_gram[:r, :r]
     tensor: np.ndarray        # (r, r, r), T_ijk = b*(phi_i, phi_j, phi_k)
     forcing: np.ndarray       # (M+1, r) forcing coordinates at the t_k
@@ -204,25 +203,26 @@ def _norm(x: np.ndarray) -> float:
     return scale * math.sqrt(x.dot(x))
 
 
-def _folded_tensor(tensor: np.ndarray, filt: FilterOperator | None):
-    # (r, r*r) tensor t2 with _advection_matrix(t2, a) = B(filt(a))
+def _folded_tensor(tensor: np.ndarray, filt: np.ndarray | None):
+    # (r, r*r) tensor t2 with _advection_matrix(t2, a) = B(filt^-1 a)
     t2 = tensor.reshape(tensor.shape[0], -1)
     return t2 if filt is None else apply_filter(filt, t2)
 
 
-def run(ops: ROMOperators, filt: FilterOperator | None,
+def run(ops: ROMOperators, filt: np.ndarray | None,
         cfg: LROMConfig) -> ROMTrajectory:
     """March from the projected initial condition to t_final.
 
-    filt(a) advects (filt=None: G-ROM); the filter is folded into the
-    tensor once per run. If that tensor has rank one, B(a) = (w.a) A for
+    The filtered coordinates filt^-1 a advect, for the filter matrix
+    filt from build_filter (filt=None: G-ROM); the filter is folded into
+    the tensor once per run. If that tensor has rank one, B(a) = (w.a) A for
     one skew A, and a Picard iteration is O(r) work on the scalar w.a
     plus one product for its residual. Otherwise an iteration is one
     solve and one contraction (reused by the next solve). Either way the
     residual is |core a + B(a) a - rhs| / |rhs|. Semi-implicit: the
     first solve only.
     """
-    m, r, dt = cfg.n_steps, ops.r, cfg.dt
+    m, r, dt = cfg.n_steps, ops.s_r.shape[0], cfg.dt
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
     if not np.all(np.isfinite(ops.a0)):

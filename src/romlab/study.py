@@ -14,7 +14,8 @@ lrom-r          retained modes r         H1 truncation error
 ==============  =======================  =========================
 
 The regression ordinate is the average squared filtering error (filter
-studies, L2 and H1) or the final-time L2 error (lrom studies).
+studies, L2 and H1) or the final-time L2 error (lrom studies). A sweep
+point is the triple (r, delta, dt), the kind's fixed values but one.
 """
 
 import math
@@ -26,7 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exact import AnalyticSolution
-from .fe import VelocitySpace, assemble_mass, assemble_stiffness, build_space
+from .fe import (VelocitySpace, assemble_mass, assemble_stiffness, build_space,
+                 check_mesh_n)
 from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
                   grid_steps, truncation_errors)
@@ -47,8 +49,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-STUDY_KINDS = ("filter-delta", "filter-r", "lrom-dt", "lrom-delta", "lrom-r")
-
 # The lrom studies' final-time error variants; the first is the default.
 FINAL_ERRORS = ("rom", "filtered-snapshot")
 
@@ -63,7 +63,7 @@ DEFAULT_SWEEPS = {
     "lrom-r": [10, 20, 30, 40, 50],
 }
 
-# Fixed parameters per kind (None = irrelevant for that kind).
+# Fixed parameters per kind; None marks the swept one.
 DEFAULT_FIXED = {
     "filter-delta": dict(r=95, delta=None, dt=1e-4),
     "filter-r": dict(r=None, delta=1e-3, dt=1e-4),
@@ -71,6 +71,8 @@ DEFAULT_FIXED = {
     "lrom-delta": dict(r=99, delta=None, dt=1e-4),
     "lrom-r": dict(r=None, delta=1e-2, dt=1e-4),
 }
+
+STUDY_KINDS = tuple(DEFAULT_FIXED)
 
 
 class InvalidStudyError(ValueError):
@@ -105,9 +107,17 @@ class StudyConfig:
         if self.final_error_variant not in FINAL_ERRORS:
             raise InvalidStudyError(
                 f"unknown final_error_variant {self.final_error_variant!r}")
-        if isinstance(self.mesh_n, bool) \
-                or not isinstance(self.mesh_n, (int, np.integer)):
-            raise InvalidStudyError(f"mesh_n must be an int: {self.mesh_n!r}")
+        if self.out is not None:  # refused now, not once the study has run
+            out = Path(self.out)
+            if out.is_dir() or Path(f"{out}.plot").is_dir() or not next(
+                    p for p in out.absolute().parents if p.exists()).is_dir():
+                raise InvalidStudyError(
+                    f"cannot write {out}: it or its .plot file is a "
+                    "directory, or a parent is not one")
+        try:
+            check_mesh_n(self.mesh_n)
+        except ValueError as exc:
+            raise InvalidStudyError(str(exc)) from None
         for name, default in DEFAULT_FIXED[self.kind].items():
             if getattr(self, name) is None:
                 setattr(self, name, default)
@@ -125,7 +135,7 @@ class StudyConfig:
         diffs = np.diff(np.asarray(self.sweep, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidStudyError("sweep values must be strictly monotone")
-        for name in ("mesh_n", "snap_dt", "t_final", "nu", "dt"):
+        for name in ("snap_dt", "t_final", "nu", "dt"):
             if any(v <= 0 for v in self._values(name)):
                 raise InvalidStudyError(f"{name} must be positive")
         if any(v < 0 for v in self._values("delta")):
@@ -139,18 +149,19 @@ class StudyConfig:
                     grid_steps(self.t_final, step, name)
                 except ValueError as exc:
                     raise InvalidStudyError(str(exc)) from None
-        for r in self.r_values:
+        for r in self._values("r"):
             if r != int(r):
                 raise InvalidStudyError(f"r={r} is not an integer")
         if self.param_name == "r":
             self.sweep = [int(v) for v in self.sweep]
         else:
+            self.sweep = [float(v) for v in self.sweep]
             self.r = int(self.r)
 
     @property
     def param_name(self) -> str:
-        return {"filter-delta": "delta", "filter-r": "r", "lrom-dt": "dt",
-                "lrom-delta": "delta", "lrom-r": "r"}[self.kind]
+        return next(name for name, value in DEFAULT_FIXED[self.kind].items()
+                    if value is None)
 
     def _values(self, name: str) -> list:
         """The swept values of parameter name, else its fixed value if set."""
@@ -158,11 +169,6 @@ class StudyConfig:
             return list(self.sweep)
         value = getattr(self, name)
         return [] if value is None else [value]
-
-    @property
-    def r_values(self) -> list:
-        """Every mode count the study uses."""
-        return self._values("r")
 
 
 @dataclass
@@ -264,7 +270,7 @@ def final_time_error(traj, basis: PODBasis, r: int, variant: str = "rom",
 
     variant="rom" measures |u(T) - u_r(T)|; variant="filtered-snapshot"
     measures |u(T) - filt(P_r u(T))| instead (the literal filtered-
-    snapshot definition), which needs a FilterOperator. With a the
+    snapshot definition), which needs the filter matrix. With a the
     approximation's coordinates, the error is w + Phi e for
     e = c - (a; 0), and its squared norm is |w|^2 + e . e, since the
     modes are L2-orthonormal and M-orthogonal to w.
@@ -295,9 +301,9 @@ class StudyContext:
     basis: PODBasis
     solution: AnalyticSolution
     settings: dict            # CONTEXT_SETTINGS -> the values built from
-    # the advection tensor, and one forcing series per dt on the levels
-    # 0, dt, ..., settings["t_final"]; all built for the largest r asked
-    # for so far, whose leading blocks serve smaller r
+    # the read-only advection tensor and forcing series (one per dt, on
+    # the levels 0, dt, ..., settings["t_final"]), built for the largest
+    # r asked for so far, whose leading blocks serve smaller r
     _width: int = field(default=0, init=False, repr=False)
     _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
     _forcing: dict = field(default_factory=dict, init=False, repr=False)
@@ -314,13 +320,15 @@ class StudyContext:
         if r > self._width:
             self._width = r
             self._tensor = build_trilinear_tensor(self.basis, r, self.space)
+            self._tensor.flags.writeable = False
             self._forcing = {}
         if dt not in self._forcing:
             times = default_times(dt, self.settings["t_final"])
             self._forcing[dt] = project_forcing(
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
-        return ROMOperators(r=r, s_r=self.basis.grad_gram[:r, :r],
+            self._forcing[dt].flags.writeable = False
+        return ROMOperators(s_r=self.basis.grad_gram[:r, :r],
                             tensor=self._tensor[:r, :r, :r],
                             forcing=self._forcing[dt][:, :r],
                             a0=self.basis.snap_coords[:r, 0].copy())
@@ -336,24 +344,6 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
     return StudyContext(space=space, m_op=m_op, basis=basis,
                         solution=solution, settings=settings)
-
-
-def _sweep_point(cfg: StudyConfig, ctx: StudyContext, value):
-    """(record, r, delta, dt) at one sweep value; the record carries the
-    truncation errors and the regression abscissa."""
-    params = {"r": cfg.r, "delta": cfg.delta, "dt": cfg.dt}
-    params[cfg.param_name] = value if cfg.param_name == "r" else float(value)
-    lam_l2, lam_h1 = truncation_errors(ctx.basis, params["r"])
-    rec = SweepRecord(value=float(value), lambda_l2=lam_l2,
-                      lambda_h1=lam_h1,
-                      regression_x=(lam_h1 if cfg.param_name == "r"
-                                    else float(value)))
-    return rec, params["r"], params["delta"], params["dt"]
-
-
-def _filter_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
-                  r: int, delta: float, dt: float) -> None:
-    rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
 
 
 def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
@@ -421,20 +411,29 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
             raise InvalidStudyError(
                 f"{name}={getattr(cfg, name)} differs from the context's "
                 f"{name}={built}")
-    for r in cfg.r_values:  # all checked before any operator is built
+    for r in cfg._values("r"):  # all checked before any operator is built
         _check_r(ctx.basis, r)
-    point = _filter_point if cfg.kind.startswith("filter") else _lrom_point
-    if point is _lrom_point:
+    lrom = cfg.kind.startswith("lrom")
+    if lrom:
         # ask for the study's largest r first, so that the tensor and each
         # forcing series are built once, at that width; a failure here
         # recurs at, and is recorded by, each point
         with suppress(*_POINT_ERRORS):
-            ctx.operators(max(cfg.r_values), cfg._values("dt")[0])
+            ctx.operators(max(cfg._values("r")), cfg._values("dt")[0])
     records = []
     for value in cfg.sweep:
-        rec, r, delta, dt = _sweep_point(cfg, ctx, value)
+        # the fixed values, the swept one replaced (its key keeps its place)
+        r, delta, dt = {"r": cfg.r, "delta": cfg.delta, "dt": cfg.dt,
+                        cfg.param_name: value}.values()
+        lam_l2, lam_h1 = truncation_errors(ctx.basis, r)
+        rec = SweepRecord(value=value, lambda_l2=lam_l2, lambda_h1=lam_h1,
+                          regression_x=(lam_h1 if cfg.param_name == "r"
+                                        else value))
         try:
-            point(cfg, ctx, rec, r, delta, dt)
+            if lrom:
+                _lrom_point(cfg, ctx, rec, r, delta, dt)
+            else:
+                rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
         except _POINT_ERRORS as exc:
             rec.error = str(exc)
         records.append(rec)
@@ -452,5 +451,5 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
         out = Path(cfg.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_csv(out, cfg, records)
-        write_plot_data(out.with_suffix(out.suffix + ".plot"), result)
+        write_plot_data(Path(f"{out}.plot"), result)
     return result

@@ -302,11 +302,11 @@ def reference_step(ops, filt, cfg, a_k, f_next):
     """
 
     def adv(a):
-        abar = (cho_solve(cho_factor(filt.matrix), a) if filt is not None
+        abar = (cho_solve(cho_factor(filt), a) if filt is not None
                 else a)
         return np.tensordot(abar, ops.tensor, axes=(0, 0)).T
 
-    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r
+    core = np.eye(ops.s_r.shape[0]) / cfg.dt + cfg.nu * ops.s_r
     rhs = a_k / cfg.dt + f_next
     denom = np.linalg.norm(rhs) or 1.0
     if cfg.linearization == "semi-implicit":
@@ -386,7 +386,7 @@ def final_time_error_fe(traj, solution, basis: PODBasis, r: int,
 
     variant="rom" measures |u(T) - u_r(T)|; variant="filtered-snapshot"
     measures |u(T) - filt(P_r u(T))| instead (the literal filtered-
-    snapshot definition), which needs a FilterOperator.
+    snapshot definition), which needs the filter matrix.
     """
     u_exact = interpolate(space, solution.velocity, t_final)
     if variant == "rom":

@@ -286,7 +286,7 @@ def test_criterion_09_stability(table3_result, small_ctx):
     # unforced decay over 1000 implicit steps
     r = 6
     ops_full = small_ctx.operators(r, 1.0)
-    ops = ROMOperators(r=r, s_r=ops_full.s_r, tensor=ops_full.tensor,
+    ops = ROMOperators(s_r=ops_full.s_r, tensor=ops_full.tensor,
                        forcing=np.zeros((1001, r)), a0=ops_full.a0)
     traj = run(ops, None, LROMConfig(dt=1e-3))
     energy = np.sum(traj.states ** 2, axis=1)

@@ -7,7 +7,8 @@ import oracles
 from oracles import (duffy_rule, h1_semi_norm, interpolate, l2_inner,
                      l2_norm, node_coords, signed_areas, space_on_rule,
                      trilinear_bstar)
-from romlab.fe import assemble_mass, assemble_stiffness, build_space
+from romlab.fe import (MESH_N_MAX, assemble_mass, assemble_stiffness,
+                       build_space)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -77,6 +78,10 @@ def test_mesh_invalid_n():
         build_space(0)
     with pytest.raises(ValueError):
         build_space(-3)
+    # above the cap, refused before any array is made
+    for n in (10 ** 400, MESH_N_MAX + 1):
+        with pytest.raises(ValueError, match="integer n"):
+            build_space(n)
 
 
 @pytest.mark.parametrize("n", [True, np.True_, 4.5, 4.0, "4"],

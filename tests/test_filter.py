@@ -46,8 +46,8 @@ def test_scalar_case():
 
 def test_filter_matrix(s_r):
     filt = build_filter(s_r, 2e-2)
-    assert np.array_equal(filt.matrix, np.eye(8) + 2e-2 ** 2 * s_r)
-    np.linalg.cholesky(filt.matrix)  # SPD: raises LinAlgError otherwise
+    assert np.array_equal(filt, np.eye(8) + 2e-2 ** 2 * s_r)
+    np.linalg.cholesky(filt)  # SPD: raises LinAlgError otherwise
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-2, 0.5, 5.0])

@@ -56,7 +56,7 @@ def test_energy_ledger_monotone_without_forcing(r, delta, seed, nu, dt):
     ledger's L2 part plus 2 nu times its gradient part never grows (at
     nu = 1/2 this is the ledger itself)."""
     s_r, tensor, a0 = _random_operators(r, seed)
-    ops = ROMOperators(r=r, s_r=s_r, tensor=tensor,
+    ops = ROMOperators(s_r=s_r, tensor=tensor,
                        forcing=np.zeros((21, r)), a0=a0)
     cfg = LROMConfig(dt=dt, t_final=20 * dt, nu=nu, picard_tol=1e-13)
     traj = run(ops, build_filter(s_r, delta), cfg)

@@ -21,8 +21,9 @@ def _one_step(ops, filt, cfg, a_k, f_next):
 
     Returns (a_next, picard_iterations).
     """
-    one = ROMOperators(r=ops.r, s_r=ops.s_r, tensor=ops.tensor,
-                       forcing=np.vstack([np.zeros(ops.r), f_next]),
+    r = ops.s_r.shape[0]
+    one = ROMOperators(s_r=ops.s_r, tensor=ops.tensor,
+                       forcing=np.vstack([np.zeros(r), f_next]),
                        a0=np.asarray(a_k, dtype=float))
     traj = run(one, filt, replace(cfg, t_final=cfg.dt))
     return traj.states[1], int(traj.iter_counts[0])
@@ -270,7 +271,7 @@ def test_grom_step_newton_oracle(small_ctx, rng):
     a_pic, _ = _one_step(ops, None, cfg, a_k, f)
 
     t = ops.tensor
-    core = np.eye(ops.r) / cfg.dt + cfg.nu * ops.s_r
+    core = np.eye(R_SMALL) / cfg.dt + cfg.nu * ops.s_r
     a = a_k.copy()
     for _ in range(60):
         nl = np.einsum("i,j,ijm->m", a, a, t)
@@ -371,8 +372,8 @@ def test_energy_decay_without_forcing(small_ctx):
     """f = 0, skew advection and PSD stiffness: the implicit step is
     unconditionally dissipative."""
     ops = small_ctx.operators(R_SMALL, 1e-2)
-    no_force = ROMOperators(r=ops.r, s_r=ops.s_r, tensor=ops.tensor,
-                            forcing=np.zeros((1001, ops.r)), a0=ops.a0)
+    no_force = ROMOperators(s_r=ops.s_r, tensor=ops.tensor,
+                            forcing=np.zeros((1001, R_SMALL)), a0=ops.a0)
     cfg = LROMConfig(dt=1e-3)
     traj = run(no_force, None, cfg)
     energy = np.sum(traj.states ** 2, axis=1)
@@ -391,7 +392,7 @@ def test_picard_nonconvergence_raises():
     tensor = np.zeros((2, 2, 2))
     tensor[0, 1, 0], tensor[0, 0, 1] = 5.0, -5.0
     tensor[1, 0, 1], tensor[1, 1, 0] = 3.0, -3.0
-    ops = ROMOperators(r=2, s_r=np.zeros((2, 2)), tensor=tensor,
+    ops = ROMOperators(s_r=np.zeros((2, 2)), tensor=tensor,
                        forcing=np.zeros((2, 2)), a0=np.array([1.0, -1.0]))
     cfg = LROMConfig(dt=1.0, t_final=1.0, picard_max_iters=1)
     with pytest.raises(StepDivergenceError) as exc:
@@ -424,7 +425,7 @@ def test_picard_slow_contraction_reports_ratio():
 
 
 def test_blowup_guard():
-    ops = ROMOperators(r=1, s_r=np.zeros((1, 1)), tensor=np.zeros((1, 1, 1)),
+    ops = ROMOperators(s_r=np.zeros((1, 1)), tensor=np.zeros((1, 1, 1)),
                        forcing=np.full((3, 1), 1e9), a0=np.zeros(1))
     cfg = LROMConfig(dt=1.0, t_final=2.0)
     with pytest.raises(StepDivergenceError) as exc:
@@ -479,7 +480,7 @@ def test_infinite_state_raises_under_infinite_blowup_bound():
     t = t - t.mT
     t[0] = 0.0
     assert np.linalg.matrix_rank(t.reshape(r, -1)) == 3  # the general path
-    ops = ROMOperators(r=r, s_r=np.zeros((r, r)), tensor=t,
+    ops = ROMOperators(s_r=np.zeros((r, r)), tensor=t,
                        forcing=np.array([[0.0] * r, [1e10, 0.0, 0.0, 0.0]]),
                        a0=np.array([1e303, 0.0, 0.0, 0.0]))
     cfg = LROMConfig(dt=1e300, t_final=1e300, linearization="semi-implicit")
@@ -546,7 +547,7 @@ def test_stability_check_matches_einsum_oracle(small_ctx, rng):
     traj = run(ops, build_filter(ops.s_r, 1e-2), cfg)
     g = rng.standard_normal((7, 7))
     states = rng.standard_normal((41, 7))
-    rand_ops = ROMOperators(r=7, s_r=g @ g.T, tensor=np.zeros((7, 7, 7)),
+    rand_ops = ROMOperators(s_r=g @ g.T, tensor=np.zeros((7, 7, 7)),
                             forcing=np.zeros((41, 7)), a0=states[0])
     rand_traj = ROMTrajectory(states=states, iter_counts=np.ones(40, int),
                               residuals=np.zeros(40), tensor_rank=0)

@@ -14,6 +14,7 @@ from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
 from romlab import cli, study
 from romlab.cli import main
+from romlab.fe import MESH_N_MAX
 from romlab.filtering import build_filter
 from romlab.pod import build_pod_basis
 from romlab.rom import (LINEARIZATIONS, LROMConfig, build_trilinear_tensor,
@@ -65,11 +66,14 @@ def test_config_defaults():
 
 @pytest.mark.parametrize("name,value", [
     ("linearization", "bogus"), ("final_error_variant", "bogus"),
-    ("mesh_n", 4.5), ("mesh_n", 4.0), ("mesh_n", True)])
+    ("mesh_n", 4.5), ("mesh_n", 4.0), ("mesh_n", True),
+    pytest.param("mesh_n", MESH_N_MAX + 1, id="mesh_n-cap+1"),
+    pytest.param("mesh_n", 10 ** 400, id="mesh_n-400-digits")])
 def test_config_rejects_unknown_modes_and_non_int_mesh_n(name, value):
     """An unknown linearization or final-error variant used to fail every
-    sweep point after the whole context was built, and a float mesh_n
-    raised TypeError from build_space; each is now an invalid config."""
+    sweep point after the whole context was built, a float mesh_n
+    raised TypeError from build_space, and a 400-digit one OverflowError;
+    each is now an invalid config. No mesh near the cap is built."""
     cfg = dict(kind="lrom-dt", mesh_n=4, r=3, sweep=[0.1, 0.05])
     with pytest.raises(InvalidStudyError, match=name):
         StudyConfig(**{**cfg, name: value})
@@ -282,6 +286,28 @@ def build_counts(monkeypatch):
     return counts
 
 
+def test_context_caches_are_read_only():
+    """The arrays a context hands out are views of its caches and of the
+    basis; a write into one raises instead of changing every later
+    operators() result (a tensor entry changed in place broke the skew
+    symmetry of all of them)."""
+    ctx = build_context(_small_cfg(kind="lrom-r"))
+    ops = ctx.operators(4, 0.1)
+    before = dataclasses.replace(ops, **{f.name: getattr(ops, f.name).copy()
+                                         for f in dataclasses.fields(ops)})
+    basis = ctx.basis
+    for arr in (ops.tensor, ops.forcing, ops.s_r, basis.grad_gram,
+                basis.snap_coords, basis.residual_energy, basis.modes,
+                basis.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
+    ops.a0[0] += 1   # a copy of the caller's own
+    again = ctx.operators(4, 0.1)
+    for f in dataclasses.fields(ops):
+        assert np.array_equal(getattr(again, f.name), getattr(before, f.name))
+    assert np.array_equal(again.tensor, -again.tensor.transpose(0, 2, 1))
+
+
 def test_context_tensor_and_forcing_caches(build_counts):
     ctx = build_context(_small_cfg(kind="lrom-r"))
     ops4 = ctx.operators(4, 0.1)
@@ -451,6 +477,29 @@ def test_cli_cache_option_is_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["directory", "plot directory",
+                                   "under a file"])
+def test_cli_refuses_unwritable_out_before_building(where, tmp_path,
+                                                    monkeypatch, capsys):
+    """An --out that cannot be written, an existing directory (for the
+    CSV or its .plot file) or a path under a regular file, gave a
+    traceback and exit 1 once the whole study had run. It is an invalid
+    config now: no context is built and no file is made."""
+    built = []
+    monkeypatch.setattr(study, "build_context", built.append)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "x.csv.plot").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = {"directory": tmp_path, "plot directory": tmp_path / "x.csv",
+           "under a file": blocker / "x.csv"}[where]
+    argv = ["filter-r", "--mesh-n", "2", "--sweep", "2,3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("romlab: invalid config: ")
+    assert built == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_parser_holds_no_defaults():
@@ -653,6 +702,8 @@ _STEPS = (["0.01", "0.005", "0.0025", "1e-3"],
            "1e308", "nan", "inf"])
 _RADII = (["0", "1e-3", "0.1", "0.5", "1e100"],
           ["1e154", "1e200", "1e308", "5e-324", "-0.01", "nan", "inf"])
+_MESH_SIZES = (["1", "2"],
+               ["0", "-1", "1" + "0" * 400, str(MESH_N_MAX + 1)])
 _MODES = (["1", "2"],
           ["3", "5", "0", "-2", "99", "1" + "0" * 400, "2.5", "nan"])
 _VISCOSITIES = (["1e-3", "0.1", "1"],
@@ -681,7 +732,7 @@ def _romlab_argv(draw):
         return rnd.choice(pools[one_in_ten()])
 
     kind = rnd.choice(STUDY_KINDS)
-    argv = [kind, f"--mesh-n={rnd.choice([1, 2])}",
+    argv = [kind, "--mesh-n=" + value(_MESH_SIZES),
             "--t-final=" + value(_T_FINALS)]
     argv += [f"{opt}={value(pools)}" for opt, pools in _OPTIONS.items()
              if not one_in_ten()]
