@@ -96,30 +96,61 @@ class PODBasis:
         return self.eigenvalues.size
 
 
+# Budget of one block of a streamed pass over a large array: the POD's
+# row blocks, the tensor's element blocks and the forcing's time levels.
+_BLOCK_BYTES = 16 * 2 ** 20
+
+
+def _row_block(op: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """The given rows of op, on views of its index and value arrays."""
+    ptr = op.indptr[rows.start:rows.stop + 1]
+    return sp.csr_matrix((op.data[ptr[0]:ptr[-1]], op.indices[ptr[0]:ptr[-1]],
+                          ptr - ptr[0]), shape=(ptr.size - 1, op.shape[1]))
+
+
 def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
                     s_op: sp.csr_matrix, rank_tol: float = 1e-14) -> PODBasis:
     """Eigendecompose the correlation matrix of the (N, K) snapshots u
     and assemble the modes.
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
+    Next to u, the build holds one more array of at most N x K floats
+    (M U, then U V over the dropped eigenvectors V, then the modes) and
+    one row block of at most _BLOCK_BYTES.
     """
+    if not rank_tol >= 0:
+        raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
+    n_dofs, m_plus_1 = u.shape
     # the correlation matrix U^T M U / K, made exactly symmetric
-    k = u.T @ (m_op @ u) / u.shape[1]
+    k = u.T @ (m_op @ u) / m_plus_1
     vals, vecs = np.linalg.eigh(0.5 * (k + k.T))
+    del k
     vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
     if vals.size == 0 or vals[0] <= 0:
         raise ValueError("degenerate snapshot ensemble: no positive energy")
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
-    m_plus_1 = u.shape[1]
+    # Every later N-sized pass runs over row blocks of N x K arrays; with
+    # one block (n <= 50 at K = 101) the arithmetic is that of whole
+    # arrays.
+    rows = max(1, _BLOCK_BYTES // (8 * m_plus_1))
+    blocks = [slice(i, i + rows) for i in range(0, n_dofs, rows)]
+
+    def gram(op, x):
+        """x^T op x, accumulated over the row blocks of op x."""
+        acc = 0
+        for b in blocks:
+            acc += x[b].T @ (_row_block(op, b) @ x)
+        return acc
+
     # The snapshots' parts outside span(Phi) are U V V^T over the dropped
     # eigenvectors V, so their squared norms are the diagonal of
     # V (Z^T op Z) V^T with Z = U V, for op = M and S; Z is empty when
     # d = K.
     drop = vecs[:, d:]
     z = u @ drop
-    residual = np.array([np.sum((drop @ (z.T @ (op @ z))) * drop, axis=1)
+    residual = np.array([np.sum((drop @ gram(op, z)) * drop, axis=1)
                          for op in (m_op, s_op)])
     del z
     vals = vals[:d]
@@ -133,15 +164,20 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     # is at most K x K, so it is formed once and applied by GEMMs in
     # numpy: scipy.linalg would map a second OpenBLAS with its own
     # thread pool next to numpy's.
-    m_modes = m_op @ modes
-    gram = modes.T @ m_modes
-    low = np.linalg.cholesky(0.5 * (gram + gram.T))
+    mass_gram = np.zeros((d, d))
+    raw_coords = np.zeros((d, m_plus_1))     # (M Phi)^T U
+    for b in blocks:
+        m_modes = _row_block(m_op, b) @ modes
+        mass_gram += modes[b].T @ m_modes
+        raw_coords += m_modes.T @ u[b]
+        del m_modes     # before the next block's is made
+    low = np.linalg.cholesky(0.5 * (mass_gram + mass_gram.T))
     low_inv = np.tril(np.linalg.inv(low))     # exact zeros above the diagonal
     # the corrected modes are Phi L^-T, so Phi^T M U = L^-1 (M Phi)^T U
-    snap_coords = low_inv @ (m_modes.T @ u)
-    del m_modes
-    modes = modes @ low_inv.T
-    grad_gram = modes.T @ (s_op @ modes)
+    snap_coords = low_inv @ raw_coords
+    for b in blocks:
+        modes[b] = modes[b] @ low_inv.T
+    grad_gram = gram(s_op, modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
     for a in (vals, modes, grad_gram, snap_coords, residual):
         a.flags.writeable = False

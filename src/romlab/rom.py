@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .fe import VelocitySpace
 from .filtering import apply_filter
-from .pod import PODBasis, grid_steps
+from .pod import _BLOCK_BYTES, PODBasis, grid_steps
 
 __all__ = [
     "ROMOperators",
@@ -41,8 +41,8 @@ class StepDivergenceError(RuntimeError):
         self.ratio = ratio
 
 
-def build_trilinear_tensor(basis: PODBasis, r: int, space: VelocitySpace,
-                           block_bytes: int = 16 * 2 ** 20) -> np.ndarray:
+def build_trilinear_tensor(basis: PODBasis, r: int,
+                           space: VelocitySpace) -> np.ndarray:
     """Tensor T_ijk = b*(phi_i, phi_j, phi_k), streamed over element blocks.
 
     Per block and orientation, one gather takes the modes' values on the
@@ -67,7 +67,7 @@ def build_trilinear_tensor(basis: PODBasis, r: int, space: VelocitySpace,
     nel = space.edofs.shape[0]
     # per element: D (nq, 2, r, r) float64 and the fields at its points
     per_el = nq * (2 * r * r + 6 * r) * 8
-    pairs = max(1, min(nel // 2, int(block_bytes // per_el) // 2))
+    pairs = max(1, min(nel // 2, _BLOCK_BYTES // per_el // 2))
 
     t1 = np.zeros((r, r * r))
     for start in range(0, nel, 2 * pairs):
@@ -86,10 +86,6 @@ def build_trilinear_tensor(basis: PODBasis, r: int, space: VelocitySpace,
     return 0.5 * (t1 - t1.transpose(0, 2, 1))
 
 
-# Budget for one chunk of nodal forcing values (time levels x dofs).
-_FORCING_CHUNK_BYTES = 16 * 2 ** 20
-
-
 def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                     solution, times, space: VelocitySpace) -> np.ndarray:
     """Forcing coordinates F_k,i = (f_h(t_k), phi_i) for each time level.
@@ -106,7 +102,7 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     q = (m_op @ basis.modes[:, :r]).reshape(2, m * m, r)  # per component
     x = side[None, None, :]
     y = side[None, :, None]
-    chunk = max(1, _FORCING_CHUNK_BYTES // (8 * space.n_dofs))
+    chunk = max(1, _BLOCK_BYTES // (8 * space.n_dofs))  # time levels
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]

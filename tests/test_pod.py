@@ -1,11 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (correlation_matrix, interpolate, l2_norm, project_Pr,
                      symmetric_eig)
+from romlab import pod
 from romlab.exact import AnalyticSolution
+from romlab.fe import assemble_mass, assemble_stiffness, build_space
 from romlab.pod import (build_pod_basis, collect_snapshots, default_times,
                         truncation_errors)
+
+
+def _ensemble(n):
+    """The 101 benchmark snapshots on [0, 1] at mesh size n, with the
+    FE mass and stiffness."""
+    space = build_space(n)
+    u = collect_snapshots(space, AnalyticSolution(), default_times(0.01, 1.0))
+    return u, assemble_mass(space), assemble_stiffness(space)
 
 
 def test_default_times():
@@ -152,6 +164,57 @@ def test_snapshot_coords_and_residual_energy(small):
     np.testing.assert_allclose(
         six.residual_energy.mean(axis=1),
         _trace_residual_energy(u, small.m_op, small.s_op, 6), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n, d", [(16, 31), (32, 63)])
+def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d):
+    """Next to the snapshots U, the build holds one more N x K array at
+    a time (M U, then U V over the dropped eigenvectors V, then the
+    modes) and one row block: with 64 KB blocks it allocates at most
+    1.1 |U| beyond its input. A build that held M Phi, or the old and
+    the corrected modes, next to the modes peaked at 1.50 |U| (n = 16)
+    and 1.30 |U| (n = 32). Both ensembles have d < K, so the residual
+    pass is streamed too. At n = 8 the K x K correlation product alone
+    is 0.18 |U|, so the bound would measure the small arrays there."""
+    u, m_op, s_op = _ensemble(n)
+    monkeypatch.setattr(pod, "_BLOCK_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        basis = build_pod_basis(u, m_op, s_op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.d == d
+    assert peak <= 1.1 * u.nbytes, peak / u.nbytes
+
+
+def test_pod_block_streaming_invariant(monkeypatch):
+    """The basis does not depend on the block budget beyond roundoff:
+    64 KB blocks (105 at n = 32) against one, on the full basis and on
+    a 6-mode one, whose residual energies are far above roundoff."""
+    u, m_op, s_op = _ensemble(32)
+    full = build_pod_basis(u, m_op, s_op)
+    lam = full.eigenvalues
+    six_tol = np.sqrt(lam[5] * lam[6]) / lam[0]
+    want = [full, build_pod_basis(u, m_op, s_op, rank_tol=six_tol)]
+    monkeypatch.setattr(pod, "_BLOCK_BYTES", 1 << 16)
+    got = [build_pod_basis(u, m_op, s_op),
+           build_pod_basis(u, m_op, s_op, rank_tol=six_tol)]
+    for a, b in zip(want, got):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for name in ("modes", "grad_gram", "snap_coords", "residual_energy"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-13 * np.abs(x).max(), name
+
+
+@pytest.mark.parametrize("rank_tol", [-1.0, np.nan])
+def test_build_pod_basis_rejects_bad_rank_tol(rank_tol):
+    """A negative rank_tol kept every eigenvalue, the negative roundoff
+    ones too, whose square roots made NaN modes; NaN kept none and read
+    as an ensemble with all eigenvalues below tolerance."""
+    u, m_op, s_op = _ensemble(2)
+    with pytest.raises(ValueError, match="rank_tol"):
+        build_pod_basis(u, m_op, s_op, rank_tol=rank_tol)
 
 
 def test_degenerate_ensemble_raises(small):

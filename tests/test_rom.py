@@ -81,13 +81,14 @@ def test_tensor_rank_one_in_first_index(small):
     assert sv[1] <= 1e-12 * sv[0]
 
 
-def test_tensor_block_streaming_invariant(small):
+def test_tensor_block_streaming_invariant(small, monkeypatch):
     """The blocked accumulation is independent of the block budget, down
-    to block_bytes=1: one element of each orientation per block."""
+    to 1 byte: one element of each orientation per block."""
+    from romlab import rom
     a = build_trilinear_tensor(small.basis, 4, small.space)
     for block_bytes in (1 << 14, 1):
-        b = build_trilinear_tensor(small.basis, 4, small.space,
-                                   block_bytes=block_bytes)
+        monkeypatch.setattr(rom, "_BLOCK_BYTES", block_bytes)
+        b = build_trilinear_tensor(small.basis, 4, small.space)
         # summation order differs between block sizes; allow roundoff
         assert np.abs(a - b).max() < 1e-13 * (1 + np.abs(a).max())
 
@@ -161,7 +162,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     more than one time chunk."""
     from romlab import rom
     space = small.space
-    chunk = rom._FORCING_CHUNK_BYTES // (8 * space.n_dofs)
+    chunk = rom._BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
     f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
                         space)
