@@ -106,13 +106,16 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        block = out[start:start + chunk]
+        # checked on the projection: a NaN or inf field value reaches it,
+        # as x * 0 is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             fields = solution.forcing(x, y, tt)
-        f1, f2 = (np.broadcast_to(f, (tt.shape[0], m, m)).reshape(-1, m * m)
-                  for f in fields)
-        if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+            f1, f2 = (np.broadcast_to(f, (tt.shape[0], m, m))
+                      .reshape(-1, m * m) for f in fields)
+            block[:] = f1 @ q[0] + f2 @ q[1]
+        if not np.isfinite(block).all():
             raise ValueError("non-finite forcing values")
-        out[start:start + chunk] = f1 @ q[0] + f2 @ q[1]
     return out
 
 
@@ -205,42 +208,64 @@ def _folded_tensor(tensor: np.ndarray, filt: np.ndarray | None):
     return t2 if filt is None else apply_filter(filt, t2)
 
 
+def _folded_factor(tensor: np.ndarray, filt: np.ndarray | None):
+    # (r, r) factor with the singular values and left singular vectors of
+    # _folded_tensor(tensor, filt): with t2^T = Q R and Q^T Q = I, the
+    # folded tensor is filt^-1 t2 = (filt^-1 R^T) Q^T
+    t2 = tensor.reshape(tensor.shape[0], -1)
+    factor = np.linalg.qr(t2.T, mode="r").T
+    return factor if filt is None else apply_filter(filt, factor)
+
+
 def run(ops: ROMOperators, filt: np.ndarray | None,
         cfg: LROMConfig) -> ROMTrajectory:
     """March from the projected initial condition to t_final.
 
     The filtered coordinates filt^-1 a advect, for the filter matrix
-    filt from build_filter (filt=None: G-ROM); the filter is folded into
-    the tensor once per run. If that tensor has rank one, B(a) = (w.a) A for
-    one skew A, and a Picard iteration is O(r) work on the scalar w.a
-    plus one product for its residual. Otherwise an iteration is one
-    solve and one contraction (reused by the next solve). Either way the
-    residual is |core a + B(a) a - rhs| / |rhs|. Semi-implicit: the
-    first solve only.
+    filt from build_filter (filt=None: G-ROM). The rank of the folded
+    (r, r*r) tensor filt^-1 T is read from the SVD of an (r, r) factor
+    (the QR of T's unfolding, then the filter). If it is at most one,
+    B(a) = (w.a) A for one skew A, and a Picard iteration is O(r) work on
+    the scalar w.a plus one product for its residual; the whole tensor is
+    never folded. Otherwise the filter is folded into the tensor once per
+    run, and an iteration is one solve and one contraction (reused by the
+    next solve). Either way the residual is |core a + B(a) a - rhs| / |rhs|.
+    Semi-implicit: the first solve only.
     """
     m, r, dt = cfg.n_steps, ops.s_r.shape[0], cfg.dt
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
     if not np.all(np.isfinite(ops.a0)):
         raise StepDivergenceError("non-finite state entering step", step=0)
-    t2 = _folded_tensor(ops.tensor, filt)
     core = np.eye(r) / dt + cfg.nu * ops.s_r
-    u, sv, vt = np.linalg.svd(t2, full_matrices=False)
+    u, sv, _ = np.linalg.svd(_folded_factor(ops.tensor, filt))
     rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     scalar = rank <= 1
     if scalar:
+        # the folded tensor is w (w^T filt^-1 t2) = w (filt^-1 w)^T t2, as
+        # filt is symmetric, and B(a) = (w.a) skew
+        w = u[:, 0]
+        skew = (w if filt is None else apply_filter(filt, w)) \
+            @ ops.tensor.reshape(r, r * r)
+        skew = skew.reshape(r, r).T
         # core = L L^T and the Hermitian i L^-1 A L^-T = Q diag(lam) Q^H give
         # (core + s A)^-1 = Z diag(1 / (1 - i s lam)) C, C = Q^H L^-1 and
         # Z = L^-T Q. The loop calls ndarray.dot, the same BLAS call as @
         # with less overhead per call, on these r-sized operands.
-        w, skew = u[:, 0], sv[0] * vt[0].reshape(r, r).T
         chol = np.linalg.cholesky(core)
         l_inv = np.linalg.inv(chol)
         lam, q = np.linalg.eigh(1j * (l_inv @ skew @ l_inv.T))
         to_eig, from_eig = q.conj().T @ l_inv, l_inv.T @ q
         p = q.T @ (l_inv @ w)                 # w.(Z y) = p.y
-        mlam = -1j * lam                      # 1 + s mlam == 1 - i s lam
-        skew_eig = (chol @ q) * mlam          # A (Z y) = skew_eig y
+        skew_eig = (chol @ q) * (-1j * lam)   # A (Z y) = skew_eig y
+        # d = 1 - i s lam is formed in place: its real part stays 1, and
+        # -lam s is the imaginary part of 1 + s (-i lam) bit for bit for
+        # a finite s. C takes complex operands, as C rhs did after a cast.
+        neg_lam, d = -lam, np.ones(r, dtype=complex)
+        d_imag, cplx = d.imag, np.zeros(r, dtype=complex)
+        cplx_re = cplx.real
+    else:
+        t2 = _folded_tensor(ops.tensor, filt)
     semi = cfg.linearization == "semi-implicit"
     max_iters, tol = 1 if semi else cfg.picard_max_iters, cfg.picard_tol
     forcing = ops.forcing
@@ -260,10 +285,12 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
             denom = _norm(rhs) or 1.0
             residual = math.nan
             if scalar:
-                s, c = float(w.dot(a)), to_eig.dot(rhs)
+                s = float(w.dot(a))
+                cplx_re[:] = rhs
+                c = to_eig.dot(cplx)
             for it in range(1, max_iters + 1):
                 if scalar:  # y = C rhs / (1 - i s lam) stands for a = Z y
-                    d = 1 + s * mlam
+                    np.multiply(neg_lam, s, d_imag)
                     y = c / d
                     s_solved = s
                     if semi:  # no residual, and s is formed again next step
@@ -294,8 +321,9 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
                     residual=residual, step=k, ratio=ratio)
             if scalar:  # the last iterate, refined once in real arithmetic
                 a = from_eig.dot(y).real
-                fix = rhs - core.dot(a) - s_solved * skew.dot(a)
-                a += from_eig.dot(to_eig.dot(fix) / d).real
+                # the real residual rhs - core a - s A a, put through C
+                cplx_re[:] = rhs - core.dot(a) - s_solved * skew.dot(a)
+                a += from_eig.dot(to_eig.dot(cplx) / d).real
             row = states[k + 1]
             row[:] = a
             size = _norm(row)

@@ -6,8 +6,9 @@ import pytest
 from oracles import (energy_ledger_einsum, node_coords, reference_run,
                      trilinear_bstar)
 from romlab.filtering import build_filter
-from romlab.rom import (LROMConfig, ROMOperators, ROMTrajectory,
-                        StepDivergenceError, _advection_matrix, _norm,
+from romlab.rom import (_RANK_TOL, LROMConfig, ROMOperators, ROMTrajectory,
+                        StepDivergenceError, _advection_matrix,
+                        _folded_factor, _folded_tensor, _norm,
                         build_trilinear_tensor, project_forcing, run,
                         stability_check)
 from romlab.study import StudyConfig, build_context
@@ -175,7 +176,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_project_forcing_rejects_nonfinite(small):
+def test_project_forcing_rejects_nonfinite(small, monkeypatch):
     class Bad:
         def forcing(self, x, y, t):
             shape = np.broadcast_shapes(np.shape(x), np.shape(t))
@@ -184,6 +185,29 @@ def test_project_forcing_rejects_nonfinite(small):
     with pytest.raises(ValueError):
         project_forcing(small.basis, 2, small.m_op, Bad(), [0.0],
                         small.space)
+
+    class OneNode:
+        """Finite but for one node at t = 1, on the (t, y, x) axes."""
+
+        def __init__(self, bad, component):
+            self.bad, self.component = bad, component
+
+        def forcing(self, x, y, t):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+            fields = np.ones((2,) + shape)
+            fields[self.component, t[:, 0, 0] == 1.0, 2, 3] = self.bad
+            return fields[0], fields[1]
+    from romlab import rom
+    # one time level per chunk: t = 1 is in the second
+    monkeypatch.setattr(rom, "_BLOCK_BYTES", 8 * small.space.n_dofs)
+    for bad, component in [(np.nan, 0), (np.inf, 1)]:
+        with pytest.raises(ValueError, match="non-finite forcing values"):
+            project_forcing(small.basis, 2, small.m_op,
+                            OneNode(bad, component), [0.0, 1.0, 2.0],
+                            small.space)
+    fine = project_forcing(small.basis, 2, small.m_op, OneNode(1.0, 0),
+                           [0.0, 1.0, 2.0], small.space)
+    assert np.isfinite(fine).all()
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, False, "50", None])
@@ -327,6 +351,38 @@ def test_full_rank_tensor_takes_general_loop(small_ctx, rng, linearization):
     assert np.abs(traj.states - states).max() <= 1e-12 * np.abs(states).max()
 
 
+@pytest.mark.parametrize("delta", [None, 0.0, 1e-2, 1.0])
+@pytest.mark.parametrize("kind", ["zero", "benchmark", "rank-two", "random"])
+def test_rank_from_the_r_by_r_factor(small_ctx, rng, kind, delta):
+    """run counts the folded tensor's rank from the SVD of an (r, r)
+    factor: the same rank as the SVD of the folded (r, r^2) tensor, and
+    singular values within 1e-13 of the largest."""
+    ops = small_ctx.operators(R_SMALL, 1e-2)
+    scale = np.abs(ops.tensor).max()
+    if kind == "zero":
+        tensor = np.zeros_like(ops.tensor)
+    elif kind == "benchmark":
+        tensor = ops.tensor
+    elif kind == "rank-two":  # sum_c w_ci A_cjk for two skew A_c
+        a = rng.standard_normal((2, R_SMALL, R_SMALL))
+        tensor = scale * np.einsum("ci,cjk->ijk",
+                                   rng.standard_normal((2, R_SMALL)),
+                                   a - a.mT)
+    else:
+        t = rng.standard_normal((R_SMALL,) * 3)
+        tensor = scale * (t - t.mT)
+    filt = None if delta is None else build_filter(ops.s_r, delta)
+    ref = np.linalg.svd(_folded_tensor(tensor, filt), compute_uv=False)
+    sv = np.linalg.svd(_folded_factor(tensor, filt), compute_uv=False)
+    expect = int(np.count_nonzero(ref > _RANK_TOL * ref[0]))
+    assert expect == {"zero": 0, "benchmark": 1, "rank-two": 2,
+                      "random": R_SMALL}[kind]
+    assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
+    traj = run(replace(ops, tensor=tensor), filt,
+               LROMConfig(dt=1e-2, t_final=2e-2))
+    assert traj.tensor_rank == expect
+
+
 def test_zero_tensor_at_r1_takes_scalar_path(small_ctx):
     """At r = 1, T_111 = 0: rank 0, and one Picard iteration per step."""
     ops = small_ctx.operators(1, 1e-2)
@@ -468,6 +524,27 @@ def test_nan_forcing_row_raises_at_its_step(small_ctx, rng, path,
     with pytest.raises(StepDivergenceError, match=message) as exc:
         run(replace(ops, forcing=forcing), build_filter(ops.s_r, 1e-2), cfg)
     assert exc.value.step == 3
+
+
+@pytest.mark.parametrize("r, signs", [(2, [1, 1]), (2, [-1, -1]),
+                                      (16, [1, -1] * 8)])
+def test_scalar_path_nonfinite_advecting_scalar(r, signs):
+    """A finite a0 near overflow along w = (1, ..., 1)/sqrt(r) makes
+    s = w.a0 non-finite: +-inf at r = 2, and at r = 16 with alternating
+    signs NaN where the dot sums in several lanes (OpenBLAS's kernel
+    does). The first Picard residual is then non-finite, and step 0
+    fails with that message."""
+    w = np.ones(r) / np.sqrt(r)
+    skew = np.zeros((r, r))
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    ops = ROMOperators(s_r=np.eye(r), tensor=w[:, None, None] * skew,
+                       forcing=np.zeros((3, r)),
+                       a0=1.7e308 * np.array(signs, dtype=float))
+    cfg = LROMConfig(dt=1.0, t_final=2.0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            StepDivergenceError, match="non-finite Picard residual") as exc:
+        run(ops, None, cfg)
+    assert exc.value.step == 0
 
 
 def test_infinite_state_raises_under_infinite_blowup_bound():
