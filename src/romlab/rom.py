@@ -276,9 +276,10 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
     adv = None if scalar else _advection_matrix(t2, a)
     # a finite a_k enters step k: a0 is checked above, and every later
     # state by the end-of-step guard. _norm rescales a squared sum that
-    # overflows, and any other inf ends the run at the residual or state
-    # guard, so overflow is not warned about as well.
-    with np.errstate(over="ignore"):
+    # overflows, and any other inf or NaN (such as s = w.a when the sum
+    # overflows) ends the run at the residual or state guard, so neither
+    # is warned about as well.
+    with np.errstate(over="ignore", invalid="ignore"):
         blowup = 1e6 * (1.0 + _norm(ops.a0))
         for k in range(m):
             rhs = a / dt + forcing[k + 1]
