@@ -163,26 +163,45 @@ def build_space(n: int) -> VelocitySpace:
                          phys_grads=phys_grads, det_j=det_j)
 
 
-def _assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
-    """Scatter per-orientation 6x6 local matrices into a scalar CSR."""
-    ns = space.n_scalar
-    rows, cols, vals = [], [], []
+def _assemble(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
+    """Scatter per-orientation 6x6 local matrices into the two-component
+    block-diagonal CSR.
+
+    scipy's coo -> csr conversion sums the duplicate triplets, and its
+    order of summation sets the bits. The triplets' indices are int32
+    unless scipy's index-dtype rule needs int64, and they are freed
+    before exact symmetry is enforced. Both components' blocks are then
+    written from the one scalar CSR's arrays.
+    """
+    ns, nel = space.n_scalar, space.edofs.shape[0]
+    idx = sp.get_index_dtype(maxval=max(36 * nel, ns))
+    rows = np.empty((2, nel // 2, 6, 6), dtype=idx)  # orientation 0 first
+    cols = np.empty_like(rows)
+    vals = np.empty(rows.shape)
     for o in range(2):
         ed = space.edofs[o::2]
-        rows.append(np.repeat(ed, 6, axis=1).ravel())
-        cols.append(np.tile(ed, (1, 6)).ravel())
-        vals.append(np.tile(local[o].ravel(), len(ed)))
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ns, ns),
-    ).tocsr()
-    a = (a + a.T) * 0.5  # enforce exact symmetry
+        rows[o] = ed[:, :, None]
+        cols[o] = ed[:, None, :]
+        vals[o] = local[o]
+    a = sp.coo_matrix((vals.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+                      shape=(ns, ns))
+    del rows, cols, vals
+    a = a.tocsr()
+    # (a + a^T) / 2 for exact symmetry: an element couples its six dofs
+    # both ways, so a^T has a's sorted pattern, and its values are those
+    # of a.T.tocsr() in a's order (x + y == y + x, bit for bit)
+    a.data += a.T.tocsr().data
+    a.data *= 0.5
     a.eliminate_zeros()
-    return a
-
-
-def _vectorize(scalar: sp.csr_matrix) -> sp.csr_matrix:
-    return sp.block_diag([scalar, scalar], format="csr")
+    nnz = a.nnz
+    idx = sp.get_index_dtype(maxval=2 * max(nnz, ns))
+    indptr = np.empty(2 * ns + 1, dtype=idx)
+    indices = np.empty(2 * nnz, dtype=idx)
+    indptr[:ns + 1], indices[:nnz] = a.indptr, a.indices
+    np.add(a.indptr[1:], nnz, out=indptr[ns + 1:], dtype=idx)
+    np.add(a.indices, ns, out=indices[nnz:], dtype=idx)
+    return sp.csr_matrix((np.concatenate([a.data, a.data]), indices, indptr),
+                         shape=(2 * ns, 2 * ns))
 
 
 def assemble_mass(space: VelocitySpace) -> sp.csr_matrix:
@@ -191,7 +210,7 @@ def assemble_mass(space: VelocitySpace) -> sp.csr_matrix:
     nvals = space.shape_vals
     mloc = space.det_j * np.einsum("q,ql,qm->lm", w, nvals, nvals)
     mloc = 0.5 * (mloc + mloc.T)
-    return _vectorize(_assemble_scalar(space, np.stack([mloc, mloc])))
+    return _assemble(space, np.stack([mloc, mloc]))
 
 
 def assemble_stiffness(space: VelocitySpace) -> sp.csr_matrix:
@@ -202,5 +221,5 @@ def assemble_stiffness(space: VelocitySpace) -> sp.csr_matrix:
         g = space.phys_grads[o]
         kloc = space.det_j * np.einsum("q,qla,qma->lm", w, g, g)
         local[o] = 0.5 * (kloc + kloc.T)
-    return _vectorize(_assemble_scalar(space, local))
+    return _assemble(space, local)
 

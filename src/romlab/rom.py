@@ -68,6 +68,8 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
     # per element: D (nq, 2, r, r) float64 and the fields at its points
     per_el = nq * (2 * r * r + 6 * r) * 8
     pairs = max(1, min(nel // 2, _BLOCK_BYTES // per_el // 2))
+    # one D buffer for every block; a shorter last block uses its front
+    d_buf = np.empty(nq * pairs * 2 * r * r)
 
     t1 = np.zeros((r, r * r))
     for start in range(0, nel, 2 * pairs):
@@ -78,8 +80,8 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
             v = (space.shape_vals @ el).reshape(nq, m, 2, r)  # q, e, c, k
             g = (grads[o] @ el).reshape(2, nq, m, 2, r)       # a, q, e, c, j
             # D[q, e, a, j, k] = sum_c G[a, q, e, c, j] V[q, e, c, k]
-            d = np.matmul(g.transpose(1, 2, 0, 4, 3), v[:, :, None],
-                          order="C")
+            d = d_buf[:nq * m * 2 * r * r].reshape(nq, m, 2, r, r)
+            np.matmul(g.transpose(1, 2, 0, 4, 3), v[:, :, None], out=d)
             vw = v * wdet                                     # q, e, a, i
             t1 += vw.reshape(-1, r).T @ d.reshape(-1, r * r)
     t1 = t1.reshape(r, r, r)
@@ -114,6 +116,7 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
             f1, f2 = (np.broadcast_to(f, (tt.shape[0], m, m))
                       .reshape(-1, m * m) for f in fields)
             block[:] = f1 @ q[0] + f2 @ q[1]
+            del fields, f1, f2  # before the next chunk's are made
         if not np.isfinite(block).all():
             raise ValueError("non-finite forcing values")
     return out
@@ -127,6 +130,11 @@ class ROMOperators:
     tensor: np.ndarray        # (r, r, r), T_ijk = b*(phi_i, phi_j, phi_k)
     forcing: np.ndarray       # (M+1, r) forcing coordinates at the t_k
     a0: np.ndarray            # initial coordinates, L2 projection of u0
+    # (r, r) R of the QR of the unfolded tensor's transpose,
+    # tensor.reshape(r, r*r).T = Q R, as _unfolded_r forms it; run forms
+    # it itself when it is None. It belongs to tensor: replacing the
+    # tensor (dataclasses.replace) needs unfolded_r=None as well.
+    unfolded_r: np.ndarray | None = None
 
 
 # The step's linearizations; the first is the default.
@@ -208,12 +216,19 @@ def _folded_tensor(tensor: np.ndarray, filt: np.ndarray | None):
     return t2 if filt is None else apply_filter(filt, t2)
 
 
-def _folded_factor(tensor: np.ndarray, filt: np.ndarray | None):
+def _unfolded_r(tensor: np.ndarray) -> np.ndarray:
+    # R of the QR of the transposed unfolding: t2^T = Q R, t2 (r, r*r)
+    return np.linalg.qr(tensor.reshape(tensor.shape[0], -1).T, mode="r")
+
+
+def _folded_factor(tensor: np.ndarray, filt: np.ndarray | None,
+                   unfolded_r: np.ndarray | None = None):
     # (r, r) factor with the singular values and left singular vectors of
     # _folded_tensor(tensor, filt): with t2^T = Q R and Q^T Q = I, the
     # folded tensor is filt^-1 t2 = (filt^-1 R^T) Q^T
-    t2 = tensor.reshape(tensor.shape[0], -1)
-    factor = np.linalg.qr(t2.T, mode="r").T
+    if unfolded_r is None:
+        unfolded_r = _unfolded_r(tensor)
+    factor = unfolded_r.T
     return factor if filt is None else apply_filter(filt, factor)
 
 
@@ -224,13 +239,14 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
     The filtered coordinates filt^-1 a advect, for the filter matrix
     filt from build_filter (filt=None: G-ROM). The rank of the folded
     (r, r*r) tensor filt^-1 T is read from the SVD of an (r, r) factor
-    (the QR of T's unfolding, then the filter). If it is at most one,
-    B(a) = (w.a) A for one skew A, and a Picard iteration is O(r) work on
-    the scalar w.a plus one product for its residual; the whole tensor is
-    never folded. Otherwise the filter is folded into the tensor once per
-    run, and an iteration is one solve and one contraction (reused by the
-    next solve). Either way the residual is |core a + B(a) a - rhs| / |rhs|.
-    Semi-implicit: the first solve only.
+    (the R of T's unfolding, ops.unfolded_r or formed here, then the
+    filter). If it is at most one, B(a) = (w.a) A for one skew A, and a
+    Picard iteration is O(r) work on the scalar w.a plus one product for
+    its residual; the whole tensor is never folded. Otherwise the filter
+    is folded into the tensor once per run, and an iteration is one solve
+    and one contraction (reused by the next solve). Either way the
+    residual is |core a + B(a) a - rhs| / |rhs|. Semi-implicit: the first
+    solve only.
     """
     m, r, dt = cfg.n_steps, ops.s_r.shape[0], cfg.dt
     if ops.forcing.shape[0] < m + 1:
@@ -238,7 +254,8 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
     if not np.all(np.isfinite(ops.a0)):
         raise StepDivergenceError("non-finite state entering step", step=0)
     core = np.eye(r) / dt + cfg.nu * ops.s_r
-    u, sv, _ = np.linalg.svd(_folded_factor(ops.tensor, filt))
+    u, sv, _ = np.linalg.svd(_folded_factor(ops.tensor, filt,
+                                            ops.unfolded_r))
     rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     scalar = rank <= 1
     if scalar:

@@ -33,8 +33,8 @@ from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
                   grid_steps, truncation_errors)
 from .rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
-                  build_trilinear_tensor, project_forcing, ROMOperators, run,
-                  stability_check)
+                  _unfolded_r, build_trilinear_tensor, project_forcing,
+                  ROMOperators, run, stability_check)
 
 __all__ = [
     "STUDY_KINDS",
@@ -303,35 +303,43 @@ class StudyContext:
     settings: dict            # CONTEXT_SETTINGS -> the values built from
     # the read-only advection tensor and forcing series (one per dt, on
     # the levels 0, dt, ..., settings["t_final"]), built for the largest
-    # r asked for so far, whose leading blocks serve smaller r
+    # r asked for so far, whose leading blocks serve smaller r, and the
+    # R factor of each r's leading block
     _width: int = field(default=0, init=False, repr=False)
     _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
     _forcing: dict = field(default_factory=dict, init=False, repr=False)
+    _unfolded_r: dict = field(default_factory=dict, init=False, repr=False)
 
     def operators(self, r: int, dt: float) -> ROMOperators:
         """ROM operators on r modes for the time levels 0, dt, ..., t_final,
         with t_final from the context's settings.
 
-        A larger r than any before rebuilds the tensor and drops every
-        forcing series. The initial coordinates are those of the first
-        snapshot, u(0).
+        A larger r than any before drops the tensor, every forcing series
+        and every R factor, then builds the wider tensor. The initial
+        coordinates are those of the first snapshot, u(0).
         """
         _check_r(self.basis, r)
         if r > self._width:
-            self._width = r
+            # freed before the wider tensor is built
+            self._width, self._tensor = 0, None
+            self._forcing, self._unfolded_r = {}, {}
             self._tensor = build_trilinear_tensor(self.basis, r, self.space)
             self._tensor.flags.writeable = False
-            self._forcing = {}
+            self._width = r
         if dt not in self._forcing:
             times = default_times(dt, self.settings["t_final"])
             self._forcing[dt] = project_forcing(
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
             self._forcing[dt].flags.writeable = False
-        return ROMOperators(s_r=self.basis.grad_gram[:r, :r],
-                            tensor=self._tensor[:r, :r, :r],
+        tensor = self._tensor[:r, :r, :r]
+        if r not in self._unfolded_r:
+            self._unfolded_r[r] = _unfolded_r(tensor)
+            self._unfolded_r[r].flags.writeable = False
+        return ROMOperators(s_r=self.basis.grad_gram[:r, :r], tensor=tensor,
                             forcing=self._forcing[dt][:, :r],
-                            a0=self.basis.snap_coords[:r, 0].copy())
+                            a0=self.basis.snap_coords[:r, 0].copy(),
+                            unfolded_r=self._unfolded_r[r])
 
 
 def build_context(cfg: StudyConfig) -> StudyContext:

@@ -31,7 +31,13 @@ with a symmetry check, which build_pod_basis forms inline. l2_norm,
 h1_semi_norm and l2_inner are the FE norms of coefficient vectors,
 through the assembled operators. node_coords and signed_areas are the dofs' coordinates and
 the triangle areas, and velocity_grad is the analytic velocity's
-Jacobian, which only the tests read.
+Jacobian, which only the tests read. assemble_scalar and vectorize
+build M and S through int64 COO triplets, (a + a.T) * 0.5 and
+sp.block_diag, and check fe's assembly, whose CSR arrays must equal
+theirs bit for bit. p2_1d_matrices, separable_pod and separable_tensor
+solve the benchmark flow as the 1-D P2 problem it reduces to, from
+closed-form element matrices and with no use of romlab.fe, and check
+the operators, the POD and the tensor.
 """
 
 from dataclasses import replace
@@ -466,3 +472,73 @@ def velocity_grad(sol, x, y, t):
     """
     zeros = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
     return zeros, sol._g_s(y, t), sol._g_s(x, t), zeros.copy()
+
+
+def assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
+    """Scatter per-orientation 6x6 local matrices into a scalar CSR."""
+    ns = space.n_scalar
+    rows, cols, vals = [], [], []
+    for o in range(2):
+        ed = space.edofs[o::2]
+        rows.append(np.repeat(ed, 6, axis=1).ravel())
+        cols.append(np.tile(ed, (1, 6)).ravel())
+        vals.append(np.tile(local[o].ravel(), len(ed)))
+    a = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(ns, ns),
+    ).tocsr()
+    a = (a + a.T) * 0.5  # enforce exact symmetry
+    a.eliminate_zeros()
+    return a
+
+
+def vectorize(scalar: sp.csr_matrix) -> sp.csr_matrix:
+    return sp.block_diag([scalar, scalar], format="csr")
+
+
+def p2_1d_matrices(n: int) -> np.ndarray:
+    """The 1-D P2 mass M1, stiffness K1 and D1[a, b] = int N_a' N_b on
+    the m = 2n + 1 equispaced nodes of [0, 1], stacked (3, m, m), from
+    the closed-form element matrices (nodes left, middle, right; element
+    length h = 1/n)."""
+    h = 1.0 / n
+    local = np.array([
+        h / 30 * np.array([[4, 2, -1], [2, 16, 2], [-1, 2, 4]]),
+        1 / (3 * h) * np.array([[7, -8, 1], [-8, 16, -8], [1, -8, 7]]),
+        np.array([[-3, -4, 1], [4, 0, -4], [-1, 4, 3]]) / 6])
+    out = np.zeros((3, 2 * n + 1, 2 * n + 1))
+    for e in range(n):
+        out[:, 2 * e:2 * e + 3, 2 * e:2 * e + 3] += local
+    return out
+
+
+def separable_pod(n: int, solution, times, rank_tol: float = 1e-14):
+    """The POD of the benchmark flow u = (g(y, t), g(x, t)) as a 1-D P2
+    problem on the m = 2n + 1 grid nodes.
+
+    On every triangle the six P2 nodes sit at y in {0, h/2, h}, so the
+    P2 interpolant of a function of y alone is its 1-D P2 interpolant,
+    and the degree-4 rule integrates its mass and stiffness exactly. A
+    mode is (psi(y), psi(x)) for a profile psi, so with the profile
+    samples G (m x K) the correlation matrix is 2 G^T M1 G / K and the
+    gradient Gram matrix 2 Psi^T K1 Psi. Returns (eigenvalues, profiles
+    Psi (m x d), grad_gram).
+    """
+    m1, k1, _ = p2_1d_matrices(n)
+    side = np.linspace(0.0, 1.0, 2 * n + 1)
+    g = solution.velocity(0.0, side[:, None], np.asarray(times))[0]
+    count = g.shape[1]
+    vals, vecs = symmetric_eig(2 * g.T @ (m1 @ g) / count)
+    d = int(np.sum(vals > rank_tol * vals[0]))
+    profiles = g @ (vecs[:, :d] / np.sqrt(count * vals[:d]))
+    return vals[:d], profiles, 2 * profiles.T @ (k1 @ profiles)
+
+
+def separable_tensor(profiles: np.ndarray) -> tuple:
+    """(mu, T) for modes (psi_i(y), psi_i(x)): b*(phi_i, phi_j, phi_k) =
+    mu_i (C_jk - C_kj) with mu = Psi^T M1 1 and C = Psi^T D1 Psi."""
+    n = (profiles.shape[0] - 1) // 2
+    m1, _, d1 = p2_1d_matrices(n)
+    mu = profiles.T @ m1.sum(axis=1)
+    c = profiles.T @ (d1 @ profiles)
+    return mu, mu[:, None, None] * (c - c.T)[None]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import oracles
 from oracles import (duffy_rule, h1_semi_norm, interpolate, l2_inner,
                      l2_norm, node_coords, signed_areas, space_on_rule,
                      trilinear_bstar)
+from romlab import fe
 from romlab.fe import (MESH_N_MAX, assemble_mass, assemble_stiffness,
                        build_space)
 
@@ -203,6 +205,68 @@ def test_mass_independent_of_quadrature_degree():
     a = assemble_mass(space).toarray()
     b = assemble_mass(space_on_rule(space, duffy_rule(5))).toarray()
     assert np.abs(a - b).max() < 1e-14
+
+
+
+def _reference_assembly(monkeypatch):
+    """assemble_mass and assemble_stiffness through the COO triplets,
+    (a + a.T) * 0.5 and sp.block_diag of oracles.assemble_scalar and
+    oracles.vectorize; the local matrices are the package's own."""
+    monkeypatch.setattr(fe, "_assemble", lambda space, local:
+                        oracles.vectorize(oracles.assemble_scalar(space,
+                                                                  local)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_assembly_matches_coo_reference_bit_for_bit(n, monkeypatch):
+    """M and S have the reference's CSR arrays, dtypes and shape exactly:
+    the same duplicate summation, symmetrization and zero removal, with
+    the two components stacked from the scalar arrays."""
+    space = build_space(n)
+    got = [assemble_mass(space), assemble_stiffness(space)]
+    _reference_assembly(monkeypatch)
+    want = [assemble_mass(space), assemble_stiffness(space)]
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a.shape == b.shape
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_assembly_int64_indices_give_the_same_operator(monkeypatch):
+    """Where scipy's index-dtype rule asks for int64 (above 2**31 - 1
+    triplets or dofs), the triplets and the stacked blocks are built in
+    int64; forced at n = 3, they give the same values and pattern."""
+    space = build_space(3)
+    want = [assemble_mass(space), assemble_stiffness(space)]
+    monkeypatch.setattr(fe.sp, "get_index_dtype",
+                        lambda *args, **kwargs: np.int64)
+    for a, b in zip((assemble_mass(space), assemble_stiffness(space)), want):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _traced_peak_ratio(assemble, space):
+    tracemalloc.start()
+    try:
+        op = assemble(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (op.data.nbytes + op.indices.nbytes + op.indptr.nbytes)
+
+
+def test_assembly_transient_peak(monkeypatch):
+    """Assembly's traced peak, result included, stays below 2.0 times
+    the operator it returns (measured at n = 32: 1.77 for M, 1.85 for S;
+    the int64 triplet and block_diag path: 3.77 and 4.41 at n = 32, and
+    3.78 for M at n = 128)."""
+    space = build_space(32)
+    for assemble in (assemble_mass, assemble_stiffness):
+        assert _traced_peak_ratio(assemble, space) < 2.0
+    _reference_assembly(monkeypatch)
+    for assemble in (assemble_mass, assemble_stiffness):
+        assert _traced_peak_ratio(assemble, space) > 3.0
 
 
 # ------------------------------------------------------------- interpolation

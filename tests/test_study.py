@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
-from romlab import cli, study
+from romlab import cli, fe, rom, study
 from romlab.cli import main
 from romlab.fe import MESH_N_MAX
 from romlab.filtering import build_filter
@@ -306,6 +307,40 @@ def test_context_caches_are_read_only():
     for f in dataclasses.fields(ops):
         assert np.array_equal(getattr(again, f.name), getattr(before, f.name))
     assert np.array_equal(again.tensor, -again.tensor.transpose(0, 2, 1))
+
+
+def test_context_unfolded_r_cache():
+    """The context forms each r's R factor once, read-only and equal to
+    the one run would form, and a wider tensor drops the old factors."""
+    ctx = build_context(_small_cfg(kind="lrom-r"))
+    ops = ctx.operators(4, 0.1)
+    assert ctx.operators(4, 0.05).unfolded_r is ops.unfolded_r
+    assert np.array_equal(ops.unfolded_r, rom._unfolded_r(ops.tensor))
+    with pytest.raises(ValueError, match="read-only"):
+        ops.unfolded_r[0, 0] += 1
+    wide = ctx.operators(6, 0.1)
+    again = ctx.operators(4, 0.1)
+    assert again.unfolded_r is not ops.unfolded_r
+    assert np.array_equal(again.unfolded_r, rom._unfolded_r(again.tensor))
+    assert np.array_equal(wide.unfolded_r, rom._unfolded_r(wide.tensor))
+
+
+def test_context_frees_old_arrays_before_a_wider_tensor(monkeypatch):
+    """A wider r drops the old tensor, forcing series and R factors
+    before the new tensor is built, so they are not alive next to it."""
+    ctx = build_context(_small_cfg(kind="lrom-r"))
+    ctx.operators(4, 0.1)
+    seen = []
+
+    def tensor(basis, r, space):
+        seen.append((ctx._tensor, dict(ctx._forcing),
+                     dict(ctx._unfolded_r)))
+        return build_trilinear_tensor(basis, r, space)
+
+    monkeypatch.setattr(study, "build_trilinear_tensor", tensor)
+    ops = ctx.operators(6, 0.1)
+    assert seen == [(None, {}, {})]
+    assert ops.tensor.shape == (6, 6, 6) and ops.forcing.shape == (11, 6)
 
 
 def test_context_tensor_and_forcing_caches(build_counts):
@@ -768,3 +803,39 @@ def test_cli_exit_code_contract(case):
     assert [str(w.message) for w in caught] == []
     if rows is not None:
         assert rows[0] == CSV_HEADER and len(rows) == 1 + points
+
+
+# The five kinds on an n = 8 mesh (d = 15), with short sweeps.
+_CLI_N8 = {
+    "filter-delta": ["--r", "6", "--sweep", "0.1,0.05,0.025"],
+    "filter-r": ["--delta", "0.01", "--sweep", "2,4,6"],
+    "lrom-dt": ["--r", "6", "--delta", "0.01", "--sweep", "0.1,0.05,0.025"],
+    "lrom-delta": ["--r", "6", "--dt", "0.01", "--sweep", "0.5,0.25,0.125"],
+    "lrom-r": ["--delta", "0.01", "--dt", "0.01", "--sweep", "2,4,6"],
+}
+
+
+def _cli_outputs(out_dir):
+    """Exit code, stdout, CSV and .plot bytes of each kind in _CLI_N8."""
+    outputs = {}
+    for kind, extra in _CLI_N8.items():
+        out = out_dir / f"{kind}.csv"
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main([kind, "--mesh-n", "8", "--out", str(out)] + extra)
+        outputs[kind] = (code, buf.getvalue(), out.read_bytes(),
+                         Path(f"{out}.plot").read_bytes())
+    return outputs
+
+
+def test_cli_bytes_unchanged_under_reference_assembly(tmp_path, monkeypatch):
+    """Every kind's CSV, .plot and stdout bytes at --mesh-n 8 are those
+    of the COO triplet and block_diag assembly in oracles."""
+    got = _cli_outputs(tmp_path)
+    monkeypatch.setattr(fe, "_assemble", lambda space, local:
+                        oracles.vectorize(oracles.assemble_scalar(space,
+                                                                  local)))
+    (tmp_path / "reference").mkdir()
+    want = _cli_outputs(tmp_path / "reference")
+    assert all(code == 0 for code, *_ in got.values())
+    assert got == want
