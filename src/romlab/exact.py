@@ -12,29 +12,31 @@ All derivatives are coded in closed form; the sharp moving layer makes
 finite differences near y = t ill-conditioned, so those stay test-only.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+_SHARPNESS = 500.0  # the layer sharpness c
 
 
 @dataclass(frozen=True)
 class AnalyticSolution:
     nu: float = 1e-3
-    sharpness: float = 500.0
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        if not 0 < self.nu <= sys.float_info.max:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
 
     # ---- scalar profile g(s, t) and its derivatives -------------------
     # u = g(y, t), v = g(x, t) with g = (2/pi) arctan(-c (s - t)) sin(pi s)
 
     def _g(self, s, t):
-        c = self.sharpness
+        c = _SHARPNESS
         return (2.0 / np.pi) * np.arctan(-c * (s - t)) * np.sin(np.pi * s)
 
     def _g_s(self, s, t):
-        c = self.sharpness
+        c = _SHARPNESS
         z = s - t
         a = np.arctan(-c * z)
         ap = -c / (1.0 + (c * z) ** 2)
@@ -42,7 +44,7 @@ class AnalyticSolution:
                                 + a * np.pi * np.cos(np.pi * s))
 
     def _g_ss(self, s, t):
-        c = self.sharpness
+        c = _SHARPNESS
         z = s - t
         a = np.arctan(-c * z)
         den = 1.0 + (c * z) ** 2
@@ -53,7 +55,7 @@ class AnalyticSolution:
                                 - np.pi ** 2 * a * np.sin(np.pi * s))
 
     def _g_t(self, s, t):
-        c = self.sharpness
+        c = _SHARPNESS
         z = s - t
         return (2.0 / np.pi) * (c / (1.0 + (c * z) ** 2)) * np.sin(np.pi * s)
 

@@ -10,6 +10,7 @@ sweep point about 12x slower on 2 cores.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,7 +24,7 @@ def build_filter(s_r: np.ndarray, delta: float) -> np.ndarray:
     delta^2 max_k S_kk is; that product is taken in Python floats, which
     overflow to inf without a warning.
     """
-    if not (math.isfinite(delta) and delta >= 0
+    if not (0 <= delta <= sys.float_info.max
             and math.isfinite(float(delta) * float(delta))):
         raise ValueError("filter radius must be finite and nonnegative, "
                          f"with a finite square, got {delta}")

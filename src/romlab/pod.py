@@ -6,6 +6,7 @@ from the eigendecomposition of the (M+1) x (M+1) snapshot correlation
 matrix. No centering is applied.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,16 @@ def grid_steps(t_final: float, step: float, name: str = "dt") -> int:
     """The number of steps of size step from 0 to t_final, the one time
     grid rule: a positive integer below 2**53, with t_final/step within
     1e-9 of it. name is the step's name in the error messages."""
+    # before the division; a float must hold both
+    if not all(0 < v <= sys.float_info.max for v in (t_final, step)):
+        raise ValueError(f"t_final and {name} must be positive and finite, "
+                         f"got t_final={t_final}, {name}={step}")
     ratio = t_final / step
     # from 2**53 on every float is an integer, so the multiple test below
     # cannot fail, and the time grid would not fit
     if not ratio < 2 ** 53:
         raise ValueError(f"t_final/{name} = {ratio:g} must be below 2**53")
-    steps = round(ratio) if ratio > 0 else 0
+    steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > 1e-9:
         raise ValueError(f"t_final must be a positive integer multiple of "
                          f"{name}, got {name}={step}")
@@ -98,7 +103,7 @@ class PODBasis:
 
 # Budget of one block of a streamed pass over a large array: the POD's
 # row blocks, the tensor's element blocks and the forcing's time levels.
-_BLOCK_BYTES = 16 * 2 ** 20
+BLOCK_BYTES = 16 * 2 ** 20
 
 
 def _row_block(op: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
@@ -116,7 +121,7 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
     Next to u, the build holds one more array of at most N x K floats
     (M U, then U V over the dropped eigenvectors V, then the modes) and
-    one row block of at most _BLOCK_BYTES.
+    one row block of at most BLOCK_BYTES.
     """
     if not rank_tol >= 0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
@@ -134,7 +139,7 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     # Every later N-sized pass runs over row blocks of N x K arrays; with
     # one block (n <= 50 at K = 101) the arithmetic is that of whole
     # arrays.
-    rows = max(1, _BLOCK_BYTES // (8 * m_plus_1))
+    rows = max(1, BLOCK_BYTES // (8 * m_plus_1))
     blocks = [slice(i, i + rows) for i in range(0, n_dofs, rows)]
 
     def gram(op, x):

@@ -8,14 +8,15 @@ replaced by the identity.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fe import VelocitySpace
 from .filtering import apply_filter
-from .pod import _BLOCK_BYTES, PODBasis, grid_steps
+from .pod import BLOCK_BYTES, PODBasis, grid_steps
 
 __all__ = [
     "ROMOperators",
@@ -67,7 +68,7 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
     nel = space.edofs.shape[0]
     # per element: D (nq, 2, r, r) float64 and the fields at its points
     per_el = nq * (2 * r * r + 6 * r) * 8
-    pairs = max(1, min(nel // 2, _BLOCK_BYTES // per_el // 2))
+    pairs = max(1, min(nel // 2, BLOCK_BYTES // per_el // 2))
     # one D buffer for every block; a shorter last block uses its front
     d_buf = np.empty(nq * pairs * 2 * r * r)
 
@@ -104,7 +105,7 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     q = (m_op @ basis.modes[:, :r]).reshape(2, m * m, r)  # per component
     x = side[None, None, :]
     y = side[None, :, None]
-    chunk = max(1, _BLOCK_BYTES // (8 * space.n_dofs))  # time levels
+    chunk = max(1, BLOCK_BYTES // (8 * space.n_dofs))  # time levels
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]
@@ -130,11 +131,17 @@ class ROMOperators:
     tensor: np.ndarray        # (r, r, r), T_ijk = b*(phi_i, phi_j, phi_k)
     forcing: np.ndarray       # (M+1, r) forcing coordinates at the t_k
     a0: np.ndarray            # initial coordinates, L2 projection of u0
-    # (r, r) R of the QR of the unfolded tensor's transpose,
-    # tensor.reshape(r, r*r).T = Q R, as _unfolded_r forms it; run forms
-    # it itself when it is None. It belongs to tensor: replacing the
-    # tensor (dataclasses.replace) needs unfolded_r=None as well.
-    unfolded_r: np.ndarray | None = None
+    # (r, r) R of tensor.reshape(r, r*r).T = Q R, formed from tensor unless
+    # cached_r hands in this tensor's own (a study context's cache); as
+    # dataclasses.replace never carries cached_r over, a copy forms its own.
+    cached_r: InitVar[np.ndarray | None] = None
+    unfolded_r: np.ndarray = field(init=False)
+
+    def __post_init__(self, cached_r):
+        if cached_r is None:
+            t2 = self.tensor.reshape(self.tensor.shape[0], -1)
+            cached_r = np.linalg.qr(t2.T, mode="r")
+        object.__setattr__(self, "unfolded_r", cached_r)
 
 
 # The step's linearizations; the first is the default.
@@ -155,7 +162,8 @@ class LROMConfig:
     def __post_init__(self):
         for name in ("dt", "t_final", "nu", "picard_tol"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            # a float must hold it (math.isfinite overflows on a huge int)
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -210,60 +218,39 @@ def _norm(x: np.ndarray) -> float:
     return scale * math.sqrt(x.dot(x))
 
 
-def _folded_tensor(tensor: np.ndarray, filt: np.ndarray | None):
-    # (r, r*r) tensor t2 with _advection_matrix(t2, a) = B(filt^-1 a)
-    t2 = tensor.reshape(tensor.shape[0], -1)
-    return t2 if filt is None else apply_filter(filt, t2)
-
-
-def _unfolded_r(tensor: np.ndarray) -> np.ndarray:
-    # R of the QR of the transposed unfolding: t2^T = Q R, t2 (r, r*r)
-    return np.linalg.qr(tensor.reshape(tensor.shape[0], -1).T, mode="r")
-
-
-def _folded_factor(tensor: np.ndarray, filt: np.ndarray | None,
-                   unfolded_r: np.ndarray | None = None):
-    # (r, r) factor with the singular values and left singular vectors of
-    # _folded_tensor(tensor, filt): with t2^T = Q R and Q^T Q = I, the
-    # folded tensor is filt^-1 t2 = (filt^-1 R^T) Q^T
-    if unfolded_r is None:
-        unfolded_r = _unfolded_r(tensor)
-    factor = unfolded_r.T
-    return factor if filt is None else apply_filter(filt, factor)
-
-
 def run(ops: ROMOperators, filt: np.ndarray | None,
         cfg: LROMConfig) -> ROMTrajectory:
     """March from the projected initial condition to t_final.
 
     The filtered coordinates filt^-1 a advect, for the filter matrix
-    filt from build_filter (filt=None: G-ROM). The rank of the folded
-    (r, r*r) tensor filt^-1 T is read from the SVD of an (r, r) factor
-    (the R of T's unfolding, ops.unfolded_r or formed here, then the
-    filter). If it is at most one, B(a) = (w.a) A for one skew A, and a
-    Picard iteration is O(r) work on the scalar w.a plus one product for
-    its residual; the whole tensor is never folded. Otherwise the filter
-    is folded into the tensor once per run, and an iteration is one solve
-    and one contraction (reused by the next solve). Either way the
-    residual is |core a + B(a) a - rhs| / |rhs|. Semi-implicit: the first
-    solve only.
+    filt from build_filter; filt=None is the zero-radius filter, the
+    identity (G-ROM). The rank of the folded (r, r*r) tensor filt^-1 t2
+    is read from the SVD of the (r, r) factor filt^-1 R^T, for the
+    unfolding t2^T = Q R (R = ops.unfolded_r): as Q^T Q = I, the folded
+    tensor is (filt^-1 R^T) Q^T. If its rank is at most one,
+    B(a) = (w.a) A for one skew A, and a Picard iteration is O(r) work
+    on the scalar w.a plus one product for its residual; the whole
+    tensor is never folded. Otherwise the filter is folded into the
+    tensor once per run, and an iteration is one solve and one
+    contraction (reused by the next solve). Either way the residual is
+    |core a + B(a) a - rhs| / |rhs|. Semi-implicit: the first solve only.
     """
     m, r, dt = cfg.n_steps, ops.s_r.shape[0], cfg.dt
+    if filt is None:
+        filt = np.eye(r)
     if ops.forcing.shape[0] < m + 1:
         raise ValueError("forcing series shorter than the number of time levels")
     if not np.all(np.isfinite(ops.a0)):
         raise StepDivergenceError("non-finite state entering step", step=0)
     core = np.eye(r) / dt + cfg.nu * ops.s_r
-    u, sv, _ = np.linalg.svd(_folded_factor(ops.tensor, filt,
-                                            ops.unfolded_r))
+    u, sv, _ = np.linalg.svd(apply_filter(filt, ops.unfolded_r.T))
     rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     scalar = rank <= 1
     if scalar:
         # the folded tensor is w (w^T filt^-1 t2) = w (filt^-1 w)^T t2, as
         # filt is symmetric, and B(a) = (w.a) skew
         w = u[:, 0]
-        skew = (w if filt is None else apply_filter(filt, w)) \
-            @ ops.tensor.reshape(r, r * r)
+        skew = apply_filter(filt, w) @ ops.tensor.reshape(r, r * r)
         skew = skew.reshape(r, r).T
         # core = L L^T and the Hermitian i L^-1 A L^-T = Q diag(lam) Q^H give
         # (core + s A)^-1 = Z diag(1 / (1 - i s lam)) C, C = Q^H L^-1 and
@@ -282,7 +269,7 @@ def run(ops: ROMOperators, filt: np.ndarray | None,
         d_imag, cplx = d.imag, np.zeros(r, dtype=complex)
         cplx_re = cplx.real
     else:
-        t2 = _folded_tensor(ops.tensor, filt)
+        t2 = apply_filter(filt, ops.tensor.reshape(r, r * r))
     semi = cfg.linearization == "semi-implicit"
     max_iters, tol = 1 if semi else cfg.picard_max_iters, cfg.picard_tol
     forcing = ops.forcing

@@ -19,6 +19,7 @@ point is the triple (r, delta, dt), the kind's fixed values but one.
 """
 
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,8 +34,8 @@ from .filtering import apply_filter, build_filter
 from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
                   grid_steps, truncation_errors)
 from .rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
-                  _unfolded_r, build_trilinear_tensor, project_forcing,
-                  ROMOperators, run, stability_check)
+                  build_trilinear_tensor, project_forcing, ROMOperators,
+                  run, stability_check)
 
 __all__ = [
     "STUDY_KINDS",
@@ -127,10 +128,10 @@ class StudyConfig:
             raise InvalidStudyError("sweep list is empty")
         for name in ("snap_dt", "t_final", "nu", "delta", "dt", "r"):
             value = getattr(self, name)
-            # abs < inf, as math.isfinite raises OverflowError on a huge int
-            if value is not None and not abs(value) < math.inf:
+            # a float must hold it (a huge int is below inf)
+            if value is not None and not abs(value) <= sys.float_info.max:
                 raise InvalidStudyError(f"{name} must be finite, got {value}")
-        if not all(math.isfinite(v) for v in self.sweep):
+        if not all(abs(v) <= sys.float_info.max for v in self.sweep):
             raise InvalidStudyError("sweep values must be finite")
         diffs = np.diff(np.asarray(self.sweep, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
@@ -332,14 +333,14 @@ class StudyContext:
                 self.basis, self._width, self.m_op, self.solution, times,
                 self.space)
             self._forcing[dt].flags.writeable = False
-        tensor = self._tensor[:r, :r, :r]
-        if r not in self._unfolded_r:
-            self._unfolded_r[r] = _unfolded_r(tensor)
-            self._unfolded_r[r].flags.writeable = False
-        return ROMOperators(s_r=self.basis.grad_gram[:r, :r], tensor=tensor,
-                            forcing=self._forcing[dt][:, :r],
-                            a0=self.basis.snap_coords[:r, 0].copy(),
-                            unfolded_r=self._unfolded_r[r])
+        ops = ROMOperators(s_r=self.basis.grad_gram[:r, :r],
+                           tensor=self._tensor[:r, :r, :r],
+                           forcing=self._forcing[dt][:, :r],
+                           a0=self.basis.snap_coords[:r, 0].copy(),
+                           cached_r=self._unfolded_r.get(r))
+        ops.unfolded_r.flags.writeable = False
+        self._unfolded_r[r] = ops.unfolded_r
+        return ops
 
 
 def build_context(cfg: StudyConfig) -> StudyContext:

@@ -15,7 +15,9 @@ tensor build, which evaluates all modes by dense products against the
 same tables and contracts all triples at once. reference_step
 is the Picard step in its unfolded form (filter, then contract, on
 every iteration), and checks the stepper that folds the filter into
-the tensor once per run. energy_ledger_einsum sums the energy ledger's
+the tensor once per run. folded_tensor is that folded (r, r^2) tensor
+and unfolded_r the R factor of T's unfolding, from which run reads the
+folded tensor's rank. energy_ledger_einsum sums the energy ledger's
 quadratic forms with one three-operand einsum, and checks
 stability_check, which forms them by one GEMM. avg_filter_errors_fe
 forms each snapshot's filtering error in the FE space, and checks the
@@ -335,6 +337,19 @@ def reference_run(ops, filt, cfg):
         states.append(a)
         iters.append(it)
     return np.array(states), np.array(iters)
+
+
+def folded_tensor(tensor, filt):
+    """The (r, r*r) tensor t2 whose advection matrix at a is B(filt^-1 a),
+    the filter folded into T; filt=None is the identity."""
+    t2 = tensor.reshape(tensor.shape[0], -1)
+    return t2 if filt is None else apply_filter(filt, t2)
+
+
+def unfolded_r(tensor):
+    """R of the QR of the transposed unfolding, t2^T = Q R for the
+    (r, r*r) reshape t2 of T."""
+    return np.linalg.qr(tensor.reshape(tensor.shape[0], -1).T, mode="r")
 
 
 def energy_ledger_einsum(states, s_r, dt):

@@ -11,11 +11,10 @@ stated windows.
 import numpy as np
 import pytest
 
-from oracles import reference_run, trilinear_bstar
+from oracles import folded_tensor, reference_run, trilinear_bstar
 from romlab.filtering import apply_filter, build_filter
 from romlab.pod import collect_snapshots, default_times, truncation_errors
-from romlab.rom import (LROMConfig, ROMOperators, _folded_tensor,
-                        build_trilinear_tensor, run)
+from romlab.rom import LROMConfig, ROMOperators, build_trilinear_tensor, run
 from romlab.study import StudyConfig, run_study
 
 
@@ -365,7 +364,7 @@ def test_criterion_12_scalar_stepper_on_benchmark_basis(bench_ctx):
     cfg = LROMConfig(dt=dt)
     for delta in (1e-4, 1 / 64):
         filt = build_filter(ops.s_r, delta)
-        w = np.linalg.svd(_folded_tensor(ops.tensor, filt),
+        w = np.linalg.svd(folded_tensor(ops.tensor, filt),
                           full_matrices=False)[0][:, 0]
         ref = apply_filter(filt, mu)
         ref *= np.sign(w @ ref) / np.linalg.norm(ref)

@@ -38,3 +38,16 @@ def test_one_import_path_per_public_name():
     exposed = [name for name, value in vars(romlab).items()
                if inspect.isfunction(value) or inspect.isclass(value)]
     assert exposed == []
+
+
+def test_no_private_name_crosses_modules():
+    """No romlab module imports an underscore name from another romlab
+    module: what one module shares with another is named without one."""
+    for name in _MODULES + ["__init__"]:
+        tree = ast.parse((_PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("romlab")):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_")]
+                assert private == [], (name, node.module, private)

@@ -177,7 +177,7 @@ def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d):
     pass is streamed too. At n = 8 the K x K correlation product alone
     is 0.18 |U|, so the bound would measure the small arrays there."""
     u, m_op, s_op = _ensemble(n)
-    monkeypatch.setattr(pod, "_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(pod, "BLOCK_BYTES", 1 << 16)
     tracemalloc.start()
     try:
         basis = build_pod_basis(u, m_op, s_op)
@@ -197,7 +197,7 @@ def test_pod_block_streaming_invariant(monkeypatch):
     lam = full.eigenvalues
     six_tol = np.sqrt(lam[5] * lam[6]) / lam[0]
     want = [full, build_pod_basis(u, m_op, s_op, rank_tol=six_tol)]
-    monkeypatch.setattr(pod, "_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(pod, "BLOCK_BYTES", 1 << 16)
     got = [build_pod_basis(u, m_op, s_op),
            build_pod_basis(u, m_op, s_op, rank_tol=six_tol)]
     for a, b in zip(want, got):

@@ -9,9 +9,10 @@ hypothesis.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import folded_tensor
 from romlab.filtering import apply_filter, build_filter
-from romlab.rom import (LROMConfig, ROMOperators, _advection_matrix,
-                        _folded_tensor, run, stability_check)
+from romlab.rom import (LROMConfig, ROMOperators, _advection_matrix, run,
+                        stability_check)
 
 _SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
@@ -33,7 +34,7 @@ _seed = st.integers(0, 2 ** 32 - 1)
 def test_folded_advection_matrix_filters_the_advecting_field(r, delta, seed):
     s_r, tensor, a = _random_operators(r, seed)
     filt = build_filter(s_r, delta)
-    folded = _advection_matrix(_folded_tensor(tensor, filt), a)
+    folded = _advection_matrix(folded_tensor(tensor, filt), a)
     ref = _advection_matrix(tensor, apply_filter(filt, a))
     assert np.abs(folded - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
 
@@ -43,7 +44,7 @@ def test_folded_advection_matrix_filters_the_advecting_field(r, delta, seed):
 def test_folded_advection_matrix_is_skew(r, delta, seed):
     """T_ijk = -T_ikj makes B = -B^T for any advecting field."""
     s_r, tensor, a = _random_operators(r, seed)
-    b = _advection_matrix(_folded_tensor(tensor, build_filter(s_r, delta)), a)
+    b = _advection_matrix(folded_tensor(tensor, build_filter(s_r, delta)), a)
     assert np.abs(b + b.T).max() <= 1e-14 * (1 + np.abs(b).max())
 
 

@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (energy_ledger_einsum, node_coords, reference_run,
-                     trilinear_bstar)
-from romlab.filtering import build_filter
+from oracles import (energy_ledger_einsum, folded_tensor, node_coords,
+                     reference_run, trilinear_bstar, unfolded_r)
+from romlab.filtering import apply_filter, build_filter
 from romlab.rom import (_RANK_TOL, LINEARIZATIONS, LROMConfig, ROMOperators,
                         ROMTrajectory, StepDivergenceError,
-                        _advection_matrix, _folded_factor, _folded_tensor,
-                        _norm, _unfolded_r, build_trilinear_tensor,
+                        _advection_matrix, _norm, build_trilinear_tensor,
                         project_forcing, run, stability_check)
 from romlab.study import StudyConfig, build_context
 
@@ -38,8 +37,7 @@ def _ops_on_path(small_ctx, rng, path):
     ops = small_ctx.operators(R_SMALL, 1e-2)
     if path == "general":
         t = rng.standard_normal((R_SMALL,) * 3)
-        ops = replace(ops, tensor=np.abs(ops.tensor).max() * (t - t.mT),
-                      unfolded_r=None)
+        ops = replace(ops, tensor=np.abs(ops.tensor).max() * (t - t.mT))
     return ops
 
 
@@ -90,7 +88,7 @@ def test_tensor_block_streaming_invariant(small, monkeypatch):
     from romlab import rom
     a = build_trilinear_tensor(small.basis, 4, small.space)
     for block_bytes in (1 << 14, 1):
-        monkeypatch.setattr(rom, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
         b = build_trilinear_tensor(small.basis, 4, small.space)
         # summation order differs between block sizes; allow roundoff
         assert np.abs(a - b).max() < 1e-13 * (1 + np.abs(a).max())
@@ -165,7 +163,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     more than one time chunk."""
     from romlab import rom
     space = small.space
-    chunk = rom._BLOCK_BYTES // (8 * space.n_dofs)
+    chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
     f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
                         space)
@@ -185,7 +183,7 @@ def test_project_forcing_holds_one_chunk_of_fields(small):
     the previous chunk's fields were still alive)."""
     from romlab import rom
     space = small.space
-    chunk = rom._BLOCK_BYTES // (8 * space.n_dofs)
+    chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 1)
     tracemalloc.start()
     try:
@@ -220,7 +218,7 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
             return fields[0], fields[1]
     from romlab import rom
     # one time level per chunk: t = 1 is in the second
-    monkeypatch.setattr(rom, "_BLOCK_BYTES", 8 * small.space.n_dofs)
+    monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * small.space.n_dofs)
     for bad, component in [(np.nan, 0), (np.inf, 1)]:
         with pytest.raises(ValueError, match="non-finite forcing values"):
             project_forcing(small.basis, 2, small.m_op,
@@ -393,13 +391,16 @@ def test_rank_from_the_r_by_r_factor(small_ctx, rng, kind, delta):
         t = rng.standard_normal((R_SMALL,) * 3)
         tensor = scale * (t - t.mT)
     filt = None if delta is None else build_filter(ops.s_r, delta)
-    ref = np.linalg.svd(_folded_tensor(tensor, filt), compute_uv=False)
-    sv = np.linalg.svd(_folded_factor(tensor, filt), compute_uv=False)
+    ref = np.linalg.svd(folded_tensor(tensor, filt), compute_uv=False)
+    factor = unfolded_r(tensor).T
+    if filt is not None:
+        factor = apply_filter(filt, factor)
+    sv = np.linalg.svd(factor, compute_uv=False)
     expect = int(np.count_nonzero(ref > _RANK_TOL * ref[0]))
     assert expect == {"zero": 0, "benchmark": 1, "rank-two": 2,
                       "random": R_SMALL}[kind]
     assert np.abs(sv - ref).max() <= 1e-13 * ref[0]
-    traj = run(replace(ops, tensor=tensor, unfolded_r=None), filt,
+    traj = run(replace(ops, tensor=tensor), filt,
                LROMConfig(dt=1e-2, t_final=2e-2))
     assert traj.tensor_rank == expect
 
@@ -411,13 +412,29 @@ def _same_run(a, b):
             and np.array_equal(a.residuals, b.residuals, equal_nan=True))
 
 
+def test_replaced_tensor_gets_its_own_r_factor(small_ctx, rng):
+    """dataclasses.replace of the tensor forms the new tensor's R factor:
+    on the context's operators, whose rank-one tensor's R is cached, a
+    random full-rank tensor runs at full rank (it used to keep the old
+    tensor's R and run at rank 1)."""
+    ops = small_ctx.operators(R_SMALL, 1e-2)
+    t = rng.standard_normal((R_SMALL,) * 3)
+    swapped = replace(ops, tensor=np.abs(ops.tensor).max() * (t - t.mT))
+    assert np.array_equal(swapped.unfolded_r, unfolded_r(swapped.tensor))
+    cfg = LROMConfig(dt=1e-2, t_final=2e-2)
+    assert run(ops, None, cfg).tensor_rank == 1
+    for filt in (None, build_filter(ops.s_r, 1e-2)):
+        assert run(swapped, filt, cfg).tensor_rank == R_SMALL
+
+
 @pytest.mark.parametrize("path", ["scalar", "general"])
 def test_given_unfolded_r_changes_no_bit(small_ctx, rng, path):
-    """run on operators that carry the tensor's R factor gives the states,
-    Picard counts and residuals of run forming R itself."""
+    """run on operators handed the tensor's R factor gives the states,
+    Picard counts and residuals of operators that form R themselves."""
     ops = _ops_on_path(small_ctx, rng, path)
-    given = replace(ops, unfolded_r=_unfolded_r(ops.tensor))
-    bare = replace(ops, unfolded_r=None)
+    given = ROMOperators(s_r=ops.s_r, tensor=ops.tensor, forcing=ops.forcing,
+                         a0=ops.a0, cached_r=unfolded_r(ops.tensor))
+    bare = replace(ops)
     for delta in (None, 1e-4, 5e-2):
         filt = None if delta is None else build_filter(ops.s_r, delta)
         for linearization in LINEARIZATIONS:
@@ -430,12 +447,10 @@ def test_context_unfolded_r_changes_no_bit_at_r99(bench_ctx):
     """The context's R factor leaves the r = 99 runs of dt = 1e-2,
     delta in {1e-4, 1/64} bit for bit as they were."""
     ops = bench_ctx.operators(99, 1e-2)
-    assert ops.unfolded_r is not None
     cfg = LROMConfig(dt=1e-2)
     for delta in (1e-4, 1 / 64):
         filt = build_filter(ops.s_r, delta)
-        assert _same_run(run(ops, filt, cfg),
-                         run(replace(ops, unfolded_r=None), filt, cfg))
+        assert _same_run(run(ops, filt, cfg), run(replace(ops), filt, cfg))
 
 
 def test_zero_tensor_at_r1_takes_scalar_path(small_ctx):
@@ -646,7 +661,7 @@ def test_picard_residual_when_squares_overflow(small_ctx, rng, path):
     ops = _ops_on_path(small_ctx, rng, path)
     lam = 2.0 ** 530
     big = replace(ops, tensor=ops.tensor / lam, forcing=ops.forcing * lam,
-                  a0=ops.a0 * lam, unfolded_r=None)
+                  a0=ops.a0 * lam)
     filt = build_filter(ops.s_r, 1e-2)
     cfg = LROMConfig(dt=1e-2)
     ref = run(ops, filt, cfg)

@@ -1,9 +1,11 @@
 import dataclasses
 import io
+import math
 import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
-from romlab import cli, fe, rom, study
+from romlab import cli, fe, study
 from romlab.cli import main
+from romlab.exact import AnalyticSolution
 from romlab.fe import MESH_N_MAX
 from romlab.filtering import build_filter
-from romlab.pod import build_pod_basis
+from romlab.pod import build_pod_basis, default_times
 from romlab.rom import (LINEARIZATIONS, LROMConfig, build_trilinear_tensor,
                         project_forcing, run)
 from romlab.study import (CSV_HEADER, DEFAULT_SWEEPS, FINAL_ERRORS,
@@ -295,7 +298,8 @@ def test_context_caches_are_read_only():
     ctx = build_context(_small_cfg(kind="lrom-r"))
     ops = ctx.operators(4, 0.1)
     before = dataclasses.replace(ops, **{f.name: getattr(ops, f.name).copy()
-                                         for f in dataclasses.fields(ops)})
+                                         for f in dataclasses.fields(ops)
+                                         if f.init})
     basis = ctx.basis
     for arr in (ops.tensor, ops.forcing, ops.s_r, basis.grad_gram,
                 basis.snap_coords, basis.residual_energy, basis.modes,
@@ -315,14 +319,14 @@ def test_context_unfolded_r_cache():
     ctx = build_context(_small_cfg(kind="lrom-r"))
     ops = ctx.operators(4, 0.1)
     assert ctx.operators(4, 0.05).unfolded_r is ops.unfolded_r
-    assert np.array_equal(ops.unfolded_r, rom._unfolded_r(ops.tensor))
+    assert np.array_equal(ops.unfolded_r, oracles.unfolded_r(ops.tensor))
     with pytest.raises(ValueError, match="read-only"):
         ops.unfolded_r[0, 0] += 1
     wide = ctx.operators(6, 0.1)
     again = ctx.operators(4, 0.1)
     assert again.unfolded_r is not ops.unfolded_r
-    assert np.array_equal(again.unfolded_r, rom._unfolded_r(again.tensor))
-    assert np.array_equal(wide.unfolded_r, rom._unfolded_r(wide.tensor))
+    assert np.array_equal(again.unfolded_r, oracles.unfolded_r(again.tensor))
+    assert np.array_equal(wide.unfolded_r, oracles.unfolded_r(wide.tensor))
 
 
 def test_context_frees_old_arrays_before_a_wider_tensor(monkeypatch):
@@ -595,6 +599,41 @@ def test_config_rejects_t_final_off_the_time_grid(kind, kw):
 def test_config_rejects_nonfinite_sweep():
     with pytest.raises(InvalidStudyError, match="finite"):
         StudyConfig(kind="lrom-dt", sweep=[1e-2, float("nan")])
+
+
+# an int that no float can hold
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("make,error", [
+    *(pytest.param(partial(StudyConfig, kind="lrom-dt", **{name: _HUGE}),
+                   InvalidStudyError, id=f"StudyConfig-{name}")
+      for name in ("snap_dt", "t_final", "nu", "delta")),
+    pytest.param(partial(StudyConfig, kind="lrom-delta", dt=_HUGE),
+                 InvalidStudyError, id="StudyConfig-dt"),
+    pytest.param(partial(StudyConfig, kind="lrom-dt", sweep=[1e-2, _HUGE]),
+                 InvalidStudyError, id="StudyConfig-sweep"),
+    *(pytest.param(partial(LROMConfig, **{"dt": 1e-2, name: _HUGE}),
+                   ValueError, id=f"LROMConfig-{name}")
+      for name in ("dt", "t_final", "nu", "picard_tol")),
+    pytest.param(partial(build_filter, np.eye(2), _HUGE), ValueError,
+                 id="build_filter"),
+    pytest.param(partial(default_times, 0.0, 1.0), ValueError,
+                 id="default_times-zero-step"),
+    pytest.param(partial(default_times, 1e-2, _HUGE), ValueError,
+                 id="default_times-huge-t_final"),
+    pytest.param(partial(AnalyticSolution, nu=math.nan), ValueError,
+                 id="AnalyticSolution-nan-nu"),
+    pytest.param(partial(AnalyticSolution, nu=math.inf), ValueError,
+                 id="AnalyticSolution-inf-nu")])
+def test_settings_no_float_can_hold_are_refused(make, error):
+    """A setting counts as finite only if a float can hold it. A 400-digit
+    int used to raise OverflowError from StudyConfig, LROMConfig and
+    build_filter, or pass StudyConfig as nu and fail in run_study; a zero
+    snapshot step raised ZeroDivisionError, and AnalyticSolution took a
+    NaN or infinite nu. Each is now refused as an invalid value."""
+    with pytest.raises(error):
+        make()
 
 
 def test_config_rejects_non_integer_r():
