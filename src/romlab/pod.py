@@ -101,9 +101,14 @@ class PODBasis:
         return self.eigenvalues.size
 
 
-# Budget of one block of a streamed pass over a large array: the POD's
-# row blocks, the tensor's element blocks and the forcing's time levels.
-BLOCK_BYTES = 16 * 2 ** 20
+# Budget of one row block of the POD's passes after the correlation
+# matrix; the tensor and the forcing have their own, rom.BLOCK_BYTES.
+# Whole-height GEMMs make OpenBLAS's threads touch about 20 MB of their
+# buffers, and 16 MB temporaries stay resident on the heap once the
+# mmap threshold has risen. At n = 64 the `online` benchmark peaked at
+# 124, 125, 128, 133 and 153 MB with 1, 2, 4, 8 and 16 MB blocks, and
+# 1 MB blocks made the POD at n = 128 about 5% slower.
+BLOCK_BYTES = 2 * 2 ** 20
 
 
 def _row_block(op: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
@@ -121,7 +126,9 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
     Next to u, the build holds one more array of at most N x K floats
     (M U, then U V over the dropped eigenvectors V, then the modes) and
-    one row block of at most BLOCK_BYTES.
+    one row block of at most BLOCK_BYTES. Every N-row product after the
+    correlation matrix runs over those row blocks; U V and the modes
+    are written block by block into their preallocated arrays.
     """
     if not rank_tol >= 0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
@@ -136,9 +143,7 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
-    # Every later N-sized pass runs over row blocks of N x K arrays; with
-    # one block (n <= 50 at K = 101) the arithmetic is that of whole
-    # arrays.
+    # Every later N-sized pass runs over row blocks of N x K arrays
     rows = max(1, BLOCK_BYTES // (8 * m_plus_1))
     blocks = [slice(i, i + rows) for i in range(0, n_dofs, rows)]
 
@@ -149,18 +154,25 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
             acc += x[b].T @ (_row_block(op, b) @ x)
         return acc
 
+    def u_times(coef):
+        """u @ coef, one row block at a time."""
+        out = np.empty((n_dofs, coef.shape[1]))
+        for b in blocks:
+            np.matmul(u[b], coef, out=out[b])
+        return out
+
     # The snapshots' parts outside span(Phi) are U V V^T over the dropped
     # eigenvectors V, so their squared norms are the diagonal of
     # V (Z^T op Z) V^T with Z = U V, for op = M and S; Z is empty when
     # d = K.
     drop = vecs[:, d:]
-    z = u @ drop
+    z = u_times(drop)
     residual = np.array([np.sum((drop @ gram(op, z)) * drop, axis=1)
                          for op in (m_op, s_op)])
     del z
     vals = vals[:d]
     vecs = vecs[:, :d]
-    modes = u @ (vecs / np.sqrt(m_plus_1 * vals))
+    modes = u_times(vecs / np.sqrt(m_plus_1 * vals))
     # The trailing eigenvalues sit near the rank cutoff, where the
     # 1/sqrt(lambda) normalization amplifies roundoff to ~1e-9 in the
     # Gram matrix. One triangular correction restores orthonormality to

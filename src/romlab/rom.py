@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .fe import VelocitySpace
 from .filtering import apply_filter
-from .pod import BLOCK_BYTES, PODBasis, grid_steps
+from .pod import PODBasis, grid_steps
 
 __all__ = [
     "ROMOperators",
@@ -28,6 +28,10 @@ __all__ = [
     "run",
     "stability_check",
 ]
+
+# Budget of one block of a streamed pass: the tensor's element blocks and
+# the forcing's time levels. The POD has its own, pod.BLOCK_BYTES.
+BLOCK_BYTES = 16 * 2 ** 20
 
 
 class StepDivergenceError(RuntimeError):

@@ -166,18 +166,28 @@ def test_snapshot_coords_and_residual_energy(small):
         _trace_residual_energy(u, small.m_op, small.s_op, 6), rtol=1e-14)
 
 
-@pytest.mark.parametrize("n, d", [(16, 31), (32, 63)])
-def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d):
+@pytest.mark.parametrize("n, d, block_bytes", [
+    pytest.param(16, 31, 1 << 16, id="16-31"),
+    pytest.param(32, 63, 1 << 16, id="32-63"),
+    pytest.param(32, 63, None, id="32-63-shipped")])
+def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d,
+                                              block_bytes):
     """Next to the snapshots U, the build holds one more N x K array at
     a time (M U, then U V over the dropped eigenvectors V, then the
-    modes) and one row block: with 64 KB blocks it allocates at most
-    1.1 |U| beyond its input. A build that held M Phi, or the old and
-    the corrected modes, next to the modes peaked at 1.50 |U| (n = 16)
-    and 1.30 |U| (n = 32). Both ensembles have d < K, so the residual
-    pass is streamed too. At n = 8 the K x K correlation product alone
-    is 0.18 |U|, so the bound would measure the small arrays there."""
+    modes) and one row block: with 64 KB blocks, and with the shipped
+    budget's four at n = 32, it allocates at most 1.1 |U| beyond its
+    input. A build that held M Phi, or the old and the corrected modes,
+    next to the modes peaked at 1.50 |U| (n = 16) and 1.30 |U|
+    (n = 32). At the shipped budget U V and the modes are written block
+    by block into their arrays (measured 1.012 |U|); whole-height
+    products U C beside 16 MB blocks peaked at 1.295 |U| (1.645 at
+    n = 64, against 1.113 in row blocks). Both ensembles have d < K, so
+    the residual pass is streamed too. At n = 8 the K x K correlation
+    product alone is 0.18 |U|, so the bound would measure the small
+    arrays there."""
     u, m_op, s_op = _ensemble(n)
-    monkeypatch.setattr(pod, "BLOCK_BYTES", 1 << 16)
+    if block_bytes is not None:
+        monkeypatch.setattr(pod, "BLOCK_BYTES", block_bytes)
     tracemalloc.start()
     try:
         basis = build_pod_basis(u, m_op, s_op)
@@ -190,8 +200,9 @@ def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d):
 
 def test_pod_block_streaming_invariant(monkeypatch):
     """The basis does not depend on the block budget beyond roundoff:
-    64 KB blocks (105 at n = 32) against one, on the full basis and on
-    a 6-mode one, whose residual energies are far above roundoff."""
+    64 KB blocks (105 at n = 32) against the shipped budget's four, on
+    the full basis and on a 6-mode one, whose residual energies are far
+    above roundoff."""
     u, m_op, s_op = _ensemble(32)
     full = build_pod_basis(u, m_op, s_op)
     lam = full.eigenvalues

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (energy_ledger_einsum, folded_tensor, node_coords,
+from oracles import (_lu_factor, _lu_solve, energy_ledger_einsum,
+                     folded_tensor, longdouble_run, node_coords,
                      reference_run, trilinear_bstar, unfolded_r)
 from romlab.filtering import apply_filter, build_filter
 from romlab.rom import (_RANK_TOL, LINEARIZATIONS, LROMConfig, ROMOperators,
@@ -451,6 +452,43 @@ def test_context_unfolded_r_changes_no_bit_at_r99(bench_ctx):
     for delta in (1e-4, 1 / 64):
         filt = build_filter(ops.s_r, delta)
         assert _same_run(run(ops, filt, cfg), run(replace(ops), filt, cfg))
+
+
+def test_longdouble_solve(rng):
+    """The oracle's elimination pivots (a zero leading entry) and solves
+    to long-double roundoff: a residual below 1e-17 of |a| |x|
+    (measured 5.1e-19), where numpy's double solve leaves 6.8e-16."""
+    a = rng.standard_normal((40, 40))
+    a[0, 0] = 0.0
+    b = rng.standard_normal(40)
+    x = _lu_solve(_lu_factor(a), b)
+    assert x.dtype == np.longdouble
+    res = a.astype(np.longdouble) @ x - b
+    assert np.abs(res).max() <= 1e-17 * np.abs(a).max() * np.abs(x).max()
+    np.testing.assert_allclose(x.astype(float), np.linalg.solve(a, b),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1 / 64])
+def test_steppers_against_longdouble_march_at_r99(bench_ctx, delta):
+    """At r = 99, dt = 1e-2, run's scalar path and the reference stepper
+    both stay within a few roundoffs of the reference scheme marched in
+    long double, with its Picard counts step by step. Relative to the
+    largest state entry, on bases built with POD budgets of 0.5 to
+    16 MB, run read 1.9e-15 to 4.1e-15 and the reference 4.4e-15 to
+    6.0e-15 (on the shipped basis 2.8e-15 and 4.8e-15 at delta = 1e-4,
+    2.7e-15 and 4.9e-15 at 1/64)."""
+    ops = bench_ctx.operators(99, 1e-2)
+    cfg = LROMConfig(dt=1e-2)
+    filt = build_filter(ops.s_r, delta)
+    states, iters = longdouble_run(ops, filt, cfg)
+    scale = np.abs(states).max()
+    traj = run(ops, filt, cfg)
+    ref, ref_iters = reference_run(ops, filt, cfg)
+    assert np.array_equal(traj.iter_counts, iters)
+    assert np.array_equal(ref_iters, iters)
+    assert np.abs(traj.states - states).max() <= 8e-15 * scale
+    assert np.abs(ref - states).max() <= 1.2e-14 * scale
 
 
 def test_zero_tensor_at_r1_takes_scalar_path(small_ctx):
