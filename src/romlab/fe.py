@@ -118,8 +118,9 @@ class VelocitySpace:
 
 
 # The largest mesh size: node indices, below 2 (2n + 1)^2, stay far inside
-# int64, and memory limits a practical n long before (n = 1024 has 8.4
-# million dofs; 101 snapshots of them take 6.8 GB).
+# int64, and memory limits a practical n long before: n = 1024 has 8.4
+# million dofs, M and S take 1.2 GB each, and the tensor's and the
+# forcing's N x r inputs, the full-height modes, 6.7 GB each at r = 99.
 MESH_N_MAX = 2 ** 20
 
 

@@ -4,6 +4,14 @@ Snapshots are nodal interpolants of the analytic velocity, inner
 products are taken with the FE mass operator (L2), and the basis comes
 from the eigendecomposition of the (M+1) x (M+1) snapshot correlation
 matrix. No centering is applied.
+
+The POD runs on the snapshots' distinct rows. A velocity component that
+does not vary along a grid axis repeats its rows along it, so the
+(N, K) snapshots are U = P u for the (R, K) distinct rows u and the
+0/1 map P from dofs to rows, P[i, rows[i]] = 1. Every product of the
+build then has the form U^T op U = u^T (P^T op P) u, and it runs on u
+with the (R, R) operators P^T M P and P^T S P (collapse). The modes are
+(R, d) as well; the full-height modes are modes[rows].
 """
 
 import sys
@@ -16,6 +24,7 @@ from .fe import VelocitySpace
 
 __all__ = [
     "collect_snapshots",
+    "collapse",
     "PODBasis",
     "build_pod_basis",
     "truncation_errors",
@@ -48,23 +57,47 @@ def default_times(dt_snap: float, t_final: float) -> np.ndarray:
                        grid_steps(t_final, dt_snap, "dt_snap") + 1)
 
 
-def collect_snapshots(space: VelocitySpace, solution, times) -> np.ndarray:
-    """The nodal interpolants of the exact velocity at the given times:
-    an (N, K) array with one snapshot per column. The velocity is called
-    once on broadcast (y, x, t) axes of the y-major node grid."""
+def collect_snapshots(space: VelocitySpace, solution,
+                      times) -> tuple[np.ndarray, np.ndarray]:
+    """The nodal interpolants of the exact velocity at the given times,
+    as their distinct rows: (u, rows), with u an (R, K) array and rows
+    the (N,) row of each dof, so that the (N, K) snapshots, one per
+    column, are u[rows]. The velocity is called once on broadcast
+    (y, x, t) axes of the y-major node grid, and each component keeps
+    one row per point of the axes it varies along: the benchmark flow's
+    u = g(y, t) and v = g(x, t) give R = 2m for m = 2n + 1. When
+    nothing broadcasts, R = N and rows = arange(N)."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty snapshot time list")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("snapshot times must be strictly increasing")
     side = space.grid_side()
-    m = side.size
+    m, k = side.size, times.size
     vel = solution.velocity(side[None, :, None], side[:, None, None], times)
-    if not all(np.all(np.isfinite(c)) for c in vel):
+    shapes = [np.broadcast_shapes(np.shape(c), (1, 1, k)) for c in vel]
+    u = np.empty((sum(s[0] * s[1] for s in shapes), k))
+    rows = np.empty((2, m, m), dtype=sp.get_index_dtype(maxval=space.n_dofs))
+    start = 0
+    for c, (ny, nx, _), out in zip(vel, shapes, rows):
+        u[start:start + ny * nx].reshape(ny, nx, k)[:] = c
+        out[:] = start + np.arange(ny * nx).reshape(ny, nx)
+        start += ny * nx
+    if not np.all(np.isfinite(u)):
         raise ValueError("function evaluation produced non-finite nodal values")
-    cols = np.empty((2, m, m, times.size))    # (N, K) in dof order
-    cols[0], cols[1] = vel
-    return cols.reshape(space.n_dofs, times.size)
+    return u, rows.reshape(-1)
+
+
+def collapse(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """P^T op P for the map P[i, rows[i]] = 1 from dofs to rows, as one
+    sparse product: P^T times op with its column indices mapped through
+    rows (op P, whose duplicate entries the product sums)."""
+    size = int(rows.max()) + 1
+    op_p = sp.csr_matrix((op.data, rows[op.indices], op.indptr),
+                         shape=(op.shape[0], size))
+    p_t = sp.csc_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
+                        shape=(size, rows.size)).tocsr()
+    return p_t @ op_p
 
 
 @dataclass(frozen=True)
@@ -74,7 +107,11 @@ class PODBasis:
     Attributes
     ----------
     eigenvalues : (d,) descending energies of the correlation matrix.
-    modes : (N, d) mode coefficient vectors, columns L2-orthonormal.
+    modes : (R, d) the modes on the snapshots' distinct rows; the mode
+        coefficient vectors are the columns of modes[rows], (N, d) and
+        L2-orthonormal.
+    rows : (N,) the row of modes that each dof reads, from
+        collect_snapshots.
     grad_gram : (d, d) Gram matrix of mode gradients; its leading r x r
         block is the reduced stiffness S_r for any r <= d, and its
         diagonal holds the squared H1 seminorms of the modes.
@@ -92,6 +129,7 @@ class PODBasis:
 
     eigenvalues: np.ndarray
     modes: np.ndarray
+    rows: np.ndarray
     grad_gram: np.ndarray
     snap_coords: np.ndarray
     residual_energy: np.ndarray
@@ -107,7 +145,9 @@ class PODBasis:
 # buffers, and 16 MB temporaries stay resident on the heap once the
 # mmap threshold has risen. At n = 64 the `online` benchmark peaked at
 # 124, 125, 128, 133 and 153 MB with 1, 2, 4, 8 and 16 MB blocks, and
-# 1 MB blocks made the POD at n = 128 about 5% slower.
+# 1 MB blocks made the POD at n = 128 about 5% slower. On the
+# benchmark flow's 2m distinct rows, K = 101 snapshots fit in one block
+# up to n = 648.
 BLOCK_BYTES = 2 * 2 ** 20
 
 
@@ -118,21 +158,23 @@ def _row_block(op: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
                           ptr - ptr[0]), shape=(ptr.size - 1, op.shape[1]))
 
 
-def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
+def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
                     s_op: sp.csr_matrix, rank_tol: float = 1e-14) -> PODBasis:
-    """Eigendecompose the correlation matrix of the (N, K) snapshots u
-    and assemble the modes.
+    """Eigendecompose the correlation matrix of the snapshots u[rows]
+    and assemble the modes, from their (R, K) distinct rows u and the
+    (R, R) operators on those rows, collapse(M, rows) and
+    collapse(S, rows).
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
-    Next to u, the build holds one more array of at most N x K floats
-    (M U, then U V over the dropped eigenvectors V, then the modes) and
-    one row block of at most BLOCK_BYTES. Every N-row product after the
-    correlation matrix runs over those row blocks; U V and the modes
+    Next to u, the build holds one more array of at most R x K floats
+    (M u, then u V over the dropped eigenvectors V, then the modes) and
+    one row block of at most BLOCK_BYTES. Every R-row product after the
+    correlation matrix runs over those row blocks; u V and the modes
     are written block by block into their preallocated arrays.
     """
     if not rank_tol >= 0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
-    n_dofs, m_plus_1 = u.shape
+    n_rows, m_plus_1 = u.shape
     # the correlation matrix U^T M U / K, made exactly symmetric
     k = u.T @ (m_op @ u) / m_plus_1
     vals, vecs = np.linalg.eigh(0.5 * (k + k.T))
@@ -143,9 +185,9 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
-    # Every later N-sized pass runs over row blocks of N x K arrays
-    rows = max(1, BLOCK_BYTES // (8 * m_plus_1))
-    blocks = [slice(i, i + rows) for i in range(0, n_dofs, rows)]
+    # Every later R-sized pass runs over row blocks of R x K arrays
+    height = max(1, BLOCK_BYTES // (8 * m_plus_1))
+    blocks = [slice(i, i + height) for i in range(0, n_rows, height)]
 
     def gram(op, x):
         """x^T op x, accumulated over the row blocks of op x."""
@@ -156,7 +198,7 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
 
     def u_times(coef):
         """u @ coef, one row block at a time."""
-        out = np.empty((n_dofs, coef.shape[1]))
+        out = np.empty((n_rows, coef.shape[1]))
         for b in blocks:
             np.matmul(u[b], coef, out=out[b])
         return out
@@ -196,10 +238,12 @@ def build_pod_basis(u: np.ndarray, m_op: sp.csr_matrix,
         modes[b] = modes[b] @ low_inv.T
     grad_gram = gram(s_op, modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
-    for a in (vals, modes, grad_gram, snap_coords, residual):
+    rows = np.array(rows)    # the basis's own, read-only
+    for a in (vals, modes, rows, grad_gram, snap_coords, residual):
         a.flags.writeable = False
-    return PODBasis(eigenvalues=vals, modes=modes, grad_gram=grad_gram,
-                    snap_coords=snap_coords, residual_energy=residual)
+    return PODBasis(eigenvalues=vals, modes=modes, rows=rows,
+                    grad_gram=grad_gram, snap_coords=snap_coords,
+                    residual_energy=residual)
 
 
 def truncation_errors(basis: PODBasis, r: int):

@@ -63,9 +63,9 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
         raise ValueError(f"r={r} outside [1, d={basis.d}]")
     ns = space.n_scalar
     nq = len(space.rule.weights)
-    # one row of (component, mode) values per scalar dof
-    nodes = basis.modes[:, :r].reshape(2, ns, r).transpose(1, 0, 2)
-    nodes = nodes.reshape(ns, 2 * r)
+    # one row of (component, mode) values per scalar dof, from the
+    # full-height modes modes[rows]
+    nodes = basis.modes[basis.rows.reshape(2, ns).T, :r].reshape(ns, 2 * r)
     # shape-function gradient rows (derivative a, point q) per orientation
     grads = space.phys_grads.transpose(0, 3, 1, 2).reshape(2, 2 * nq, 6)
     wdet = (space.rule.weights * space.det_j)[:, None, None, None]
@@ -106,7 +106,8 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     times = np.asarray(times, dtype=float)
     side = space.grid_side()
     m = side.size
-    q = (m_op @ basis.modes[:, :r]).reshape(2, m * m, r)  # per component
+    # M Phi per component, for the full-height modes Phi = modes[rows]
+    q = (m_op @ basis.modes[basis.rows, :r]).reshape(2, m * m, r)
     x = side[None, None, :]
     y = side[None, :, None]
     chunk = max(1, BLOCK_BYTES // (8 * space.n_dofs))  # time levels

@@ -31,8 +31,8 @@ from .exact import AnalyticSolution
 from .fe import (VelocitySpace, assemble_mass, assemble_stiffness, build_space,
                  check_mesh_n)
 from .filtering import apply_filter, build_filter
-from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
-                  grid_steps, truncation_errors)
+from .pod import (PODBasis, build_pod_basis, collapse, collect_snapshots,
+                  default_times, grid_steps, truncation_errors)
 from .rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
                   build_trilinear_tensor, project_forcing, ROMOperators,
                   run, stability_check)
@@ -348,8 +348,9 @@ def build_context(cfg: StudyConfig) -> StudyContext:
     space = build_space(cfg.mesh_n)
     m_op = assemble_mass(space)
     times = default_times(cfg.snap_dt, cfg.t_final)
-    basis = build_pod_basis(collect_snapshots(space, solution, times),
-                            m_op, assemble_stiffness(space))
+    u, rows = collect_snapshots(space, solution, times)
+    basis = build_pod_basis(u, rows, collapse(m_op, rows),
+                            collapse(assemble_stiffness(space), rows))
     settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
     return StudyContext(space=space, m_op=m_op, basis=basis,
                         solution=solution, settings=settings)

@@ -15,21 +15,31 @@ import pytest
 
 from romlab.exact import AnalyticSolution
 from romlab.fe import assemble_mass, assemble_stiffness, build_space
-from romlab.pod import build_pod_basis, collect_snapshots, default_times
+from romlab.pod import (build_pod_basis, collapse, collect_snapshots,
+                        default_times)
 from romlab.study import StudyConfig, build_context
 
 
 def _bundle(n, snap_dt):
+    """The small tier's space, operators and basis. snapshots is the
+    full-height (N, K) U = u[rows] for the FE-space oracles; pod(cols,
+    rank_tol) builds a basis from the snapshot columns cols the way
+    build_context does, on the distinct rows u and the collapsed M and
+    S."""
     space = build_space(n)
     m_op = assemble_mass(space)
     s_op = assemble_stiffness(space)
     solution = AnalyticSolution()
     times = default_times(snap_dt, 1.0)
-    snapshots = collect_snapshots(space, solution, times)
-    basis = build_pod_basis(snapshots, m_op, s_op)
+    u, rows = collect_snapshots(space, solution, times)
+    ops = collapse(m_op, rows), collapse(s_op, rows)
+
+    def pod(cols=slice(None), **kwargs):
+        return build_pod_basis(u[:, cols], rows, *ops, **kwargs)
+
     return SimpleNamespace(n=n, space=space, m_op=m_op, s_op=s_op,
                            solution=solution, times=times,
-                           snapshots=snapshots, basis=basis)
+                           snapshots=u[rows], pod=pod, basis=pod())
 
 
 @pytest.fixture(scope="session")

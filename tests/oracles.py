@@ -32,7 +32,9 @@ FE vector. final_time_error_fe forms the final-time error in the FE
 space from the interpolant of u(T), and checks final_time_error, which
 reads the last snapshot's POD coordinates. correlation_matrix and
 symmetric_eig are the POD's correlation matrix and its eigendecomposition
-with a symmetry check, which build_pod_basis forms inline. l2_norm,
+with a symmetry check, which build_pod_basis forms inline. full_modes
+expands a basis's modes, kept on the snapshots' distinct rows, to the
+(N, d) mode coefficient vectors that the FE-space oracles read. l2_norm,
 h1_semi_norm and l2_inner are the FE norms of coefficient vectors,
 through the assembled operators. node_coords and signed_areas are the dofs' coordinates and
 the triangle areas, and velocity_grad is the analytic velocity's
@@ -434,9 +436,10 @@ def avg_filter_errors_fe(basis, r, delta, u, m_op, s_op):
     snapshots u, each snapshot's error u_k - Phi_r filt(a_k) formed as
     an FE vector."""
     filt = build_filter(basis.grad_gram[:r, :r], delta)
-    coords = basis.modes[:, :r].T @ (m_op @ u)
+    phi = full_modes(basis)[:, :r]
+    coords = phi.T @ (m_op @ u)
     abar = apply_filter(filt, coords)
-    err = u - basis.modes[:, :r] @ abar
+    err = u - phi @ abar
     e_l2 = float(np.mean(np.sum(err * (m_op @ err), axis=0)))
     e_h1 = float(np.mean(np.sum(err * (s_op @ err), axis=0)))
     return e_l2, e_h1
@@ -466,7 +469,7 @@ def project_Pr(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     v = np.asarray(v, dtype=float)
     if v.shape[0] != m_op.shape[0]:
         raise ValueError("dimension mismatch")
-    return basis.modes[:, :r].T @ (m_op @ v)
+    return full_modes(basis)[:, :r].T @ (m_op @ v)
 
 
 def final_time_error_fe(traj, solution, basis: PODBasis, r: int,
@@ -479,17 +482,23 @@ def final_time_error_fe(traj, solution, basis: PODBasis, r: int,
     snapshot definition), which needs the filter matrix.
     """
     u_exact = interpolate(space, solution.velocity, t_final)
+    phi = full_modes(basis)[:, :r]
     if variant == "rom":
-        approx = basis.modes[:, :r] @ traj.final_state
+        approx = phi @ traj.final_state
     elif variant == "filtered-snapshot":
         if filt is None:
             raise ValueError("filtered-snapshot variant needs a filter")
         coords = project_Pr(basis, r, m_op, u_exact)
-        approx = basis.modes[:, :r] @ apply_filter(filt, coords)
+        approx = phi @ apply_filter(filt, coords)
     else:
         raise ValueError(f"unknown final-error variant {variant!r}")
     diff = u_exact - approx
     return float(np.sqrt(max(diff @ (m_op @ diff), 0.0)))
+
+
+def full_modes(basis: PODBasis) -> np.ndarray:
+    """The (N, d) mode coefficient vectors, modes[rows]."""
+    return basis.modes[basis.rows]
 
 
 def correlation_matrix(u: np.ndarray, m_op: sp.csr_matrix) -> np.ndarray:

@@ -30,7 +30,7 @@ def test_pod_and_tensor_match_the_1d_problem(bench_ctx):
 
     # the first component of every mode is a profile psi(y) (measured:
     # constant in x to the last bit)
-    first = basis.modes[:ns].reshape(m, m, basis.d)
+    first = oracles.full_modes(basis)[:ns].reshape(m, m, basis.d)
     psi = first[:, 0]
     assert np.abs(first - psi[:, None]).max() <= 1e-14 * np.abs(psi).max()
     # d = K: no snapshot part outside span(Phi), in either problem
@@ -49,7 +49,7 @@ def test_pod_and_tensor_match_the_1d_problem(bench_ctx):
         <= 1e-8 * scale
     mu, tensor = oracles.separable_tensor(profiles[:, :R])
     one_x = np.concatenate([np.ones(ns), np.zeros(ns)])
-    mu_2d = basis.modes[:, :R].T @ (ctx.m_op @ one_x)
+    mu_2d = oracles.full_modes(basis)[:, :R].T @ (ctx.m_op @ one_x)
     assert np.abs(mu_2d - mu).max() <= 1e-8 * np.abs(mu).max()
     got = ctx.operators(R, 1e-2).tensor
     assert np.abs(got - tensor).max() <= 2e-8 * np.abs(got).max()

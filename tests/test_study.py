@@ -20,7 +20,7 @@ from romlab.cli import main
 from romlab.exact import AnalyticSolution
 from romlab.fe import MESH_N_MAX
 from romlab.filtering import build_filter
-from romlab.pod import build_pod_basis, default_times
+from romlab.pod import default_times
 from romlab.rom import (LINEARIZATIONS, LROMConfig, build_trilinear_tensor,
                         project_forcing, run)
 from romlab.study import (CSV_HEADER, DEFAULT_SWEEPS, FINAL_ERRORS,
@@ -211,11 +211,11 @@ def test_avg_filter_errors_match_fe_oracle(small_ctx, small, k, stride):
     (every other snapshot), the oracle by 4.8e-13 and 8.7e-13."""
     basis, u = small_ctx.basis, small.snapshots[:, ::stride]
     if stride > 1:
-        basis = build_pod_basis(u, small.m_op, small.s_op)
+        basis = small.pod(np.s_[::stride])
     if k is not None:
         lam = basis.eigenvalues
-        basis = build_pod_basis(u, small.m_op, small.s_op,
-                                rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0])
+        basis = small.pod(np.s_[::stride],
+                          rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0])
         assert basis.d == k
         assert np.all(basis.residual_energy.mean(axis=1) > [1e-3, 1.0])
     energy = np.array([np.mean(np.sum(u * (op @ u), axis=0))
@@ -255,8 +255,7 @@ def test_final_time_error_matches_fe_oracle(small_ctx, small, k):
     ctx = small_ctx
     if k is not None:
         lam = ctx.basis.eigenvalues
-        ctx = dataclasses.replace(ctx, basis=build_pod_basis(
-            small.snapshots, small.m_op, small.s_op,
+        ctx = dataclasses.replace(ctx, basis=small.pod(
             rank_tol=np.sqrt(lam[k - 1] * lam[k]) / lam[0]))
         assert ctx.basis.d == k and ctx.basis.residual_energy[0, -1] > 1e-3
     d = ctx.basis.d
@@ -303,7 +302,7 @@ def test_context_caches_are_read_only():
     basis = ctx.basis
     for arr in (ops.tensor, ops.forcing, ops.s_r, basis.grad_gram,
                 basis.snap_coords, basis.residual_energy, basis.modes,
-                basis.eigenvalues):
+                basis.rows, basis.eigenvalues):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] += 1
     ops.a0[0] += 1   # a copy of the caller's own
