@@ -48,19 +48,54 @@ class StepDivergenceError(RuntimeError):
 
 def build_trilinear_tensor(basis: PODBasis, r: int,
                            space: VelocitySpace) -> np.ndarray:
-    """Tensor T_ijk = b*(phi_i, phi_j, phi_k), streamed over element blocks.
+    """Tensor T_ijk = b*(phi_i, phi_j, phi_k), exactly skew in j and k.
 
-    Per block and orientation, one gather takes the modes' values on the
-    6 local nodes, el[l, (e, c, k)], and two GEMMs with the local shape
-    functions give the values V[q, e, c, k] and gradients G[a, q, e, c, j]
-    at the quadrature points. D = G^T V (summed over c, batched over
-    q, e, a) is contracted with the weighted values in one GEMM; the skew
-    symmetrization T_ijk = -T_ikj is exact by construction. Blocks of
-    16 to 32 MB were within 7% of each other at r = 50 and r = 99
-    (n = 64); 4 and 8 MB were 8-80% slower.
+    Built from probes when T has rank one in its first index,
+    T = mu (x) A, as it has for a flow u = g(y, t), v = g(x, t) (see
+    README): the slices T x_1 z of two Gaussian probes z sketch T's
+    range, as in the randomized range finder of Halko, Martinsson and
+    Tropp (SIAM Review 53(2), 2011). If the sketch's SVD has
+    sigma_2 <= _SKETCH_TOL sigma_1, A is its first left singular vector
+    made exactly skew, mu_i = sum_jk T_ijk A_jk takes one more pass, and
+    a third probe, their a-posteriori check, must give
+    |T x_1 z_3 - (mu.z_3) A| <= _CHECK_TOL |mu| |z_3| |A|. Any other
+    tensor takes the full build, which forms every per-point r x r array
+    and does about r/4 times the probe build's flops. The probes come
+    from a fixed seed, so a build is reproducible.
     """
     if not 1 <= r <= basis.d:
         raise ValueError(f"r={r} outside [1, d={basis.d}]")
+    z = np.random.default_rng(_PROBE_SEED).standard_normal((r, _PROBES))
+    slices = _probe_slices(basis, r, space, z)
+    u, sv, _ = np.linalg.svd(slices[:-1].reshape(-1, r * r).T,
+                             full_matrices=False)
+    # sv[-1] is sv[0] at r = 1, where T = 0; a zero sketch passes with
+    # mu = 0, and nothing is divided
+    if sv[-1] <= _SKETCH_TOL * sv[0]:
+        a = u[:, 0].reshape(r, r)
+        a = 0.5 * (a - a.T)
+        mu = _mu(basis, r, space, a)
+        miss = np.linalg.norm(slices[-1] - (mu @ z[:, -1]) * a)
+        if miss <= _CHECK_TOL * (np.linalg.norm(mu) * np.linalg.norm(a)
+                                 * np.linalg.norm(z[:, -1])):
+            return mu[:, None, None] * a
+    return _full_tensor(basis, r, space)
+
+
+def _point_blocks(basis: PODBasis, r: int, space: VelocitySpace,
+                  point_floats: int):
+    """Yield the modes' values v[q, e, c, k] and gradients g[a, q, e, c, j]
+    at the quadrature points, per element block and orientation.
+
+    One gather takes the modes' values on the 6 local nodes,
+    el[l, (e, c, k)], and two GEMMs with the local shape functions give
+    v and g. A block holds as many elements as fit BLOCK_BYTES with the
+    6r values of v and g and the caller's point_floats more float64s per
+    point, among them what the caller keeps of the last block while the
+    next is formed. Blocks of 16 to 32 MB were within 7% of each other for the
+    full build at r = 50 and r = 99 (n = 64); 4 and 8 MB were 8-80%
+    slower.
+    """
     ns = space.n_scalar
     nq = len(space.rule.weights)
     # one row of (component, mode) values per scalar dof, from the
@@ -68,29 +103,77 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
     nodes = basis.modes[basis.rows.reshape(2, ns).T, :r].reshape(ns, 2 * r)
     # shape-function gradient rows (derivative a, point q) per orientation
     grads = space.phys_grads.transpose(0, 3, 1, 2).reshape(2, 2 * nq, 6)
-    wdet = (space.rule.weights * space.det_j)[:, None, None, None]
     nel = space.edofs.shape[0]
-    # per element: D (nq, 2, r, r) float64 and the fields at its points
-    per_el = nq * (2 * r * r + 6 * r) * 8
+    per_el = nq * (point_floats + 6 * r) * 8
     pairs = max(1, min(nel // 2, BLOCK_BYTES // per_el // 2))
-    # one D buffer for every block; a shorter last block uses its front
-    d_buf = np.empty(nq * pairs * 2 * r * r)
-
-    t1 = np.zeros((r, r * r))
     for start in range(0, nel, 2 * pairs):
         for o in range(2):  # orientation is element parity
             ed = space.edofs[start + o:start + 2 * pairs:2]
             m = ed.shape[0]
             el = nodes[ed.T].reshape(6, m * 2 * r)
-            v = (space.shape_vals @ el).reshape(nq, m, 2, r)  # q, e, c, k
-            g = (grads[o] @ el).reshape(2, nq, m, 2, r)       # a, q, e, c, j
-            # D[q, e, a, j, k] = sum_c G[a, q, e, c, j] V[q, e, c, k]
-            d = d_buf[:nq * m * 2 * r * r].reshape(nq, m, 2, r, r)
-            np.matmul(g.transpose(1, 2, 0, 4, 3), v[:, :, None], out=d)
-            vw = v * wdet                                     # q, e, a, i
-            t1 += vw.reshape(-1, r).T @ d.reshape(-1, r * r)
+            yield ((space.shape_vals @ el).reshape(nq, m, 2, r),
+                   (grads[o] @ el).reshape(2, nq, m, 2, r))
+
+
+def _full_tensor(basis: PODBasis, r: int,
+                 space: VelocitySpace) -> np.ndarray:
+    """T from every per-point D = G^T V (summed over c, batched over
+    q, e, a), contracted with the weighted values in one GEMM per block;
+    the skew symmetrization T_ijk = -T_ikj is exact by construction."""
+    wdet = (space.rule.weights * space.det_j)[:, None, None, None]
+    d_buf = None  # one D buffer, sized by the first and largest block
+    t1 = np.zeros((r, r * r))
+    for v, g in _point_blocks(basis, r, space, 2 * r * r):
+        n = v.shape[0] * v.shape[1] * 2 * r * r
+        if d_buf is None:
+            d_buf = np.empty(n)
+        # D[q, e, a, j, k] = sum_c G[a, q, e, c, j] V[q, e, c, k]
+        d = d_buf[:n].reshape(*v.shape[:2], 2, r, r)
+        np.matmul(g.transpose(1, 2, 0, 4, 3), v[:, :, None], out=d)
+        vw = v * wdet                                     # q, e, a, i
+        t1 += vw.reshape(-1, r).T @ d.reshape(-1, r * r)
     t1 = t1.reshape(r, r, r)
     return 0.5 * (t1 - t1.transpose(0, 2, 1))
+
+
+def _probe_slices(basis: PODBasis, r: int, space: VelocitySpace,
+                  z: np.ndarray) -> np.ndarray:
+    """The slices T x_1 z[:, p], (p, r, r), with no per-point r x r array:
+    each probe is contracted into the weighted values first,
+    w_a = (V wdet) z per point, and a block adds (sum_a w_a G_a)^T V for
+    every probe in one GEMM."""
+    p = z.shape[1]
+    wq = space.rule.weights * space.det_j
+    t1 = np.zeros((p * r, r))
+    # per point: h, its temporary and the last block's h (2pr each), w
+    # and the last block's (2p each), the last v, g and gather (8r)
+    for v, g in _point_blocks(basis, r, space, 6 * p * r + 4 * p + 8 * r):
+        nq, m = v.shape[:2]
+        w = (v.reshape(-1, r) @ z).reshape(nq, -1) * wq[:, None]
+        w = w.reshape(nq, m, 2, 1, p, 1)                  # q, e, a, ., p, .
+        # h[q, e, c, p, j] = sum_a w[q, e, a, p] G[a, q, e, c, j]
+        h = w[:, :, 0] * g[0][:, :, :, None]
+        h += w[:, :, 1] * g[1][:, :, :, None]
+        t1 += h.reshape(-1, p * r).T @ v.reshape(-1, r)
+    t1 = t1.reshape(p, r, r)
+    return 0.5 * (t1 - t1.transpose(0, 2, 1))
+
+
+def _mu(basis: PODBasis, r: int, space: VelocitySpace,
+        a: np.ndarray) -> np.ndarray:
+    """mu_i = sum_jk T_ijk a_jk for a skew a: h = V a^T per point, reduced
+    against G, then one product with the weighted values."""
+    wq = space.rule.weights * space.det_j
+    mu = np.zeros(r)
+    # per point: h and the last block's (2r each), the last v, g and
+    # gather (8r); blocks sized by h alone held 28.6 MiB at r = 50
+    # (n = 64) against 19.8 MiB, and were 8-20% slower
+    for v, g in _point_blocks(basis, r, space, 12 * r):
+        nq, m = v.shape[:2]
+        h = (v @ a.T).reshape(nq * m, 2 * r)              # (q, e), (c, j)
+        s = np.einsum("aqx,qx->qa", g.reshape(2, nq * m, 2 * r), h)
+        mu += v.reshape(-1, r).T @ (s.reshape(nq, -1) * wq[:, None]).ravel()
+    return mu
 
 
 def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
@@ -202,6 +285,17 @@ class ROMTrajectory:
 # Singular values of the folded tensor up to this fraction of the largest
 # count as zero: the benchmark flow's second is 7.7e-16 at r = 99 (n = 64).
 _RANK_TOL = 1e-12
+# build_trilinear_tensor's probes: _PROBES Gaussian vectors drawn from
+# _PROBE_SEED, all but the last sketching the tensor. The sketch passes
+# when its sigma_2 <= _SKETCH_TOL sigma_1, the rank-one fit when the last
+# probe misses by at most _CHECK_TOL |mu| |z| |A|. At n = 64 they read
+# 1.3e-16 and 1.7e-16 at r = 50, 2.4e-16 and 1.3e-16 at r = 99. The miss
+# is scaled by |mu| |z|, not by the probe's own slice, which is small
+# when z is nearly orthogonal to mu.
+_PROBES = 3
+_PROBE_SEED = 2011
+_SKETCH_TOL = 1e-12
+_CHECK_TOL = 1e-12
 
 
 def _advection_matrix(tensor: np.ndarray, abar: np.ndarray) -> np.ndarray:

@@ -181,6 +181,10 @@ class SweepRecord:
     lambda_h1: float | None = None
     picard_mean: float | None = None
     picard_max: int | None = None
+    # the worst step's final Picard residual; None on the semi-implicit
+    # path, which forms none
+    picard_residual_max: float | None = None
+    tensor_rank: int | None = None  # run's; <= 1: its scalar path ran
     stability_max: float | None = None
     regression_x: float | None = None
     error: str | None = None
@@ -371,6 +375,9 @@ def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,
                                 variant=cfg.final_error_variant, filt=filt)
     rec.picard_mean = float(traj.iter_counts.mean())
     rec.picard_max = int(traj.iter_counts.max())
+    formed = traj.residuals[~np.isnan(traj.residuals)]
+    rec.picard_residual_max = float(formed.max()) if formed.size else None
+    rec.tensor_rank = traj.tensor_rank
 
 
 def _fmt(x) -> str:

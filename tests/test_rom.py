@@ -7,6 +7,7 @@ import pytest
 from oracles import (_lu_factor, _lu_solve, energy_ledger_einsum,
                      folded_tensor, full_modes, longdouble_run, node_coords,
                      reference_run, trilinear_bstar, unfolded_r)
+from romlab import rom
 from romlab.filtering import apply_filter, build_filter
 from romlab.rom import (_RANK_TOL, LINEARIZATIONS, LROMConfig, ROMOperators,
                         ROMTrajectory, StepDivergenceError,
@@ -73,20 +74,111 @@ def test_tensor_matches_bstar_per_triple(small, tensor):
                 assert abs(tensor[i, j, k] - ref) <= 1e-11 * scale, (i, j, k)
 
 
-def test_tensor_rank_one_in_first_index(small):
+def _spy(monkeypatch, name):
+    """Record the calls to rom.<name>, which still runs."""
+    calls, real = [], getattr(rom, name)
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+    monkeypatch.setattr(rom, name, spy)
+    return calls
+
+
+def test_tensor_rank_one_in_first_index(small, monkeypatch):
     """Every snapshot of the benchmark flow is (g(y, t), g(x, t)), so
     every mode is (psi(y), psi(x)) and T_ijk = mu_i (C_jk - C_kj): the
-    (r, r^2) unfolding has one nonzero singular value."""
+    (r, r^2) unfolding of the full build has one nonzero singular value.
+    The probe build, which returns mu (x) A, takes its place, within
+    1e-13 of it (measured 1.4e-15 relative to max |T|)."""
     d = small.basis.d
-    tensor = build_trilinear_tensor(small.basis, d, small.space)
-    sv = np.linalg.svd(tensor.reshape(d, d * d), compute_uv=False)
+    full = rom._full_tensor(small.basis, d, small.space)
+    sv = np.linalg.svd(full.reshape(d, d * d), compute_uv=False)
     assert sv[1] <= 1e-12 * sv[0]
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    tensor = build_trilinear_tensor(small.basis, d, small.space)
+    assert full_builds == []
+    assert np.abs(tensor - full).max() <= 1e-13 * np.abs(full).max()
+
+
+def _random_basis(small, rng):
+    """small's basis with random full-height modes: its tensor has full
+    rank in the first index."""
+    n_dofs = small.space.n_dofs
+    return replace(small.basis, rows=np.arange(n_dofs),
+                   modes=rng.standard_normal((n_dofs, small.basis.d)))
+
+
+def test_full_rank_tensor_takes_the_full_build(small, rng, monkeypatch):
+    """On random modes the sketch fails, and the full build's tensor is
+    returned bit for bit."""
+    basis = _random_basis(small, rng)
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    mu_passes = _spy(monkeypatch, "_mu")
+    tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
+    assert len(full_builds) == 1 and mu_passes == []
+    assert tensor is full_builds[0]
+    assert np.array_equal(tensor,
+                          rom._full_tensor(basis, R_SMALL, small.space))
+    sv = np.linalg.svd(tensor.reshape(R_SMALL, -1), compute_uv=False)
+    assert sv[-1] > 1e-3 * sv[0]
+
+
+def test_sketch_just_above_its_tolerance_takes_the_full_build(
+        small, rng, monkeypatch):
+    """Rank-one modes perturbed by eps E, E random on the distinct rows,
+    differ between the u and v profiles: the tensor gains a second term
+    of size eps. eps is scaled so that the sketch reads sigma_2 / sigma_1
+    between 1 and 4 times rom._SKETCH_TOL; the full build runs."""
+    noise = rng.standard_normal(small.basis.modes.shape)
+
+    def build(eps):
+        basis = replace(small.basis, modes=small.basis.modes + eps * noise)
+        probes = _spy(monkeypatch, "_probe_slices")
+        full_builds = _spy(monkeypatch, "_full_tensor")
+        build_trilinear_tensor(basis, R_SMALL, small.space)
+        monkeypatch.undo()
+        sketch = probes[0][:-1].reshape(len(probes[0]) - 1, -1)
+        sv = np.linalg.svd(sketch, compute_uv=False)
+        return sv[-1] / sv[0], len(full_builds)
+
+    ratio, _ = build(1e-6)
+    ratio, full_builds = build(1e-6 * 2 * rom._SKETCH_TOL / ratio)
+    assert rom._SKETCH_TOL < ratio < 4 * rom._SKETCH_TOL
+    assert full_builds == 1
+
+
+def test_check_probe_catches_a_sketch_that_passes(small, rng, monkeypatch):
+    """With the two sketching probes made equal, a full-rank tensor's
+    sketch has rank one; the third probe's check fails, and the full
+    build runs."""
+    basis = _random_basis(small, rng)
+    real = rom._probe_slices
+
+    def equal_sketch_probes(basis, r, space, z):
+        z = z.copy()
+        z[:, 1] = z[:, 0]
+        return real(basis, r, space, z)
+    monkeypatch.setattr(rom, "_probe_slices", equal_sketch_probes)
+    mu_passes = _spy(monkeypatch, "_mu")
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
+    assert len(mu_passes) == 1 and len(full_builds) == 1
+    assert tensor is full_builds[0]
+
+
+def test_r1_tensor_is_zero_from_the_probes(small, monkeypatch):
+    """At r = 1, T_111 = 0: the sketch is 0 and passes with mu = 0, with
+    no division (warnings are errors in this suite)."""
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    tensor = build_trilinear_tensor(small.basis, 1, small.space)
+    assert tensor.shape == (1, 1, 1) and not tensor.any()
+    assert full_builds == []
 
 
 def test_tensor_block_streaming_invariant(small, monkeypatch):
     """The blocked accumulation is independent of the block budget, down
     to 1 byte: one element of each orientation per block."""
-    from romlab import rom
     a = build_trilinear_tensor(small.basis, 4, small.space)
     for block_bytes in (1 << 14, 1):
         monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
@@ -162,7 +254,6 @@ def test_project_forcing_quadrature_oracle(small):
 def test_project_forcing_matches_nodal_evaluation(small):
     """Grid evaluation equals the pointwise nodal interpolant, across
     more than one time chunk."""
-    from romlab import rom
     space = small.space
     chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
@@ -182,7 +273,6 @@ def test_project_forcing_holds_one_chunk_of_fields(small):
     are made: over two full chunks and one level, the traced peak stays
     below 1.6 times one chunk's fields (measured 1.31 at n = 8; 2.31 when
     the previous chunk's fields were still alive)."""
-    from romlab import rom
     space = small.space
     chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 1)
@@ -217,7 +307,6 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
             fields = np.ones((2,) + shape)
             fields[self.component, t[:, 0, 0] == 1.0, 2, 3] = self.bad
             return fields[0], fields[1]
-    from romlab import rom
     # one time level per chunk: t = 1 is in the second
     monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * small.space.n_dofs)
     for bad, component in [(np.nan, 0), (np.inf, 1)]:
@@ -479,7 +568,8 @@ def test_steppers_against_longdouble_march_at_r99(bench_ctx, delta):
     6.0e-15. On the basis built on the snapshots' distinct rows they
     read 4.3e-15 and 4.2e-15 at delta = 1e-4, 3.2e-15 and 5.6e-15 at
     1/64 (on the full-height basis 2.8e-15 and 4.8e-15, 2.7e-15 and
-    4.9e-15)."""
+    4.9e-15). With the tensor built from probes they read 4.0e-15 and
+    4.4e-15 at delta = 1e-4, 3.8e-15 and 5.5e-15 at 1/64."""
     ops = bench_ctx.operators(99, 1e-2)
     cfg = LROMConfig(dt=1e-2)
     filt = build_filter(ops.s_r, delta)

@@ -142,6 +142,31 @@ def test_lrom_dt_study_and_stability(small_ctx):
     assert res.slope is not None
 
 
+def test_records_report_the_stepper_path_and_worst_residual():
+    """On test_golden.py's n = 8 context, every L-ROM point ran the
+    scalar Picard path (tensor_rank 1) and reports its worst final
+    Picard residual, which the semi-implicit path does not form; filter
+    points run no stepper and report neither."""
+    ctx = build_context(StudyConfig(kind="lrom-dt", mesh_n=8))
+    picard = run_study(StudyConfig(kind="lrom-r", mesh_n=8, delta=1e-2,
+                                   dt=1e-2, sweep=[2, 4, 6]), ctx)
+    for rec in picard.records:
+        assert rec.tensor_rank == 1
+        assert 0 < rec.picard_residual_max <= LROMConfig(dt=1.0).picard_tol
+    ops = ctx.operators(6, 1e-2)
+    traj = run(ops, build_filter(ops.s_r, 1e-2), LROMConfig(dt=1e-2))
+    assert picard.records[-1].picard_residual_max == traj.residuals.max()
+    semi = run_study(StudyConfig(kind="lrom-dt", mesh_n=8, r=6, delta=1e-2,
+                                 sweep=[5e-2],
+                                 linearization="semi-implicit"), ctx)
+    assert semi.records[0].tensor_rank == 1
+    assert semi.records[0].picard_residual_max is None
+    filt = run_study(StudyConfig(kind="filter-r", mesh_n=8, delta=1e-2,
+                                 sweep=[2, 4]), ctx)
+    for rec in filt.records:
+        assert rec.tensor_rank is None and rec.picard_residual_max is None
+
+
 def test_lrom_r_sweep_ending_at_d(small_ctx, tmp_path):
     """At r = d the abscissa Lambda_H1 is 0: the row is kept, the fit
     leaves it out."""
