@@ -176,6 +176,50 @@ def _mu(basis: PODBasis, r: int, space: VelocitySpace,
     return mu
 
 
+def _slice_classes(slices: np.ndarray, keys: np.ndarray):
+    """Class labels (m,) and representatives of the m slices[j], by
+    bitwise equality: slices with equal keys are compared bit for bit,
+    so a key shared by unequal slices costs a comparison."""
+    labels = np.empty(len(keys), dtype=np.intp)
+    reps, by_key = [], {}
+    for j, key in enumerate(keys.tolist()):
+        for c in by_key.setdefault(key, []):
+            if np.array_equal(slices[reps[c]], slices[j]):
+                break
+        else:
+            c = len(reps)
+            reps.append(j)
+            by_key[key].append(c)
+        labels[j] = c
+    return labels, reps
+
+
+def _node_classes(q: np.ndarray):
+    """One component's q (m, m, r) on the (y, x) node grid, as the
+    classes of its slices along the grid axis with fewer of them:
+    (axis, p, b), with axis 0 (y) or 1 (x), p the 0/1 (m, k) class
+    matrix and b the (m k, r) class representatives, as (class, x) rows
+    along y and (y, class) rows along x. When no slice repeats (k = m),
+    p is None, for the identity, and b is q.
+
+    A slice's key sums its float64 bits times fixed odd weights mod
+    2**64, first over each node's r values, then over its m nodes: equal
+    slices get equal keys, and no slice's bytes are held."""
+    m, r = q.shape[1:]
+    bits = q.view(np.uint64)
+    w = np.random.default_rng(0).integers(
+        2 ** 64, size=m + r, dtype=np.uint64) | np.uint64(1)
+    node = bits @ w[:r]
+    classes = [_slice_classes(np.moveaxis(bits, axis, 0), keys)
+               for axis, keys in enumerate((node @ w[r:], w[r:] @ node))]
+    axis = int(len(classes[1][1]) < len(classes[0][1]))
+    labels, reps = classes[axis]
+    if len(reps) == m:
+        return axis, None, q.reshape(-1, r)
+    return (axis, np.eye(len(reps))[labels],
+            np.take(q, reps, axis=axis).reshape(-1, r))
+
+
 def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                     solution, times, space: VelocitySpace) -> np.ndarray:
     """Forcing coordinates F_k,i = (f_h(t_k), phi_i) for each time level.
@@ -185,27 +229,52 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     (m = 2n + 1), so the forcing is called on broadcast axes (t, y, x):
     a flow that is separable in x and y evaluates its closed forms on
     T*m points rather than T*m^2.
+
+    The fields are contracted with q = M Phi through its node classes,
+    as DEIM (Chaturantabut and Sorensen, SIAM J. Sci. Comput. 32(5),
+    2010) projects without full-size products. Per component, the
+    slices of q along x and along y are grouped by bitwise equality, and
+    the axis with fewer classes k is kept: the benchmark flow's q has 4,
+    the two boundary lines, the interior vertex and midpoint lines, u's
+    along x and v's along y. Per time chunk each field is summed over
+    its classes by a product with the 0/1 (m, k) class matrix, then
+    multiplied by the (m k, r) class representatives of q in one
+    (T, m k) (m k, r) GEMM, m/k times smaller than the dense
+    (T, m^2) (m^2, r) one. When no slice repeats (k = m) the sum is
+    skipped, and the GEMM is the dense one.
     """
     times = np.asarray(times, dtype=float)
     side = space.grid_side()
     m = side.size
-    # M Phi per component, for the full-height modes Phi = modes[rows]
-    q = (m_op @ basis.modes[basis.rows, :r]).reshape(2, m * m, r)
+    # M Phi per component, for the full-height modes Phi = modes[rows],
+    # as M P times the distinct-row modes: M with its column indices
+    # mapped through rows sums the same products in the same order, with
+    # no N x r gather. Only q's class representatives are kept.
+    m_p = sp.csr_matrix((m_op.data, basis.rows[m_op.indices], m_op.indptr),
+                        shape=(m_op.shape[0], basis.modes.shape[0]))
+    q = (m_p @ basis.modes[:, :r]).reshape(2, m, m, r)
+    del m_p
+    parts = [_node_classes(qc) for qc in q]
+    del q
     x = side[None, None, :]
     y = side[None, :, None]
     chunk = max(1, BLOCK_BYTES // (8 * space.n_dofs))  # time levels
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]
+        t = tt.shape[0]
         block = out[start:start + chunk]
         # checked on the projection: a NaN or inf field value reaches it,
         # as x * 0 is NaN
         with np.errstate(over="ignore", invalid="ignore"):
             fields = solution.forcing(x, y, tt)
-            f1, f2 = (np.broadcast_to(f, (tt.shape[0], m, m))
-                      .reshape(-1, m * m) for f in fields)
-            block[:] = f1 @ q[0] + f2 @ q[1]
-            del fields, f1, f2  # before the next chunk's are made
+            block[:] = 0.0
+            for f, (axis, p, b) in zip(fields, parts):
+                f = np.ascontiguousarray(np.broadcast_to(f, (t, m, m)))
+                if p is not None:
+                    f = p.T @ f if axis == 0 else f.reshape(-1, m) @ p
+                block += f.reshape(t, -1) @ b
+            del fields, f  # before the next chunk's are made
         if not np.isfinite(block).all():
             raise ValueError("non-finite forcing values")
     return out

@@ -188,6 +188,8 @@ class SweepRecord:
     stability_max: float | None = None
     regression_x: float | None = None
     error: str | None = None
+    error_type: str | None = None   # the failure's exception class name
+    error_step: int | None = None   # a StepDivergenceError's step, if set
 
     @property
     def ok(self) -> bool:
@@ -453,6 +455,8 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
                 rec.e_l2, rec.e_h1 = avg_filter_errors(ctx.basis, r, delta)
         except _POINT_ERRORS as exc:
             rec.error = str(exc)
+            rec.error_type = type(exc).__name__
+            rec.error_step = getattr(exc, "step", None)
         records.append(rec)
 
     result = StudyResult(config=cfg, records=records)

@@ -319,6 +319,87 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
     assert np.isfinite(fine).all()
 
 
+def _mass_modes(basis, m_op, m):
+    """q = M Phi per component on the (y, x) node grid, (2, m, m, d)."""
+    return (m_op @ full_modes(basis)).reshape(2, m, m, -1)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_benchmark_mass_modes_have_four_node_classes(n):
+    """The benchmark basis's M Phi repeats its slices in 4 classes per
+    component, u's along x and v's along y: the two boundary lines, the
+    interior midpoint lines and the interior vertex lines. The
+    representatives reproduce q bit for bit."""
+    ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n, r=8))
+    m = 2 * n + 1
+    q = _mass_modes(ctx.basis, ctx.m_op, m)
+    expect = np.r_[0, np.where(np.arange(1, m - 1) % 2, 1, 2), 3]
+    for qc, class_axis in zip(q, [1, 0]):
+        axis, p, b = rom._node_classes(qc)
+        assert axis == class_axis
+        assert p.shape == (m, 4) and set(np.unique(p)) == {0.0, 1.0}
+        labels = p.argmax(axis=1)
+        assert np.array_equal(labels, expect)
+        # b's rows are (class, x) along y and (y, class) along x
+        reps = b.reshape((4, m, -1) if axis == 0 else (m, 4, -1))
+        reps = np.moveaxis(reps, axis, 0)
+        assert np.array_equal(reps[labels].view(np.uint64),
+                              np.moveaxis(qc, axis, 0).view(np.uint64))
+
+
+def test_slice_classes_tell_apart_slices_whose_keys_collide(rng):
+    """With every key equal, the bitwise comparison alone sets the
+    classes."""
+    slices = rng.standard_normal((6, 3, 2))
+    slices[3] = slices[1]
+    labels, reps = rom._slice_classes(slices.view(np.uint64),
+                                      np.zeros(6, dtype=np.uint64))
+    assert labels.tolist() == [0, 1, 2, 1, 3, 4]
+    assert reps == [0, 1, 2, 4, 5]
+
+
+def test_project_forcing_without_repeated_slices(small, rng):
+    """Seeded random modes repeat no slice of M Phi along either axis:
+    k = m, and the projection is the dense one."""
+    space = small.space
+    m = 2 * small.n + 1
+    basis = _random_basis(small, rng)
+    q = _mass_modes(basis, small.m_op, m)[..., :5]
+    for qc in q:
+        axis, p, b = rom._node_classes(qc)
+        assert p is None and b.shape == (m * m, 5)
+    times = np.linspace(0.0, 1.0, 7)
+    f = project_forcing(basis, 5, small.m_op, small.solution, times, space)
+    x, y = node_coords(space).T[:, None, :]
+    f1, f2 = small.solution.forcing(x, y, times[:, None])
+    ref = np.hstack([f1, f2]) @ q.reshape(-1, 5)
+    assert np.abs(f - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("component", [0, 1])
+def test_project_forcing_rejects_nonfinite_inside_a_class(small, bad,
+                                                          component):
+    """A non-finite value at one node whose class holds many nodes
+    reaches the projection through the class sum."""
+    m = 2 * small.n + 1
+    q = _mass_modes(small.basis, small.m_op, m)[:, :, :, :2]
+    node = (m // 2, 3)  # (y, x), both interior
+    axis, p, _ = rom._node_classes(q[component])
+    assert p[:, p[node[axis]].argmax()].sum() > 1
+
+    class OneNode:
+        def forcing(self, x, y, t):
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y),
+                                        np.shape(t))
+            fields = np.ones((2,) + shape)
+            fields[(component, slice(None)) + node] = bad
+            return fields[0], fields[1]
+    with pytest.raises(ValueError, match="non-finite forcing values"):
+        project_forcing(small.basis, 2, small.m_op, OneNode(), [0.0, 1.0],
+                        small.space)
+
+
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, False, "50", None])
 def test_config_rejects_bad_picard_max_iters(bad):
     with pytest.raises(ValueError, match="picard_max_iters"):

@@ -21,8 +21,8 @@ from romlab.exact import AnalyticSolution
 from romlab.fe import MESH_N_MAX
 from romlab.filtering import build_filter
 from romlab.pod import default_times
-from romlab.rom import (LINEARIZATIONS, LROMConfig, build_trilinear_tensor,
-                        project_forcing, run)
+from romlab.rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
+                        build_trilinear_tensor, project_forcing, run)
 from romlab.study import (CSV_HEADER, DEFAULT_SWEEPS, FINAL_ERRORS,
                           STUDY_KINDS, InvalidStudyError, StudyConfig,
                           avg_filter_errors, build_context, final_time_error,
@@ -194,6 +194,29 @@ def test_lrom_sweep_point_failure(small_ctx):
     assert res.n_failed == 1
     assert res.records[0].ok and not res.records[1].ok
     assert res.slope is None  # one surviving point
+
+
+def test_failed_point_records_its_exception_type_and_step(small_ctx):
+    """The divergent point records StepDivergenceError and the step that
+    run raised it at; a point that fails without a step (delta^2 S_r
+    overflows in build_filter) records ValueError and no step; a point
+    that passes records neither."""
+    res = run_study(_small_cfg(kind="lrom-dt", r=6, delta=1e-3,
+                               sweep=[1e-2, 5e-1]), small_ctx)
+    passed, diverged = res.records
+    assert passed.error_type is None and passed.error_step is None
+    ops = small_ctx.operators(6, 5e-1)
+    with pytest.raises(StepDivergenceError) as info:
+        run(ops, build_filter(ops.s_r, 1e-3), LROMConfig(dt=5e-1))
+    assert info.value.step is not None
+    assert diverged.error_type == "StepDivergenceError"
+    assert diverged.error_step == info.value.step
+    assert diverged.error == str(info.value)
+    overflow = run_study(_small_cfg(kind="filter-delta", r=2,
+                                    sweep=[1e150, 1e154]), small_ctx)
+    assert overflow.records[0].ok
+    assert overflow.records[1].error_type == "ValueError"
+    assert overflow.records[1].error_step is None
 
 
 def test_study_deterministic(small_ctx, tmp_path):
