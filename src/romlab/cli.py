@@ -4,8 +4,9 @@
            [--nu NU] [--t-final T] [--sweep v1,v2,...] [--out PATH]
            [--linearization MODE] [--final-error VARIANT]
 
-Exit codes: 0 success; 2 invalid config; 3 sweep-point failure(s) with
-partial output; 4 regression impossible.
+Exit codes: 0 success; 2 invalid config, or out of memory while
+building the context; 3 sweep-point failure(s) with partial output;
+4 regression impossible.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 from .rom import LINEARIZATIONS
 from .study import (FINAL_ERRORS, STUDY_KINDS, InvalidStudyError, StudyConfig,
-                    run_study)
+                    build_context, run_study)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +52,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        result = run_study(cfg)
+        ctx = build_context(cfg)
+    except MemoryError as exc:
+        print(f"romlab: out of memory: {exc}", file=sys.stderr)
+        return 2
+    try:
+        result = run_study(cfg, ctx)
     except InvalidStudyError as exc:
         print(f"romlab: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -119,8 +119,8 @@ class VelocitySpace:
 
 # The largest mesh size: node indices, below 2 (2n + 1)^2, stay far inside
 # int64, and memory limits a practical n long before: n = 1024 has 8.4
-# million dofs, M and S take 1.2 GB each, and the tensor's and the
-# forcing's N x r inputs, the full-height modes, 6.7 GB each at r = 99.
+# million dofs, M and S take 1.2 GB each, and the tensor's N x r input,
+# the full-height modes, and the forcing's, M Phi, 6.7 GB each at r = 99.
 MESH_N_MAX = 2 ** 20
 
 

@@ -139,25 +139,6 @@ class PODBasis:
         return self.eigenvalues.size
 
 
-# Budget of one row block of the POD's passes after the correlation
-# matrix; the tensor and the forcing have their own, rom.BLOCK_BYTES.
-# Whole-height GEMMs make OpenBLAS's threads touch about 20 MB of their
-# buffers, and 16 MB temporaries stay resident on the heap once the
-# mmap threshold has risen. At n = 64 the `online` benchmark peaked at
-# 124, 125, 128, 133 and 153 MB with 1, 2, 4, 8 and 16 MB blocks, and
-# 1 MB blocks made the POD at n = 128 about 5% slower. On the
-# benchmark flow's 2m distinct rows, K = 101 snapshots fit in one block
-# up to n = 648.
-BLOCK_BYTES = 2 * 2 ** 20
-
-
-def _row_block(op: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
-    """The given rows of op, on views of its index and value arrays."""
-    ptr = op.indptr[rows.start:rows.stop + 1]
-    return sp.csr_matrix((op.data[ptr[0]:ptr[-1]], op.indices[ptr[0]:ptr[-1]],
-                          ptr - ptr[0]), shape=(ptr.size - 1, op.shape[1]))
-
-
 def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
                     s_op: sp.csr_matrix, rank_tol: float = 1e-14) -> PODBasis:
     """Eigendecompose the correlation matrix of the snapshots u[rows]
@@ -166,15 +147,15 @@ def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
     collapse(S, rows).
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
-    Next to u, the build holds one more array of at most R x K floats
-    (M u, then u V over the dropped eigenvectors V, then the modes) and
-    one row block of at most BLOCK_BYTES. Every R-row product after the
-    correlation matrix runs over those row blocks; u V and the modes
-    are written block by block into their preallocated arrays.
+    Every product is one whole-array expression: next to u, the build
+    holds at most two more arrays of up to R x K floats at a time (u V
+    over the dropped eigenvectors V and op u V, then the modes and M or
+    S times them). On the benchmark flow's R = 2m rows, K = 101, each
+    is at most 0.2 MB at n = 64.
     """
     if not rank_tol >= 0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
-    n_rows, m_plus_1 = u.shape
+    m_plus_1 = u.shape[1]
     # the correlation matrix U^T M U / K, made exactly symmetric
     k = u.T @ (m_op @ u) / m_plus_1
     vals, vecs = np.linalg.eigh(0.5 * (k + k.T))
@@ -185,36 +166,18 @@ def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
     d = int(np.sum(vals > rank_tol * vals[0]))
     if d == 0:
         raise ValueError("degenerate snapshot ensemble: all eigenvalues below tolerance")
-    # Every later R-sized pass runs over row blocks of R x K arrays
-    height = max(1, BLOCK_BYTES // (8 * m_plus_1))
-    blocks = [slice(i, i + height) for i in range(0, n_rows, height)]
-
-    def gram(op, x):
-        """x^T op x, accumulated over the row blocks of op x."""
-        acc = 0
-        for b in blocks:
-            acc += x[b].T @ (_row_block(op, b) @ x)
-        return acc
-
-    def u_times(coef):
-        """u @ coef, one row block at a time."""
-        out = np.empty((n_rows, coef.shape[1]))
-        for b in blocks:
-            np.matmul(u[b], coef, out=out[b])
-        return out
-
     # The snapshots' parts outside span(Phi) are U V V^T over the dropped
     # eigenvectors V, so their squared norms are the diagonal of
     # V (Z^T op Z) V^T with Z = U V, for op = M and S; Z is empty when
     # d = K.
     drop = vecs[:, d:]
-    z = u_times(drop)
-    residual = np.array([np.sum((drop @ gram(op, z)) * drop, axis=1)
+    z = u @ drop
+    residual = np.array([np.sum((drop @ (z.T @ (op @ z))) * drop, axis=1)
                          for op in (m_op, s_op)])
     del z
     vals = vals[:d]
     vecs = vecs[:, :d]
-    modes = u_times(vecs / np.sqrt(m_plus_1 * vals))
+    modes = u @ (vecs / np.sqrt(m_plus_1 * vals))
     # The trailing eigenvalues sit near the rank cutoff, where the
     # 1/sqrt(lambda) normalization amplifies roundoff to ~1e-9 in the
     # Gram matrix. One triangular correction restores orthonormality to
@@ -223,20 +186,16 @@ def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
     # is at most K x K, so it is formed once and applied by GEMMs in
     # numpy: scipy.linalg would map a second OpenBLAS with its own
     # thread pool next to numpy's.
-    mass_gram = np.zeros((d, d))
-    raw_coords = np.zeros((d, m_plus_1))     # (M Phi)^T U
-    for b in blocks:
-        m_modes = _row_block(m_op, b) @ modes
-        mass_gram += modes[b].T @ m_modes
-        raw_coords += m_modes.T @ u[b]
-        del m_modes     # before the next block's is made
+    m_modes = m_op @ modes
+    mass_gram = modes.T @ m_modes
+    raw_coords = m_modes.T @ u     # (M Phi)^T U
+    del m_modes
     low = np.linalg.cholesky(0.5 * (mass_gram + mass_gram.T))
     low_inv = np.tril(np.linalg.inv(low))     # exact zeros above the diagonal
     # the corrected modes are Phi L^-T, so Phi^T M U = L^-1 (M Phi)^T U
     snap_coords = low_inv @ raw_coords
-    for b in blocks:
-        modes[b] = modes[b] @ low_inv.T
-    grad_gram = gram(s_op, modes)
+    modes = modes @ low_inv.T
+    grad_gram = modes.T @ (s_op @ modes)
     grad_gram = 0.5 * (grad_gram + grad_gram.T)
     rows = np.array(rows)    # the basis's own, read-only
     for a in (vals, modes, rows, grad_gram, snap_coords, residual):

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # Budget of one block of a streamed pass: the tensor's element blocks and
-# the forcing's time levels. The POD has its own, pod.BLOCK_BYTES.
+# the forcing's time levels.
 BLOCK_BYTES = 16 * 2 ** 20
 
 

@@ -81,7 +81,8 @@ class InvalidStudyError(ValueError):
 
 
 # Per-point failures that leave a failed row instead of aborting the study.
-_POINT_ERRORS = (StepDivergenceError, ValueError, np.linalg.LinAlgError)
+_POINT_ERRORS = (StepDivergenceError, ValueError, np.linalg.LinAlgError,
+                 MemoryError)
 
 
 @dataclass
@@ -102,9 +103,6 @@ class StudyConfig:
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
             raise InvalidStudyError(f"unknown study kind {self.kind!r}")
-        if self.linearization not in LINEARIZATIONS:
-            raise InvalidStudyError(
-                f"unknown linearization {self.linearization!r}")
         if self.final_error_variant not in FINAL_ERRORS:
             raise InvalidStudyError(
                 f"unknown final_error_variant {self.final_error_variant!r}")
@@ -126,9 +124,10 @@ class StudyConfig:
             self.sweep = list(DEFAULT_SWEEPS[self.kind])
         if len(self.sweep) == 0:
             raise InvalidStudyError("sweep list is empty")
-        for name in ("snap_dt", "t_final", "nu", "delta", "dt", "r"):
+        # a float must hold each (a huge int is below inf); the fixed dt
+        # too, which LROMConfig below does not see when dt is swept
+        for name in ("delta", "dt", "r"):
             value = getattr(self, name)
-            # a float must hold it (a huge int is below inf)
             if value is not None and not abs(value) <= sys.float_info.max:
                 raise InvalidStudyError(f"{name} must be finite, got {value}")
         if not all(abs(v) <= sys.float_info.max for v in self.sweep):
@@ -136,20 +135,18 @@ class StudyConfig:
         diffs = np.diff(np.asarray(self.sweep, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise InvalidStudyError("sweep values must be strictly monotone")
-        for name in ("snap_dt", "t_final", "nu", "dt"):
-            if any(v <= 0 for v in self._values(name)):
-                raise InvalidStudyError(f"{name} must be positive")
+        try:
+            grid_steps(self.t_final, self.snap_dt, "snap_dt")
+            for dt in self._values("dt"):
+                LROMConfig(dt=dt, t_final=self.t_final, nu=self.nu,
+                           linearization=self.linearization)
+        except ValueError as exc:
+            raise InvalidStudyError(str(exc)) from None
         if any(v < 0 for v in self._values("delta")):
             raise InvalidStudyError("delta must be nonnegative")
         if any(not math.isfinite(float(v) * float(v))
                for v in self._values("delta")):
             raise InvalidStudyError("delta squared must be finite")
-        for name in ("snap_dt", "dt"):
-            for step in self._values(name):
-                try:
-                    grid_steps(self.t_final, step, name)
-                except ValueError as exc:
-                    raise InvalidStudyError(str(exc)) from None
         for r in self._values("r"):
             if r != int(r):
                 raise InvalidStudyError(f"r={r} is not an integer")

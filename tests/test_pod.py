@@ -5,7 +5,6 @@ import pytest
 
 from oracles import (correlation_matrix, full_modes, interpolate, l2_norm,
                      project_Pr, symmetric_eig)
-from romlab import pod
 from romlab.exact import AnalyticSolution
 from romlab.fe import assemble_mass, assemble_stiffness, build_space
 from romlab.pod import (build_pod_basis, collapse, collect_snapshots,
@@ -91,6 +90,16 @@ class _FullGrid(AnalyticSolution):
                      for c in super().velocity(x, y, t))
 
 
+class _FullGridU(AnalyticSolution):
+    """The benchmark flow with u on the full (m, m, K) grid and v
+    broadcast along y."""
+
+    def velocity(self, x, y, t):
+        u, v = super().velocity(x, y, t)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t))
+        return np.broadcast_to(u, shape).copy(), v
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_collapse_matches_dense_product(n):
     """collapse(op, rows) is P^T op P: for the benchmark flow's row map
@@ -114,21 +123,23 @@ def test_collapse_matches_dense_product(n):
 def test_one_path_for_a_flow_that_does_not_broadcast():
     """A velocity on the full grid gives rows = arange(N) and goes
     through the same functions, with the operators collapsed by the
-    identity map. At n = 8, on the 101 benchmark snapshots, its basis
-    equals the broadcast path's within 1e-13 relative: the full basis's
-    (d = 15) eigenvalues, grad_gram, snap_coords, leading six expanded
-    modes and r = 6 tensor and forcing; its residual_energy, roundoff
-    in both, against the mean snapshot energy; and all five arrays of
-    a 6-mode basis, whose residual energies are far above roundoff. The
+    identity map; one with u on the full grid and v broadcast gives
+    its components m^2 and m rows (R = m^2 + m). At n = 8, on the 101
+    benchmark snapshots, the broadcast and the mixed bases each equal
+    the full grid's within 1e-13 relative: the full basis's (d = 15)
+    eigenvalues, grad_gram, snap_coords, leading six expanded modes
+    and r = 6 tensor and forcing; its residual_energy, roundoff in
+    both, against the mean snapshot energy; and all five arrays of a
+    6-mode basis, whose residual energies are far above roundoff. The
     full basis's trailing modes are left out: small eigenvalue gaps
-    amplify the two paths' summation orders there to 6.4e-14 to 8.5e-14
+    amplify the paths' summation orders there to 6.4e-14 to 8.5e-14
     of max |Phi| (modes 9, 10, 14 and 15; the leading six, at most
     3.3e-15)."""
     space = build_space(8)
     m_op, s_op = assemble_mass(space), assemble_stiffness(space)
     times = default_times(0.01, 1.0)
     bases = []
-    for sol in (AnalyticSolution(), _FullGrid()):
+    for sol in (AnalyticSolution(), _FullGridU(), _FullGrid()):
         u, rows = collect_snapshots(space, sol, times)
         ops = collapse(m_op, rows), collapse(s_op, rows)
         full = build_pod_basis(u, rows, *ops)
@@ -136,32 +147,35 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
         six = build_pod_basis(u, rows, *ops,
                               rank_tol=np.sqrt(lam[5] * lam[6]) / lam[0])
         bases.append((full, six))
-    (full, six), (full_ref, six_ref) = bases
-    assert full.modes.shape[0] == 2 * 17
+    *paths, (full_ref, six_ref) = bases
+    assert [full.modes.shape[0] for full, _ in paths] == [2 * 17, 17 ** 2 + 17]
     assert np.array_equal(full_ref.rows, np.arange(space.n_dofs))
-    assert full.d == full_ref.d == 15 and six.d == six_ref.d == 6
+    assert full_ref.d == 15 and six_ref.d == 6
 
     def close(got, want, scale=None):
         scale = np.abs(want).max() if scale is None else scale
         return np.abs(got - want).max() <= 1e-13 * scale
 
-    for name in ("eigenvalues", "grad_gram", "snap_coords"):
-        assert close(getattr(full, name), getattr(full_ref, name)), name
-    # u is the full grid's (N, K): the snapshots' mean squared L2 norm
-    # and H1 seminorm scale the two rows of residual_energy
-    for op, got, want in zip((m_op, s_op), full.residual_energy,
-                             full_ref.residual_energy):
-        assert close(got, want, np.mean(np.sum(u * (op @ u), axis=0)))
-    assert close(full_modes(full)[:, :6], full_modes(full_ref)[:, :6])
-    for name in ("eigenvalues", "grad_gram", "snap_coords",
-                 "residual_energy"):
-        assert close(getattr(six, name), getattr(six_ref, name)), name
-    assert close(full_modes(six), full_modes(six_ref))
-    assert close(build_trilinear_tensor(full, 6, space),
-                 build_trilinear_tensor(full_ref, 6, space))
     sol = AnalyticSolution()
-    assert close(project_forcing(full, 6, m_op, sol, times, space),
-                 project_forcing(full_ref, 6, m_op, sol, times, space))
+    tensor = build_trilinear_tensor(full_ref, 6, space)
+    forcing = project_forcing(full_ref, 6, m_op, sol, times, space)
+    for full, six in paths:
+        assert full.d == 15 and six.d == 6
+        for name in ("eigenvalues", "grad_gram", "snap_coords"):
+            assert close(getattr(full, name), getattr(full_ref, name)), name
+        # u is the full grid's (N, K): the snapshots' mean squared L2 norm
+        # and H1 seminorm scale the two rows of residual_energy
+        for op, got, want in zip((m_op, s_op), full.residual_energy,
+                                 full_ref.residual_energy):
+            assert close(got, want, np.mean(np.sum(u * (op @ u), axis=0)))
+        assert close(full_modes(full)[:, :6], full_modes(full_ref)[:, :6])
+        for name in ("eigenvalues", "grad_gram", "snap_coords",
+                     "residual_energy"):
+            assert close(getattr(six, name), getattr(six_ref, name)), name
+        assert close(full_modes(six), full_modes(six_ref))
+        assert close(build_trilinear_tensor(full, 6, space), tensor)
+        assert close(project_forcing(full, 6, m_op, sol, times, space),
+                     forcing)
 
 
 def test_correlation_matrix_properties(small):
@@ -267,38 +281,6 @@ def test_snapshot_coords_and_residual_energy(small):
         _trace_residual_energy(u, small.m_op, small.s_op, 6), rtol=1e-14)
 
 
-@pytest.mark.parametrize("n, d, block_bytes", [
-    pytest.param(16, 31, 1 << 16, id="16-31"),
-    pytest.param(32, 63, 1 << 16, id="32-63"),
-    pytest.param(32, 63, None, id="32-63-shipped")])
-def test_build_holds_one_snapshot_sized_array(monkeypatch, n, d,
-                                              block_bytes):
-    """Next to the snapshots U, the build holds one more N x K array at
-    a time (M U, then U V over the dropped eigenvectors V, then the
-    modes) and one row block: with 64 KB blocks, and with the shipped
-    budget's four at n = 32, it allocates at most 1.1 |U| beyond its
-    input. A build that held M Phi, or the old and the corrected modes,
-    next to the modes peaked at 1.50 |U| (n = 16) and 1.30 |U|
-    (n = 32). At the shipped budget U V and the modes are written block
-    by block into their arrays (measured 1.012 |U|); whole-height
-    products U C beside 16 MB blocks peaked at 1.295 |U| (1.645 at
-    n = 64, against 1.113 in row blocks). Both ensembles have d < K, so
-    the residual pass is streamed too. At n = 8 the K x K correlation
-    product alone is 0.18 |U|, so the bound would measure the small
-    arrays there."""
-    u, rows, m_op, s_op = _ensemble(n)
-    if block_bytes is not None:
-        monkeypatch.setattr(pod, "BLOCK_BYTES", block_bytes)
-    tracemalloc.start()
-    try:
-        basis = build_pod_basis(u, rows, m_op, s_op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert basis.d == d
-    assert peak <= 1.1 * u.nbytes, peak / u.nbytes
-
-
 def test_context_build_holds_no_snapshot_sized_array():
     """build_context runs the POD on the snapshots' 2m distinct rows and
     never forms an N x K array: at n = 32 it allocates at most 0.75 of
@@ -315,26 +297,6 @@ def test_context_build_holds_no_snapshot_sized_array():
     snapshots = 8 * ctx.space.n_dofs * ctx.basis.snap_coords.shape[1]
     assert ctx.basis.modes.shape[0] == 2 * (2 * n + 1)
     assert peak <= 0.75 * snapshots, peak / snapshots
-
-
-def test_pod_block_streaming_invariant(monkeypatch):
-    """The basis does not depend on the block budget beyond roundoff:
-    64 KB blocks (105 at n = 32) against the shipped budget's four, on
-    the full basis and on a 6-mode one, whose residual energies are far
-    above roundoff."""
-    u, rows, m_op, s_op = _ensemble(32)
-    full = build_pod_basis(u, rows, m_op, s_op)
-    lam = full.eigenvalues
-    six_tol = np.sqrt(lam[5] * lam[6]) / lam[0]
-    want = [full, build_pod_basis(u, rows, m_op, s_op, rank_tol=six_tol)]
-    monkeypatch.setattr(pod, "BLOCK_BYTES", 1 << 16)
-    got = [build_pod_basis(u, rows, m_op, s_op),
-           build_pod_basis(u, rows, m_op, s_op, rank_tol=six_tol)]
-    for a, b in zip(want, got):
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        for name in ("modes", "grad_gram", "snap_coords", "residual_energy"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert np.abs(x - y).max() <= 1e-13 * np.abs(x).max(), name
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, np.nan])

@@ -519,6 +519,41 @@ def test_cli_sweep_failure(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 3
 
 
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+def test_cli_out_of_memory_building_the_context(monkeypatch, capsys):
+    """A mesh the machine cannot hold, such as --mesh-n 1048576, raised
+    numpy's MemoryError out of main: exit 1 with a traceback. It is
+    exit 2 now, with one line on stderr. The allocation is stubbed."""
+    monkeypatch.setattr(study, "build_space", _out_of_memory)
+    assert main(["filter-delta", "--mesh-n", "2", "--r", "3",
+                 "--sweep", "0.1,0.05"]) == 2
+    assert capsys.readouterr().err == \
+        "romlab: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_cli_out_of_memory_fails_only_its_point(monkeypatch, tmp_path,
+                                                capsys):
+    """A time grid the machine cannot hold, such as --sweep 1e-12 in an
+    lrom-dt study, failed the whole study with a traceback. It fails its
+    own point now: exit 3, with the partial CSV. The allocation of the
+    dt = 0.025 grid is stubbed; the snapshot grid and the others are
+    built."""
+    real = study.default_times
+    monkeypatch.setattr(study, "default_times", lambda step, t_final: (
+        _out_of_memory() if step == 0.025 else real(step, t_final)))
+    out = tmp_path / "oom.csv"
+    assert main(["lrom-dt", "--mesh-n", "4", "--r", "4", "--sweep",
+                 "0.1,0.05,0.025", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == \
+        "dt=0.025  FAILED: Unable to allocate 7.28 TiB for an array\n"
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [row[2] != "" for row in rows] == [True, True, False]
+
+
 def test_cli_picard_converges_where_50_iterations_did_not(capsys):
     """At r = 4 on an n = 4 mesh, dt = 0.1 and 0.05 need up to 157 and
     76 Picard iterations per step; the default limit admits both."""
