@@ -4,9 +4,9 @@
            [--nu NU] [--t-final T] [--sweep v1,v2,...] [--out PATH]
            [--linearization MODE] [--final-error VARIANT]
 
-Exit codes: 0 success; 2 invalid config, or out of memory while
-building the context; 3 sweep-point failure(s) with partial output;
-4 regression impossible.
+Exit codes: 0 success; 2 invalid config, out of memory while building
+the context, or an output file that cannot be written; 3 sweep-point
+failure(s) with partial output; 4 regression impossible.
 """
 
 import argparse
@@ -60,6 +60,10 @@ def main(argv=None) -> int:
         result = run_study(cfg, ctx)
     except InvalidStudyError as exc:
         print(f"romlab: invalid config: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # writing the CSV or .plot file, such as ENOSPC
+        print(f"romlab: cannot write {exc.filename or cfg.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
         return 2
     for rec in result.records:
         if rec.ok:

@@ -176,48 +176,24 @@ def _mu(basis: PODBasis, r: int, space: VelocitySpace,
     return mu
 
 
-def _slice_classes(slices: np.ndarray, keys: np.ndarray):
-    """Class labels (m,) and representatives of the m slices[j], by
-    bitwise equality: slices with equal keys are compared bit for bit,
-    so a key shared by unequal slices costs a comparison."""
-    labels = np.empty(len(keys), dtype=np.intp)
-    reps, by_key = [], {}
-    for j, key in enumerate(keys.tolist()):
-        for c in by_key.setdefault(key, []):
-            if np.array_equal(slices[reps[c]], slices[j]):
-                break
-        else:
-            c = len(reps)
-            reps.append(j)
-            by_key[key].append(c)
-        labels[j] = c
-    return labels, reps
-
-
-def _node_classes(q: np.ndarray):
+def _node_classes(q: np.ndarray, rows: np.ndarray):
     """One component's q (m, m, r) on the (y, x) node grid, as the
-    classes of its slices along the grid axis with fewer of them:
-    (axis, p, b), with axis 0 (y) or 1 (x), p the 0/1 (m, k) class
-    matrix and b the (m k, r) class representatives, as (class, x) rows
-    along y and (y, class) rows along x. When no slice repeats (k = m),
-    p is None, for the identity, and b is q.
-
-    A slice's key sums its float64 bits times fixed odd weights mod
-    2**64, first over each node's r values, then over its m nodes: equal
-    slices get equal keys, and no slice's bytes are held."""
+    classes of its grid lines along the first axis, 0 (y) or 1 (x), on
+    which its rows (m, m) do not vary: (axis, p, b), with p the 0/1
+    (m, 4) class matrix and b the (m 4, r) class representatives, as
+    (class, x) rows along y and (y, class) rows along x. The classes are
+    the first boundary line, the odd (midpoint) lines, the even interior
+    (vertex) lines and the last boundary line, represented by lines 0,
+    1, 2 and m - 1. When the rows vary along both axes, or no class
+    holds two lines (m = 3), p is None, for the identity, and b is q."""
     m, r = q.shape[1:]
-    bits = q.view(np.uint64)
-    w = np.random.default_rng(0).integers(
-        2 ** 64, size=m + r, dtype=np.uint64) | np.uint64(1)
-    node = bits @ w[:r]
-    classes = [_slice_classes(np.moveaxis(bits, axis, 0), keys)
-               for axis, keys in enumerate((node @ w[r:], w[r:] @ node))]
-    axis = int(len(classes[1][1]) < len(classes[0][1]))
-    labels, reps = classes[axis]
-    if len(reps) == m:
-        return axis, None, q.reshape(-1, r)
-    return (axis, np.eye(len(reps))[labels],
-            np.take(q, reps, axis=axis).reshape(-1, r))
+    axis = next((a for a in (0, 1) if not np.diff(rows, axis=a).any()), None)
+    if axis is None or m == 3:
+        return 0, None, q.reshape(-1, r)
+    labels = np.where(np.arange(m) % 2, 1, 2)
+    labels[[0, -1]] = 0, 3
+    return (axis, np.eye(4)[labels],
+            np.take(q, [0, 1, 2, m - 1], axis=axis).reshape(-1, r))
 
 
 def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
@@ -232,16 +208,19 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
 
     The fields are contracted with q = M Phi through its node classes,
     as DEIM (Chaturantabut and Sorensen, SIAM J. Sci. Comput. 32(5),
-    2010) projects without full-size products. Per component, the
-    slices of q along x and along y are grouped by bitwise equality, and
-    the axis with fewer classes k is kept: the benchmark flow's q has 4,
-    the two boundary lines, the interior vertex and midpoint lines, u's
-    along x and v's along y. Per time chunk each field is summed over
-    its classes by a product with the 0/1 (m, k) class matrix, then
-    multiplied by the (m k, r) class representatives of q in one
-    (T, m k) (m k, r) GEMM, m/k times smaller than the dense
-    (T, m^2) (m^2, r) one. When no slice repeats (k = m) the sum is
-    skipped, and the GEMM is the dense one.
+    2010) projects without full-size products. The classes are read
+    off the rows, not off q. Along an axis on which a component's rows
+    do not vary (u's along x and v's along y, for the benchmark flow),
+    q = M P Phi repeats wherever M P does. The uniform mesh is unchanged
+    by a shift of one element, so M P has one stencil, summed in one
+    order, on every interior vertex line and one on every interior
+    midpoint line; only the two boundary lines differ. So q has k = 4
+    classes of lines along that axis, bit for bit. Per time chunk each
+    field is summed over its classes by a product with the 0/1 (m, k)
+    class matrix, then multiplied by the (m k, r) class representatives
+    of q in one (T, m k) (m k, r) GEMM, m/k times smaller than the dense
+    (T, m^2) (m^2, r) one. When the rows vary along both axes, or
+    k = m (n = 1), the sum is skipped, and the GEMM is the dense one.
     """
     times = np.asarray(times, dtype=float)
     side = space.grid_side()
@@ -254,7 +233,8 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
                         shape=(m_op.shape[0], basis.modes.shape[0]))
     q = (m_p @ basis.modes[:, :r]).reshape(2, m, m, r)
     del m_p
-    parts = [_node_classes(qc) for qc in q]
+    parts = [_node_classes(qc, rc)
+             for qc, rc in zip(q, basis.rows.reshape(2, m, m))]
     del q
     x = side[None, None, :]
     y = side[None, :, None]

@@ -108,8 +108,14 @@ class StudyConfig:
                 f"unknown final_error_variant {self.final_error_variant!r}")
         if self.out is not None:  # refused now, not once the study has run
             out = Path(self.out)
-            if out.is_dir() or Path(f"{out}.plot").is_dir() or not next(
-                    p for p in out.absolute().parents if p.exists()).is_dir():
+            try:
+                bad = (out.is_dir() or Path(f"{out}.plot").is_dir()
+                       or not next(p for p in out.absolute().parents
+                                   if p.exists()).is_dir())
+            except OSError as exc:  # such as a name too long to look up
+                raise InvalidStudyError(
+                    f"cannot write {out}: {exc.strerror}") from None
+            if bad:
                 raise InvalidStudyError(
                     f"cannot write {out}: it or its .plot file is a "
                     "directory, or a parent is not one")
@@ -187,6 +193,8 @@ class SweepRecord:
     error: str | None = None
     error_type: str | None = None   # the failure's exception class name
     error_step: int | None = None   # a StepDivergenceError's step, if set
+    error_residual: float | None = None  # its last Picard residual,
+    error_ratio: float | None = None     # and residual ratio, if set
 
     @property
     def ok(self) -> bool:
@@ -454,6 +462,8 @@ def run_study(cfg: StudyConfig, ctx: StudyContext | None = None) -> StudyResult:
             rec.error = str(exc)
             rec.error_type = type(exc).__name__
             rec.error_step = getattr(exc, "step", None)
+            rec.error_residual = getattr(exc, "residual", None)
+            rec.error_ratio = getattr(exc, "ratio", None)
         records.append(rec)
 
     result = StudyResult(config=cfg, records=records)

@@ -324,38 +324,37 @@ def _mass_modes(basis, m_op, m):
     return (m_op @ full_modes(basis)).reshape(2, m, m, -1)
 
 
-@pytest.mark.parametrize("n", [8, 16])
-def test_benchmark_mass_modes_have_four_node_classes(n):
-    """The benchmark basis's M Phi repeats its slices in 4 classes per
-    component, u's along x and v's along y: the two boundary lines, the
-    interior midpoint lines and the interior vertex lines. The
-    representatives reproduce q bit for bit."""
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_benchmark_mass_modes_have_four_node_classes(n, rng):
+    """On the benchmark flow's rows, M Phi repeats its lines in the 4
+    classes that _node_classes reads off the rows, per component u's
+    along x and v's along y: the two boundary lines, the interior
+    midpoint lines and the interior vertex lines. This is a property of
+    M and P, not of the modes: for the basis's modes and for seeded
+    random ones on the same rows, the representatives rebuild q bit for
+    bit. At n = 1 (m = 3) no class holds two lines, and p is None."""
     ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n, r=8))
     m = 2 * n + 1
-    q = _mass_modes(ctx.basis, ctx.m_op, m)
+    rows = ctx.basis.rows.reshape(2, m, m)
+    noise = replace(ctx.basis,
+                    modes=rng.standard_normal(ctx.basis.modes.shape))
     expect = np.r_[0, np.where(np.arange(1, m - 1) % 2, 1, 2), 3]
-    for qc, class_axis in zip(q, [1, 0]):
-        axis, p, b = rom._node_classes(qc)
-        assert axis == class_axis
-        assert p.shape == (m, 4) and set(np.unique(p)) == {0.0, 1.0}
-        labels = p.argmax(axis=1)
-        assert np.array_equal(labels, expect)
-        # b's rows are (class, x) along y and (y, class) along x
-        reps = b.reshape((4, m, -1) if axis == 0 else (m, 4, -1))
-        reps = np.moveaxis(reps, axis, 0)
-        assert np.array_equal(reps[labels].view(np.uint64),
-                              np.moveaxis(qc, axis, 0).view(np.uint64))
-
-
-def test_slice_classes_tell_apart_slices_whose_keys_collide(rng):
-    """With every key equal, the bitwise comparison alone sets the
-    classes."""
-    slices = rng.standard_normal((6, 3, 2))
-    slices[3] = slices[1]
-    labels, reps = rom._slice_classes(slices.view(np.uint64),
-                                      np.zeros(6, dtype=np.uint64))
-    assert labels.tolist() == [0, 1, 2, 1, 3, 4]
-    assert reps == [0, 1, 2, 4, 5]
+    for basis in (ctx.basis, noise):
+        q = _mass_modes(basis, ctx.m_op, m)
+        for qc, rc, class_axis in zip(q, rows, [1, 0]):
+            axis, p, b = rom._node_classes(qc, rc)
+            if n == 1:
+                assert p is None and np.array_equal(b, qc.reshape(m * m, -1))
+                continue
+            assert axis == class_axis
+            assert p.shape == (m, 4) and set(np.unique(p)) == {0.0, 1.0}
+            labels = p.argmax(axis=1)
+            assert np.array_equal(labels, expect)
+            # b's rows are (class, x) along y and (y, class) along x
+            reps = b.reshape((4, m, -1) if axis == 0 else (m, 4, -1))
+            reps = np.moveaxis(reps, axis, 0)
+            assert np.array_equal(reps[labels].view(np.uint64),
+                                  np.moveaxis(qc, axis, 0).view(np.uint64))
 
 
 def test_project_forcing_without_repeated_slices(small, rng):
@@ -365,8 +364,8 @@ def test_project_forcing_without_repeated_slices(small, rng):
     m = 2 * small.n + 1
     basis = _random_basis(small, rng)
     q = _mass_modes(basis, small.m_op, m)[..., :5]
-    for qc in q:
-        axis, p, b = rom._node_classes(qc)
+    for qc, rc in zip(q, basis.rows.reshape(2, m, m)):
+        axis, p, b = rom._node_classes(qc, rc)
         assert p is None and b.shape == (m * m, 5)
     times = np.linspace(0.0, 1.0, 7)
     f = project_forcing(basis, 5, small.m_op, small.solution, times, space)
@@ -385,7 +384,8 @@ def test_project_forcing_rejects_nonfinite_inside_a_class(small, bad,
     m = 2 * small.n + 1
     q = _mass_modes(small.basis, small.m_op, m)[:, :, :, :2]
     node = (m // 2, 3)  # (y, x), both interior
-    axis, p, _ = rom._node_classes(q[component])
+    rows = small.basis.rows.reshape(2, m, m)
+    axis, p, _ = rom._node_classes(q[component], rows[component])
     assert p[:, p[node[axis]].argmax()].sum() > 1
 
     class OneNode:

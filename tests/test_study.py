@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import io
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -197,14 +199,16 @@ def test_lrom_sweep_point_failure(small_ctx):
 
 
 def test_failed_point_records_its_exception_type_and_step(small_ctx):
-    """The divergent point records StepDivergenceError and the step that
-    run raised it at; a point that fails without a step (delta^2 S_r
-    overflows in build_filter) records ValueError and no step; a point
-    that passes records neither."""
+    """The divergent point records StepDivergenceError and the step,
+    last Picard residual and residual ratio that run raised it with; a
+    point that fails without them (delta^2 S_r overflows in
+    build_filter) records ValueError and none of them; a point that
+    passes records none of the failure fields."""
     res = run_study(_small_cfg(kind="lrom-dt", r=6, delta=1e-3,
                                sweep=[1e-2, 5e-1]), small_ctx)
     passed, diverged = res.records
-    assert passed.error_type is None and passed.error_step is None
+    fields = ("error_type", "error_step", "error_residual", "error_ratio")
+    assert all(getattr(passed, name) is None for name in fields)
     ops = small_ctx.operators(6, 5e-1)
     with pytest.raises(StepDivergenceError) as info:
         run(ops, build_filter(ops.s_r, 1e-3), LROMConfig(dt=5e-1))
@@ -212,11 +216,15 @@ def test_failed_point_records_its_exception_type_and_step(small_ctx):
     assert diverged.error_type == "StepDivergenceError"
     assert diverged.error_step == info.value.step
     assert diverged.error == str(info.value)
+    # Picard's residual stalls near 1: finite, and equal to run's own
+    assert 0 < diverged.error_residual == info.value.residual
+    assert 0 < diverged.error_ratio == info.value.ratio
     overflow = run_study(_small_cfg(kind="filter-delta", r=2,
                                     sweep=[1e150, 1e154]), small_ctx)
     assert overflow.records[0].ok
     assert overflow.records[1].error_type == "ValueError"
-    assert overflow.records[1].error_step is None
+    assert all(getattr(overflow.records[1], name) is None
+               for name in fields[1:])
 
 
 def test_study_deterministic(small_ctx, tmp_path):
@@ -601,13 +609,14 @@ def test_cli_cache_option_is_gone(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["directory", "plot directory",
-                                   "under a file"])
+                                   "under a file", "name too long"])
 def test_cli_refuses_unwritable_out_before_building(where, tmp_path,
                                                     monkeypatch, capsys):
     """An --out that cannot be written, an existing directory (for the
-    CSV or its .plot file) or a path under a regular file, gave a
-    traceback and exit 1 once the whole study had run. It is an invalid
-    config now: no context is built and no file is made."""
+    CSV or its .plot file), a path under a regular file or a name too
+    long to look up, gave a traceback and exit 1, the first three once
+    the whole study had run. It is an invalid config now: no context is
+    built and no file is made."""
     built = []
     monkeypatch.setattr(study, "build_context", built.append)
     blocker = tmp_path / "file"
@@ -615,12 +624,27 @@ def test_cli_refuses_unwritable_out_before_building(where, tmp_path,
     (tmp_path / "x.csv.plot").mkdir()
     before = sorted(tmp_path.rglob("*"))
     out = {"directory": tmp_path, "plot directory": tmp_path / "x.csv",
-           "under a file": blocker / "x.csv"}[where]
+           "under a file": blocker / "x.csv",
+           "name too long": tmp_path / f"{'a' * 300}.csv"}[where]
     argv = ["filter-r", "--mesh-n", "2", "--sweep", "2,3", "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("romlab: invalid config: ")
     assert built == []
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_cli_reports_a_failed_write(tmp_path, monkeypatch, capsys):
+    """A write that fails once the study has run, such as on a full
+    disk, gave a traceback and exit 1; it exits 2 and names the file."""
+    out = tmp_path / "x.csv"
+
+    def full(path, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(study, "write_csv", full)
+    argv = ["filter-r", "--mesh-n", "2", "--sweep", "2,3", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"romlab: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_parser_holds_no_defaults():
