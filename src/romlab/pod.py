@@ -10,8 +10,9 @@ does not vary along a grid axis repeats its rows along it, so the
 (N, K) snapshots are U = P u for the (R, K) distinct rows u and the
 0/1 map P from dofs to rows, P[i, rows[i]] = 1. Every product of the
 build then has the form U^T op U = u^T (P^T op P) u, and it runs on u
-with the (R, R) operators P^T M P and P^T S P (collapse). The modes are
-(R, d) as well; the full-height modes are modes[rows].
+with the (R, R) operators P^T M P and P^T S P, which fe assembles
+through the row map with no N x N operator. The modes are (R, d) as
+well; the full-height modes are modes[rows].
 """
 
 import sys
@@ -24,7 +25,6 @@ from .fe import VelocitySpace
 
 __all__ = [
     "collect_snapshots",
-    "collapse",
     "PODBasis",
     "build_pod_basis",
     "truncation_errors",
@@ -88,18 +88,6 @@ def collect_snapshots(space: VelocitySpace, solution,
     return u, rows.reshape(-1)
 
 
-def collapse(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """P^T op P for the map P[i, rows[i]] = 1 from dofs to rows, as one
-    sparse product: P^T times op with its column indices mapped through
-    rows (op P, whose duplicate entries the product sums)."""
-    size = int(rows.max()) + 1
-    op_p = sp.csr_matrix((op.data, rows[op.indices], op.indptr),
-                         shape=(op.shape[0], size))
-    p_t = sp.csc_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
-                        shape=(size, rows.size)).tocsr()
-    return p_t @ op_p
-
-
 @dataclass(frozen=True)
 class PODBasis:
     """L2-orthonormal POD modes with their energies.
@@ -143,8 +131,9 @@ def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
                     s_op: sp.csr_matrix, rank_tol: float = 1e-14) -> PODBasis:
     """Eigendecompose the correlation matrix of the snapshots u[rows]
     and assemble the modes, from their (R, K) distinct rows u and the
-    (R, R) operators on those rows, collapse(M, rows) and
-    collapse(S, rows).
+    (R, R) operators on those rows, P^T M P and P^T S P
+    (fe.assemble_mass(space, rows) and fe.assemble_stiffness(space,
+    rows)).
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
     Every product is one whole-array expression: next to u, the build

@@ -196,9 +196,14 @@ def _node_classes(q: np.ndarray, rows: np.ndarray):
             np.take(q, [0, 1, 2, m - 1], axis=axis).reshape(-1, r))
 
 
-def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
+def project_forcing(basis: PODBasis, r: int, m_p: sp.csr_matrix,
                     solution, times, space: VelocitySpace) -> np.ndarray:
     """Forcing coordinates F_k,i = (f_h(t_k), phi_i) for each time level.
+
+    m_p is M P, the (N, R) mass operator M with its column indices
+    mapped through basis.rows, P[i, rows[i]] = 1. Times the distinct-row
+    modes it sums the products of M Phi, Phi = modes[rows], in M's
+    order, with no N x r gather.
 
     f_h is the nodal interpolant of the analytic forcing, consistent
     with the snapshot convention. The P2 nodes form a y-major m x m grid
@@ -225,14 +230,8 @@ def project_forcing(basis: PODBasis, r: int, m_op: sp.csr_matrix,
     times = np.asarray(times, dtype=float)
     side = space.grid_side()
     m = side.size
-    # M Phi per component, for the full-height modes Phi = modes[rows],
-    # as M P times the distinct-row modes: M with its column indices
-    # mapped through rows sums the same products in the same order, with
-    # no N x r gather. Only q's class representatives are kept.
-    m_p = sp.csr_matrix((m_op.data, basis.rows[m_op.indices], m_op.indptr),
-                        shape=(m_op.shape[0], basis.modes.shape[0]))
+    # M Phi per component; only its class representatives are kept
     q = (m_p @ basis.modes[:, :r]).reshape(2, m, m, r)
-    del m_p
     parts = [_node_classes(qc, rc)
              for qc, rc in zip(q, basis.rows.reshape(2, m, m))]
     del q

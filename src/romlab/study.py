@@ -31,8 +31,8 @@ from .exact import AnalyticSolution
 from .fe import (VelocitySpace, assemble_mass, assemble_stiffness, build_space,
                  check_mesh_n)
 from .filtering import apply_filter, build_filter
-from .pod import (PODBasis, build_pod_basis, collapse, collect_snapshots,
-                  default_times, grid_steps, truncation_errors)
+from .pod import (PODBasis, build_pod_basis, collect_snapshots, default_times,
+                  grid_steps, truncation_errors)
 from .rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
                   build_trilinear_tensor, project_forcing, ROMOperators,
                   run, stability_check)
@@ -309,16 +309,17 @@ class StudyContext:
     """Objects shared across sweep points and run_study calls."""
 
     space: VelocitySpace
-    m_op: sp.csr_matrix
     basis: PODBasis
     solution: AnalyticSolution
     settings: dict            # CONTEXT_SETTINGS -> the values built from
     # the read-only advection tensor and forcing series (one per dt, on
     # the levels 0, dt, ..., settings["t_final"]), built for the largest
     # r asked for so far, whose leading blocks serve smaller r, and the
-    # R factor of each r's leading block
+    # R factor of each r's leading block; and the forcing's (N, R) M P,
+    # built with the first forcing series
     _width: int = field(default=0, init=False, repr=False)
     _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
+    _m_p: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     _forcing: dict = field(default_factory=dict, init=False, repr=False)
     _unfolded_r: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -340,8 +341,14 @@ class StudyContext:
             self._width = r
         if dt not in self._forcing:
             times = default_times(dt, self.settings["t_final"])
+            if self._m_p is None:  # M with its columns mapped through rows
+                m_op, rows = assemble_mass(self.space), self.basis.rows
+                self._m_p = sp.csr_matrix(
+                    (m_op.data, rows[m_op.indices], m_op.indptr),
+                    shape=(m_op.shape[0], self.basis.modes.shape[0]))
+                del m_op  # its own indices, before the projection
             self._forcing[dt] = project_forcing(
-                self.basis, self._width, self.m_op, self.solution, times,
+                self.basis, self._width, self._m_p, self.solution, times,
                 self.space)
             self._forcing[dt].flags.writeable = False
         ops = ROMOperators(s_r=self.basis.grad_gram[:r, :r],
@@ -355,16 +362,17 @@ class StudyContext:
 
 
 def build_context(cfg: StudyConfig) -> StudyContext:
+    """The context of cfg's settings, with no N x N operator: the POD's
+    are assembled on the snapshots' distinct rows."""
     solution = AnalyticSolution(nu=cfg.nu)
     space = build_space(cfg.mesh_n)
-    m_op = assemble_mass(space)
     times = default_times(cfg.snap_dt, cfg.t_final)
     u, rows = collect_snapshots(space, solution, times)
-    basis = build_pod_basis(u, rows, collapse(m_op, rows),
-                            collapse(assemble_stiffness(space), rows))
+    basis = build_pod_basis(u, rows, assemble_mass(space, rows),
+                            assemble_stiffness(space, rows))
     settings = {name: getattr(cfg, name) for name in CONTEXT_SETTINGS}
-    return StudyContext(space=space, m_op=m_op, basis=basis,
-                        solution=solution, settings=settings)
+    return StudyContext(space=space, basis=basis, solution=solution,
+                        settings=settings)
 
 
 def _lrom_point(cfg: StudyConfig, ctx: StudyContext, rec: SweepRecord,

@@ -41,10 +41,14 @@ the triangle areas, and velocity_grad is the analytic velocity's
 Jacobian, which only the tests read. assemble_scalar and vectorize
 build M and S through int64 COO triplets, (a + a.T) * 0.5 and
 sp.block_diag, and check fe's assembly, whose CSR arrays must equal
-theirs bit for bit. p2_1d_matrices, separable_pod and separable_tensor
-solve the benchmark flow as the 1-D P2 problem it reduces to, from
-closed-form element matrices and with no use of romlab.fe, and check
-the operators, the POD and the tensor.
+theirs bit for bit. dense_collapse is P^T op P for the 0/1 map P from
+dofs to rows as a dense product, and checks fe's assembly through a
+row map, which sums elements whose mapped dofs agree once; column_map
+is op P, op with its column indices mapped through the rows, as a
+study context builds the forcing's M P. p2_1d_matrices, separable_pod
+and separable_tensor solve the benchmark flow as the 1-D P2 problem it
+reduces to, from closed-form element matrices and with no use of
+romlab.fe, and check the operators, the POD and the tensor.
 """
 
 from dataclasses import replace
@@ -587,6 +591,20 @@ def assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
 
 def vectorize(scalar: sp.csr_matrix) -> sp.csr_matrix:
     return sp.block_diag([scalar, scalar], format="csr")
+
+
+def dense_collapse(op: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """P^T op P, dense, for the map P[i, rows[i]] = 1 from dofs to rows."""
+    p = np.zeros((rows.size, int(rows.max()) + 1))
+    p[np.arange(rows.size), rows] = 1.0
+    return p.T @ op.toarray() @ p
+
+
+def column_map(op: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """op P for the map P[i, rows[i]] = 1: op's entries, in op's order,
+    with their column indices mapped through rows (duplicates unsummed)."""
+    return sp.csr_matrix((op.data, rows[op.indices], op.indptr),
+                         shape=(op.shape[0], int(rows.max()) + 1))
 
 
 def p2_1d_matrices(n: int) -> np.ndarray:

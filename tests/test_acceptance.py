@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import folded_tensor, full_modes, reference_run, trilinear_bstar
+from romlab.fe import assemble_mass
 from romlab.filtering import apply_filter, build_filter
 from romlab.pod import collect_snapshots, default_times, truncation_errors
 from romlab.rom import (LROMConfig, ROMOperators, _full_tensor,
@@ -111,7 +112,7 @@ def table5_result(bench_ctx):
 
 def test_criterion_01_pod_orthonormality_and_energy(bench_ctx):
     failures = []
-    basis, m_op = bench_ctx.basis, bench_ctx.m_op
+    basis, m_op = bench_ctx.basis, assemble_mass(bench_ctx.space)
     if basis.d not in (100, 101):
         failures.append(f"unexpected POD rank d={basis.d}")
     modes = full_modes(basis)
@@ -374,7 +375,8 @@ def test_criterion_12_scalar_stepper_on_benchmark_basis(bench_ctx):
     ops = bench_ctx.operators(r, dt)
     ns = bench_ctx.space.n_scalar
     one_x = np.concatenate([np.ones(ns), np.zeros(ns)])
-    mu = full_modes(bench_ctx.basis)[:, :r].T @ (bench_ctx.m_op @ one_x)
+    m_op = assemble_mass(bench_ctx.space)
+    mu = full_modes(bench_ctx.basis)[:, :r].T @ (m_op @ one_x)
     cfg = LROMConfig(dt=dt)
     for delta in (1e-4, 1 / 64):
         filt = build_filter(ops.s_r, delta)

@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (correlation_matrix, full_modes, interpolate, l2_norm,
-                     project_Pr, symmetric_eig)
+from oracles import (column_map, correlation_matrix, dense_collapse,
+                     full_modes, interpolate, l2_norm, project_Pr,
+                     symmetric_eig)
+from romlab import study
 from romlab.exact import AnalyticSolution
 from romlab.fe import assemble_mass, assemble_stiffness, build_space
-from romlab.pod import (build_pod_basis, collapse, collect_snapshots,
-                        default_times, truncation_errors)
+from romlab.pod import (build_pod_basis, collect_snapshots, default_times,
+                        truncation_errors)
 from romlab.rom import build_trilinear_tensor, project_forcing
-from romlab.study import StudyConfig, build_context
+from romlab.study import StudyConfig, build_context, run_study
+from test_fallbacks import _FullGridFlow
 
 
 def _ensemble(n):
@@ -100,29 +103,37 @@ class _FullGridU(AnalyticSolution):
         return np.broadcast_to(u, shape).copy(), v
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_collapse_matches_dense_product(n):
-    """collapse(op, rows) is P^T op P: for the benchmark flow's row map
-    within roundoff of the dense product (the sums run in another
-    order), and for the identity map op itself, bit for bit."""
+    """assemble_mass and assemble_stiffness through a row map give
+    P^T op P with no N x N operator. For the benchmark flow's map they
+    are within 1e-15 of the dense product of op, relative to its
+    largest entry (the sums run in another order, and a group of
+    elements is summed once, times its size; measured up to 3.3e-16 at
+    n = 8), with its sparsity. For the map of a flow that varies along
+    both axes, R = N and rows = arange(N), they give op itself, bit for
+    bit."""
     space = build_space(n)
     _, rows = collect_snapshots(space, AnalyticSolution(), [0.0, 0.5])
-    p = np.zeros((space.n_dofs, 2 * (2 * n + 1)))    # P[i, rows[i]] = 1
-    p[np.arange(space.n_dofs), rows] = 1.0
-    for op in (assemble_mass(space), assemble_stiffness(space)):
-        dense = op.toarray()
-        got = collapse(op, rows)
-        assert got.shape == (p.shape[1],) * 2
-        want = p.T @ dense @ p
+    _, ident = collect_snapshots(space, _FullGridFlow(), [0.0, 0.5])
+    assert np.array_equal(ident, np.arange(space.n_dofs))
+    for assemble in (assemble_mass, assemble_stiffness):
+        op = assemble(space)
+        got, want = assemble(space, rows), dense_collapse(op, rows)
+        assert got.shape == want.shape == (2 * (2 * n + 1),) * 2
+        assert got.has_sorted_indices
+        assert np.array_equal(got.toarray() != 0, want != 0)
         assert np.abs(got.toarray() - want).max() \
             <= 1e-15 * np.abs(want).max()
-        ident = collapse(op, np.arange(space.n_dofs))
-        assert np.array_equal(ident.toarray(), dense)
+        same = assemble(space, ident)
+        assert same.shape == op.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(same, name), getattr(op, name))
 
 
 def test_one_path_for_a_flow_that_does_not_broadcast():
     """A velocity on the full grid gives rows = arange(N) and goes
-    through the same functions, with the operators collapsed by the
+    through the same functions, with the operators assembled through the
     identity map; one with u on the full grid and v broadcast gives
     its components m^2 and m rows (R = m^2 + m). At n = 8, on the 101
     benchmark snapshots, the broadcast and the mixed bases each equal
@@ -141,7 +152,7 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
     bases = []
     for sol in (AnalyticSolution(), _FullGridU(), _FullGrid()):
         u, rows = collect_snapshots(space, sol, times)
-        ops = collapse(m_op, rows), collapse(s_op, rows)
+        ops = assemble_mass(space, rows), assemble_stiffness(space, rows)
         full = build_pod_basis(u, rows, *ops)
         lam = full.eigenvalues
         six = build_pod_basis(u, rows, *ops,
@@ -174,8 +185,8 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
             assert close(getattr(six, name), getattr(six_ref, name)), name
         assert close(full_modes(six), full_modes(six_ref))
         assert close(build_trilinear_tensor(full, 6, space), tensor)
-        assert close(project_forcing(full, 6, m_op, sol, times, space),
-                     forcing)
+        assert close(project_forcing(full, 6, column_map(m_op, full.rows),
+                                     sol, times, space), forcing)
 
 
 def test_correlation_matrix_properties(small):
@@ -215,8 +226,8 @@ def test_symmetric_eig_rejects_asymmetric():
 
 def test_single_snapshot_basis(small):
     snaps, rows = collect_snapshots(small.space, small.solution, [0.4])
-    basis = build_pod_basis(snaps, rows, collapse(small.m_op, rows),
-                            collapse(small.s_op, rows))
+    basis = build_pod_basis(snaps, rows, assemble_mass(small.space, rows),
+                            assemble_stiffness(small.space, rows))
     assert basis.d == 1
     u = snaps[rows, 0]
     nrm = l2_norm(small.m_op, u)
@@ -297,6 +308,54 @@ def test_context_build_holds_no_snapshot_sized_array():
     snapshots = 8 * ctx.space.n_dofs * ctx.basis.snap_coords.shape[1]
     assert ctx.basis.modes.shape[0] == 2 * (2 * n + 1)
     assert peak <= 0.75 * snapshots, peak / snapshots
+
+
+def _count_mass_assemblies(monkeypatch):
+    """The row map of each call of study's assemble_mass, None for the
+    N x N M."""
+    calls, real = [], study.assemble_mass
+    monkeypatch.setattr(study, "assemble_mass", lambda space, rows=None: (
+        calls.append(rows), real(space, rows))[1])
+    return calls
+
+
+def test_filter_study_holds_no_n_by_n_operator(monkeypatch):
+    """build_context assembles P^T M P and P^T S P through the row map:
+    at n = 32 its traced peak, the mesh and the snapshots' rows included,
+    stays below the CSR bytes of one N x N mass operator (measured 0.60
+    of them; 3.0 when it assembled M and S and collapsed them), and
+    neither it nor a filter study calls the N x N mass assembly."""
+    n = 32
+    calls = _count_mass_assemblies(monkeypatch)
+    tracemalloc.start()
+    try:
+        ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for cfg in (dict(kind="filter-delta", r=30),
+                dict(kind="filter-r", sweep=[10, 20, 30])):
+        assert run_study(StudyConfig(mesh_n=n, **cfg), ctx).status == "ok"
+    assert all(rows is not None for rows in calls)
+    m_op = assemble_mass(ctx.space)
+    csr = m_op.data.nbytes + m_op.indices.nbytes + m_op.indptr.nbytes
+    assert peak < csr, peak / csr
+
+
+def test_lrom_study_builds_m_p_once(monkeypatch):
+    """An L-ROM study assembles the N x N M once, at its first forcing
+    series, for the forcing's M P: M with its column indices mapped
+    through the rows, in M's order, which serves every dt."""
+    calls = _count_mass_assemblies(monkeypatch)
+    cfg = StudyConfig(kind="lrom-dt", mesh_n=4, r=4, sweep=[0.1, 0.05])
+    ctx = build_context(cfg)
+    assert all(rows is not None for rows in calls)
+    assert run_study(cfg, ctx).status == "ok"
+    assert sum(rows is None for rows in calls) == 1
+    want = column_map(assemble_mass(ctx.space), ctx.basis.rows)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ctx._m_p, name), getattr(want, name))
+    assert ctx._m_p.shape == want.shape == (ctx.space.n_dofs, 2 * 9)
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, np.nan])

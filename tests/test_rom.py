@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (_lu_factor, _lu_solve, energy_ledger_einsum,
-                     folded_tensor, full_modes, longdouble_run, node_coords,
-                     reference_run, trilinear_bstar, unfolded_r)
+from oracles import (_lu_factor, _lu_solve, column_map,
+                     energy_ledger_einsum, folded_tensor, full_modes,
+                     longdouble_run, node_coords, reference_run,
+                     trilinear_bstar, unfolded_r)
 from romlab import rom
+from romlab.fe import assemble_mass
 from romlab.filtering import apply_filter, build_filter
 from romlab.rom import (_RANK_TOL, LINEARIZATIONS, LROMConfig, ROMOperators,
                         ROMTrajectory, StepDivergenceError,
@@ -221,7 +223,7 @@ class _ModeForcing:
 
 def test_project_forcing_mode_is_unit_vector(small):
     stub = _ModeForcing(small.space, full_modes(small.basis)[:, 2])
-    f = project_forcing(small.basis, R_SMALL, small.m_op, stub,
+    f = project_forcing(small.basis, R_SMALL, small.m_p, stub,
                         [0.0, 0.5], small.space)
     assert f.shape == (2, R_SMALL)
     assert np.abs(f - np.eye(R_SMALL)[2]).max() < 1e-10
@@ -239,7 +241,7 @@ class _PolyForcing:
 
 def test_project_forcing_quadrature_oracle(small):
     import oracles
-    f = project_forcing(small.basis, 3, small.m_op, _PolyForcing(),
+    f = project_forcing(small.basis, 3, small.m_p, _PolyForcing(),
                         [0.25], small.space)
     pts, w = oracles.triangle_quad_points(small.n, p=6)
     fx = pts[:, 0] ** 2 + pts[:, 1]
@@ -257,7 +259,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     space = small.space
     chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
-    f = project_forcing(small.basis, 5, small.m_op, small.solution, times,
+    f = project_forcing(small.basis, 5, small.m_p, small.solution, times,
                         space)
     q = small.m_op @ full_modes(small.basis)[:, :5]
     x, y = node_coords(space).T[:, None, :]
@@ -278,7 +280,7 @@ def test_project_forcing_holds_one_chunk_of_fields(small):
     times = np.linspace(0.0, 1.0, 2 * chunk + 1)
     tracemalloc.start()
     try:
-        project_forcing(small.basis, 4, small.m_op, small.solution, times,
+        project_forcing(small.basis, 4, small.m_p, small.solution, times,
                         space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -293,7 +295,7 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
             return (np.broadcast_to(np.nan, shape),
                     np.broadcast_to(0.0, shape))
     with pytest.raises(ValueError):
-        project_forcing(small.basis, 2, small.m_op, Bad(), [0.0],
+        project_forcing(small.basis, 2, small.m_p, Bad(), [0.0],
                         small.space)
 
     class OneNode:
@@ -311,10 +313,10 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
     monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * small.space.n_dofs)
     for bad, component in [(np.nan, 0), (np.inf, 1)]:
         with pytest.raises(ValueError, match="non-finite forcing values"):
-            project_forcing(small.basis, 2, small.m_op,
+            project_forcing(small.basis, 2, small.m_p,
                             OneNode(bad, component), [0.0, 1.0, 2.0],
                             small.space)
-    fine = project_forcing(small.basis, 2, small.m_op, OneNode(1.0, 0),
+    fine = project_forcing(small.basis, 2, small.m_p, OneNode(1.0, 0),
                            [0.0, 1.0, 2.0], small.space)
     assert np.isfinite(fine).all()
 
@@ -340,7 +342,7 @@ def test_benchmark_mass_modes_have_four_node_classes(n, rng):
                     modes=rng.standard_normal(ctx.basis.modes.shape))
     expect = np.r_[0, np.where(np.arange(1, m - 1) % 2, 1, 2), 3]
     for basis in (ctx.basis, noise):
-        q = _mass_modes(basis, ctx.m_op, m)
+        q = _mass_modes(basis, assemble_mass(ctx.space), m)
         for qc, rc, class_axis in zip(q, rows, [1, 0]):
             axis, p, b = rom._node_classes(qc, rc)
             if n == 1:
@@ -368,7 +370,8 @@ def test_project_forcing_without_repeated_slices(small, rng):
         axis, p, b = rom._node_classes(qc, rc)
         assert p is None and b.shape == (m * m, 5)
     times = np.linspace(0.0, 1.0, 7)
-    f = project_forcing(basis, 5, small.m_op, small.solution, times, space)
+    f = project_forcing(basis, 5, column_map(small.m_op, basis.rows),
+                        small.solution, times, space)
     x, y = node_coords(space).T[:, None, :]
     f1, f2 = small.solution.forcing(x, y, times[:, None])
     ref = np.hstack([f1, f2]) @ q.reshape(-1, 5)
@@ -396,7 +399,7 @@ def test_project_forcing_rejects_nonfinite_inside_a_class(small, bad,
             fields[(component, slice(None)) + node] = bad
             return fields[0], fields[1]
     with pytest.raises(ValueError, match="non-finite forcing values"):
-        project_forcing(small.basis, 2, small.m_op, OneNode(), [0.0, 1.0],
+        project_forcing(small.basis, 2, small.m_p, OneNode(), [0.0, 1.0],
                         small.space)
 
 

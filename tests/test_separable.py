@@ -16,6 +16,7 @@ modes' own profiles hold to roundoff at every r.
 import numpy as np
 
 import oracles
+from romlab.fe import assemble_mass
 from romlab.pod import default_times
 
 R = 99
@@ -49,7 +50,8 @@ def test_pod_and_tensor_match_the_1d_problem(bench_ctx):
         <= 1e-8 * scale
     mu, tensor = oracles.separable_tensor(profiles[:, :R])
     one_x = np.concatenate([np.ones(ns), np.zeros(ns)])
-    mu_2d = oracles.full_modes(basis)[:, :R].T @ (ctx.m_op @ one_x)
+    mu_2d = oracles.full_modes(basis)[:, :R].T @ (assemble_mass(ctx.space)
+                                                  @ one_x)
     assert np.abs(mu_2d - mu).max() <= 1e-8 * np.abs(mu).max()
     got = ctx.operators(R, 1e-2).tensor
     assert np.abs(got - tensor).max() <= 2e-8 * np.abs(got).max()

@@ -20,7 +20,7 @@ from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
 from romlab import cli, fe, study
 from romlab.cli import main
 from romlab.exact import AnalyticSolution
-from romlab.fe import MESH_N_MAX
+from romlab.fe import MESH_N_MAX, assemble_mass
 from romlab.filtering import build_filter
 from romlab.pod import default_times
 from romlab.rom import (LINEARIZATIONS, LROMConfig, StepDivergenceError,
@@ -322,8 +322,8 @@ def test_final_time_error_matches_fe_oracle(small_ctx, small, k):
         for variant in ("rom", "filtered-snapshot"):
             got = final_time_error(traj, ctx.basis, r, variant, filt)
             want = final_time_error_fe(traj, ctx.solution, ctx.basis, r,
-                                       ctx.m_op, ctx.space, 1.0, variant,
-                                       filt)
+                                       assemble_mass(ctx.space), ctx.space,
+                                       1.0, variant, filt)
             assert abs(got - want) <= 1e-12 * want, (r, variant, got, want)
 
 
@@ -418,7 +418,7 @@ def test_context_tensor_and_forcing_caches(build_counts):
     # the initial coordinates are the first snapshot's POD coordinates,
     # the L2 projection of u0, at any r
     u0 = interpolate(ctx.space, ctx.solution.velocity, 0.0)
-    ref = project_Pr(ctx.basis, 6, ctx.m_op, u0)
+    ref = project_Pr(ctx.basis, 6, assemble_mass(ctx.space), u0)
     tol = 1e-14 * np.abs(ref).max()
     assert np.abs(ops6.a0 - ref).max() <= tol
     assert np.abs(ops4.a0 - ref[:4]).max() <= tol
@@ -454,10 +454,10 @@ def test_run_study_rejects_context_built_for_other_settings(
 @pytest.mark.parametrize("kind,sweep", [
     ("filter-delta", [4e-2, 2e-2, 1e-2, 5e-3]), ("filter-r", [2, 4, 6])])
 def test_filter_study_needs_no_fe_space(small_ctx, kind, sweep):
-    """A filter study reads only the POD basis: without the FE space and
-    operators it gives the same records."""
+    """A filter study reads only the POD basis: without the FE space it
+    gives the same records."""
     cfg = _small_cfg(kind=kind, r=8, delta=1e-3, sweep=sweep)
-    bare = dataclasses.replace(small_ctx, space=None, m_op=None)
+    bare = dataclasses.replace(small_ctx, space=None)
     result = run_study(cfg, bare)
     assert result.n_failed == 0 and len(result.records) == len(sweep)
     assert result.records == run_study(cfg, small_ctx).records
@@ -467,14 +467,13 @@ def test_filter_study_needs_no_fe_space(small_ctx, kind, sweep):
 def test_warm_lrom_study_needs_no_fe_space(variant):
     """Once a context holds the tensor and the forcing at (r, dt), an
     L-ROM study there reads only them and the POD basis: without the FE
-    space, the mass operator and the analytic solution it gives the same
-    records."""
+    space and the analytic solution it gives the same records."""
     cfg = _small_cfg(kind="lrom-delta", r=6, dt=5e-2, sweep=[1e-1, 5e-2],
                      final_error_variant=variant)
     ctx = build_context(cfg)
     primed = run_study(cfg, ctx)
     assert primed.n_failed == 0
-    ctx.space = ctx.m_op = ctx.solution = None
+    ctx.space = ctx.solution = None
     assert run_study(cfg, ctx).records == primed.records
 
 
@@ -560,6 +559,27 @@ def test_cli_out_of_memory_fails_only_its_point(monkeypatch, tmp_path,
         "dt=0.025  FAILED: Unable to allocate 7.28 TiB for an array\n"
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [row[2] != "" for row in rows] == [True, True, False]
+
+
+def test_cli_out_of_memory_building_m_p_fails_lrom_points(monkeypatch,
+                                                          tmp_path, capsys):
+    """The forcing's M P is built at the first L-ROM point, not with the
+    context, so an out-of-memory there fails the L-ROM points: exit 3,
+    with the partial CSV, where the context's M gave exit 2. A filter
+    study never builds it and exits 0. The N x N mass assembly is
+    stubbed; the row-mapped one that the context runs is not."""
+    real = study.assemble_mass
+    monkeypatch.setattr(study, "assemble_mass", lambda space, rows=None: (
+        _out_of_memory() if rows is None else real(space, rows)))
+    out = tmp_path / "oom.csv"
+    assert main(["lrom-dt", "--mesh-n", "4", "--r", "4", "--sweep",
+                 "0.1,0.05", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        f"dt={dt}  FAILED: Unable to allocate 7.28 TiB for an array"
+        for dt in ("0.1", "0.05")]
+    assert len(out.read_text().splitlines()) == 3
+    assert main(["filter-delta", "--mesh-n", "4", "--r", "6",
+                 "--sweep", "2e-2,1e-2"]) == 0
 
 
 def test_cli_picard_converges_where_50_iterations_did_not(capsys):
@@ -975,7 +995,10 @@ def _cli_outputs(out_dir):
 
 def test_cli_bytes_unchanged_under_reference_assembly(tmp_path, monkeypatch):
     """Every kind's CSV, .plot and stdout bytes at --mesh-n 8 are those
-    of the COO triplet and block_diag assembly in oracles."""
+    of the COO triplet and block_diag assembly in oracles. Only the
+    L-ROM kinds assemble an N x N operator, M for the forcing's M P;
+    the POD's row-mapped operators are checked against a dense product
+    in test_pod.py."""
     got = _cli_outputs(tmp_path)
     monkeypatch.setattr(fe, "_assemble", lambda space, local:
                         oracles.vectorize(oracles.assemble_scalar(space,
