@@ -7,9 +7,8 @@
 Exit codes: 0 success; 2 invalid config, out of memory while building
 the context, or an output file that cannot be written; 3 sweep-point
 failure(s) with partial output, among them an out-of-memory while
-building a point's operators (the tensor, a forcing series or the
-forcing's M P, built at the first L-ROM point); 4 regression
-impossible.
+building a point's operators (the tensor or a forcing series); 4
+regression impossible.
 """
 
 import argparse

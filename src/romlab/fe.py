@@ -120,10 +120,10 @@ class VelocitySpace:
 
 # The largest mesh size: node indices, below 2 (2n + 1)^2, stay far inside
 # int64, and memory limits a practical n long before: n = 1024 has 8.4
-# million dofs. A filter study's POD operators are assembled through the
-# snapshots' row map, 2m x 2m, but an L-ROM study's forcing needs M P,
-# 1.2 GB, and the tensor's N x r input, the full-height modes, and the
-# forcing's M Phi take 6.7 GB each at r = 99.
+# million dofs. Every study assembles through a row map, with no N x N
+# operator (the POD's 2m x 2m, the forcing's rows on its 8m class
+# representatives), but an L-ROM study's tensor takes an N x r input, the
+# full-height modes, 6.7 GB at r = 99.
 MESH_N_MAX = 2 ** 20
 
 

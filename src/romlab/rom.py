@@ -12,9 +12,8 @@ import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fe import VelocitySpace
+from .fe import VelocitySpace, assemble_mass
 from .filtering import apply_filter
 from .pod import PODBasis, grid_steps
 
@@ -176,34 +175,30 @@ def _mu(basis: PODBasis, r: int, space: VelocitySpace,
     return mu
 
 
-def _node_classes(q: np.ndarray, rows: np.ndarray):
-    """One component's q (m, m, r) on the (y, x) node grid, as the
-    classes of its grid lines along the first axis, 0 (y) or 1 (x), on
-    which its rows (m, m) do not vary: (axis, p, b), with p the 0/1
-    (m, 4) class matrix and b the (m 4, r) class representatives, as
-    (class, x) rows along y and (y, class) rows along x. The classes are
-    the first boundary line, the odd (midpoint) lines, the even interior
-    (vertex) lines and the last boundary line, represented by lines 0,
-    1, 2 and m - 1. When the rows vary along both axes, or no class
-    holds two lines (m = 3), p is None, for the identity, and b is q."""
-    m, r = q.shape[1:]
+def _node_classes(nodes: np.ndarray, rows: np.ndarray):
+    """One component's node indices (m, m) on the (y, x) node grid, as
+    the classes of its grid lines along the first axis, 0 (y) or 1 (x),
+    on which its rows (m, m) do not vary: (axis, p, s), with p the 0/1
+    (m, 4) class matrix and s the (m 4,) representative nodes, as
+    (class, x) along y and (y, class) along x. The classes are the first
+    boundary line, the odd (midpoint) lines, the even interior (vertex)
+    lines and the last boundary line, represented by lines 0, 1, 2 and
+    m - 1. When the rows vary along both axes, or no class holds two
+    lines (m = 3), p is None, for the identity, and every node is its
+    own representative."""
+    m = nodes.shape[0]
     axis = next((a for a in (0, 1) if not np.diff(rows, axis=a).any()), None)
     if axis is None or m == 3:
-        return 0, None, q.reshape(-1, r)
+        return 0, None, nodes.ravel()
     labels = np.where(np.arange(m) % 2, 1, 2)
     labels[[0, -1]] = 0, 3
     return (axis, np.eye(4)[labels],
-            np.take(q, [0, 1, 2, m - 1], axis=axis).reshape(-1, r))
+            np.take(nodes, [0, 1, 2, m - 1], axis=axis).ravel())
 
 
-def project_forcing(basis: PODBasis, r: int, m_p: sp.csr_matrix,
-                    solution, times, space: VelocitySpace) -> np.ndarray:
+def project_forcing(basis: PODBasis, r: int, solution, times,
+                    space: VelocitySpace) -> np.ndarray:
     """Forcing coordinates F_k,i = (f_h(t_k), phi_i) for each time level.
-
-    m_p is M P, the (N, R) mass operator M with its column indices
-    mapped through basis.rows, P[i, rows[i]] = 1. Times the distinct-row
-    modes it sums the products of M Phi, Phi = modes[rows], in M's
-    order, with no N x r gather.
 
     f_h is the nodal interpolant of the analytic forcing, consistent
     with the snapshot convention. The P2 nodes form a y-major m x m grid
@@ -211,30 +206,42 @@ def project_forcing(basis: PODBasis, r: int, m_p: sp.csr_matrix,
     a flow that is separable in x and y evaluates its closed forms on
     T*m points rather than T*m^2.
 
-    The fields are contracted with q = M Phi through its node classes,
-    as DEIM (Chaturantabut and Sorensen, SIAM J. Sci. Comput. 32(5),
-    2010) projects without full-size products. The classes are read
-    off the rows, not off q. Along an axis on which a component's rows
-    do not vary (u's along x and v's along y, for the benchmark flow),
-    q = M P Phi repeats wherever M P does. The uniform mesh is unchanged
-    by a shift of one element, so M P has one stencil, summed in one
-    order, on every interior vertex line and one on every interior
-    midpoint line; only the two boundary lines differ. So q has k = 4
-    classes of lines along that axis, bit for bit. Per time chunk each
-    field is summed over its classes by a product with the 0/1 (m, k)
-    class matrix, then multiplied by the (m k, r) class representatives
-    of q in one (T, m k) (m k, r) GEMM, m/k times smaller than the dense
-    (T, m^2) (m^2, r) one. When the rows vary along both axes, or
-    k = m (n = 1), the sum is skipped, and the GEMM is the dense one.
+    The fields are contracted with q = M Phi, Phi = modes[rows], through
+    its node classes, as DEIM (Chaturantabut and Sorensen, SIAM J. Sci.
+    Comput. 32(5), 2010) projects without full-size products. Along an
+    axis on which a component's rows do not vary (u's along x and v's
+    along y, for the benchmark flow), q repeats wherever M P does, for
+    the map P[i, rows[i]] = 1; the uniform mesh is unchanged by a shift
+    of one element, so only the two boundary lines differ from the
+    interior vertex and midpoint lines: k = 4 classes (_node_classes).
+    Only q's rows on the class representatives s are formed, with no
+    N x N operator: through the map that gives each node of s a row of
+    its own after the basis's R rows, the mass operator's rows on s are
+    M's with their columns summed into the refined rows, and times those
+    rows' modes they are q's rows on s. Per time chunk each field is
+    summed over its classes by a product with the 0/1 (m, k) class
+    matrix, then multiplied by the (m k, r) representatives in one
+    (T, m k) (m k, r) GEMM, m/k times smaller than the dense
+    (T, m^2) (m^2, r) one. When the rows vary along both axes, or k = m
+    (n = 1), every node is a representative, the sum is skipped, and
+    the GEMM is the dense one.
     """
     times = np.asarray(times, dtype=float)
     side = space.grid_side()
     m = side.size
-    # M Phi per component; only its class representatives are kept
-    q = (m_p @ basis.modes[:, :r]).reshape(2, m, m, r)
-    parts = [_node_classes(qc, rc)
-             for qc, rc in zip(q, basis.rows.reshape(2, m, m))]
-    del q
+    rows, height = basis.rows, basis.modes.shape[0]
+    nodes = np.arange(2 * m * m).reshape(2, m, m)
+    parts = [_node_classes(nc, rc)
+             for nc, rc in zip(nodes, rows.reshape(2, m, m))]
+    reps = np.concatenate([s for _, _, s in parts])
+    # each representative node a row of its own, after the basis's R
+    ref = rows.astype(np.int64)
+    ref[reps] = height + np.arange(reps.size)
+    b = assemble_mass(space, ref)[height:] @ basis.modes[
+        np.r_[np.arange(height), rows[reps]], :r]
+    parts = [(axis, p, bc) for (axis, p, _), bc
+             in zip(parts, np.split(b, [parts[0][2].size]))]
+    del nodes, reps, ref  # before the first chunk's fields are made
     x = side[None, None, :]
     y = side[None, :, None]
     chunk = max(1, BLOCK_BYTES // (8 * space.n_dofs))  # time levels

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exact import AnalyticSolution
 from .fe import (VelocitySpace, assemble_mass, assemble_stiffness, build_space,
@@ -315,11 +314,9 @@ class StudyContext:
     # the read-only advection tensor and forcing series (one per dt, on
     # the levels 0, dt, ..., settings["t_final"]), built for the largest
     # r asked for so far, whose leading blocks serve smaller r, and the
-    # R factor of each r's leading block; and the forcing's (N, R) M P,
-    # built with the first forcing series
+    # R factor of each r's leading block
     _width: int = field(default=0, init=False, repr=False)
     _tensor: np.ndarray | None = field(default=None, init=False, repr=False)
-    _m_p: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     _forcing: dict = field(default_factory=dict, init=False, repr=False)
     _unfolded_r: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -341,15 +338,8 @@ class StudyContext:
             self._width = r
         if dt not in self._forcing:
             times = default_times(dt, self.settings["t_final"])
-            if self._m_p is None:  # M with its columns mapped through rows
-                m_op, rows = assemble_mass(self.space), self.basis.rows
-                self._m_p = sp.csr_matrix(
-                    (m_op.data, rows[m_op.indices], m_op.indptr),
-                    shape=(m_op.shape[0], self.basis.modes.shape[0]))
-                del m_op  # its own indices, before the projection
             self._forcing[dt] = project_forcing(
-                self.basis, self._width, self._m_p, self.solution, times,
-                self.space)
+                self.basis, self._width, self.solution, times, self.space)
             self._forcing[dt].flags.writeable = False
         ops = ROMOperators(s_r=self.basis.grad_gram[:r, :r],
                            tensor=self._tensor[:r, :r, :r],

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import column_map
 from romlab.exact import AnalyticSolution
 from romlab.fe import assemble_mass, assemble_stiffness, build_space
 from romlab.pod import build_pod_basis, collect_snapshots, default_times
@@ -23,10 +22,10 @@ from romlab.study import StudyConfig, build_context
 def _bundle(n, snap_dt):
     """The small tier's space, operators and basis. m_op and s_op are
     the N x N M and S, and snapshots the full-height (N, K) U = u[rows],
-    for the FE-space oracles; m_p is the forcing's M P. pod(cols,
-    rank_tol) builds a basis from the snapshot columns cols the way
-    build_context does, on the distinct rows u with P^T M P and P^T S P
-    assembled through the row map."""
+    for the FE-space oracles. pod(cols, rank_tol) builds a basis from
+    the snapshot columns cols the way build_context does, on the
+    distinct rows u with P^T M P and P^T S P assembled through the row
+    map."""
     space = build_space(n)
     m_op = assemble_mass(space)
     s_op = assemble_stiffness(space)
@@ -39,9 +38,8 @@ def _bundle(n, snap_dt):
         return build_pod_basis(u[:, cols], rows, *ops, **kwargs)
 
     return SimpleNamespace(n=n, space=space, m_op=m_op, s_op=s_op,
-                           m_p=column_map(m_op, rows), solution=solution,
-                           times=times, snapshots=u[rows], pod=pod,
-                           basis=pod())
+                           solution=solution, times=times,
+                           snapshots=u[rows], pod=pod, basis=pod())
 
 
 @pytest.fixture(scope="session")

@@ -44,8 +44,9 @@ sp.block_diag, and check fe's assembly, whose CSR arrays must equal
 theirs bit for bit. dense_collapse is P^T op P for the 0/1 map P from
 dofs to rows as a dense product, and checks fe's assembly through a
 row map, which sums elements whose mapped dofs agree once; column_map
-is op P, op with its column indices mapped through the rows, as a
-study context builds the forcing's M P. p2_1d_matrices, separable_pod
+is op P, op with its column indices mapped through the rows, and
+M P modes is the q whose class representatives the forcing projection
+forms through a refined row map. p2_1d_matrices, separable_pod
 and separable_tensor solve the benchmark flow as the 1-D P2 problem it
 reduces to, from closed-form element matrices and with no use of
 romlab.fe, and check the operators, the POD and the tensor.

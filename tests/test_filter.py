@@ -65,13 +65,8 @@ def test_apply_filter_matches_cholesky(small_ctx, rng, delta):
         assert err <= tol * np.abs(a).max()
 
 
-def test_no_romlab_module_imports_scipy_linalg():
-    """scipy.linalg links its own OpenBLAS, with its own thread pool. Small
-    ROM-space solves on that pool alternating with numpy products (G @ e)
-    on numpy's pool made one filter sweep point 12x slower on 2 cores
-    (8.0 ms against 0.65-0.69 ms at n = 64, r = 95), and the POD's two
-    triangular solves there cost 0.1-0.2 s per build even at n = 2.
-    Every dense solve stays in numpy."""
+def _importers(module):
+    """The romlab files that import module or a name under it."""
     importers = set()
     for path in sorted(Path(romlab.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -81,10 +76,27 @@ def test_no_romlab_module_imports_scipy_linalg():
                                          for a in node.names]
             elif isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
-            if any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+            if any(n == module or n.startswith(f"{module}.")
                    for n in names):
                 importers.add(path.name)
-    assert importers == set()
+    return importers
+
+
+def test_no_romlab_module_imports_scipy_linalg():
+    """scipy.linalg links its own OpenBLAS, with its own thread pool. Small
+    ROM-space solves on that pool alternating with numpy products (G @ e)
+    on numpy's pool made one filter sweep point 12x slower on 2 cores
+    (8.0 ms against 0.65-0.69 ms at n = 64, r = 95), and the POD's two
+    triangular solves there cost 0.1-0.2 s per build even at n = 2.
+    Every dense solve stays in numpy."""
+    assert _importers("scipy.linalg") == set()
+
+
+def test_only_fe_and_pod_import_scipy_sparse():
+    """The sparse operators are fe's, assembled through a row map, and
+    the POD's products with them; the forcing's mass rows come from fe,
+    and no other module handles a sparse matrix."""
+    assert _importers("scipy.sparse") == {"fe.py", "pod.py"}
 
 
 _ALL_KINDS = """

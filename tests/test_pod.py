@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (column_map, correlation_matrix, dense_collapse,
+from oracles import (correlation_matrix, dense_collapse,
                      full_modes, interpolate, l2_norm, project_Pr,
                      symmetric_eig)
-from romlab import study
+from romlab import fe
 from romlab.exact import AnalyticSolution
 from romlab.fe import assemble_mass, assemble_stiffness, build_space
 from romlab.pod import (build_pod_basis, collect_snapshots, default_times,
@@ -169,7 +169,7 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
 
     sol = AnalyticSolution()
     tensor = build_trilinear_tensor(full_ref, 6, space)
-    forcing = project_forcing(full_ref, 6, m_op, sol, times, space)
+    forcing = project_forcing(full_ref, 6, sol, times, space)
     for full, six in paths:
         assert full.d == 15 and six.d == 6
         for name in ("eigenvalues", "grad_gram", "snap_coords"):
@@ -185,8 +185,7 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
             assert close(getattr(six, name), getattr(six_ref, name)), name
         assert close(full_modes(six), full_modes(six_ref))
         assert close(build_trilinear_tensor(full, 6, space), tensor)
-        assert close(project_forcing(full, 6, column_map(m_op, full.rows),
-                                     sol, times, space), forcing)
+        assert close(project_forcing(full, 6, sol, times, space), forcing)
 
 
 def test_correlation_matrix_properties(small):
@@ -310,23 +309,17 @@ def test_context_build_holds_no_snapshot_sized_array():
     assert peak <= 0.75 * snapshots, peak / snapshots
 
 
-def _count_mass_assemblies(monkeypatch):
-    """The row map of each call of study's assemble_mass, None for the
-    N x N M."""
-    calls, real = [], study.assemble_mass
-    monkeypatch.setattr(study, "assemble_mass", lambda space, rows=None: (
-        calls.append(rows), real(space, rows))[1])
-    return calls
-
-
-def test_filter_study_holds_no_n_by_n_operator(monkeypatch):
+def test_no_study_holds_an_n_by_n_operator(monkeypatch):
     """build_context assembles P^T M P and P^T S P through the row map:
     at n = 32 its traced peak, the mesh and the snapshots' rows included,
     stays below the CSR bytes of one N x N mass operator (measured 0.60
-    of them; 3.0 when it assembled M and S and collapsed them), and
-    neither it nor a filter study calls the N x N mass assembly."""
+    of them; 3.0 when it assembled M and S and collapsed them). No study
+    kind writes the N x N operators: the forcing's mass rows come
+    through a row map too, at each of two dt values."""
     n = 32
-    calls = _count_mass_assemblies(monkeypatch)
+    calls, real = [], fe._assemble
+    monkeypatch.setattr(fe, "_assemble", lambda *args: (
+        calls.append(args), real(*args))[1])
     tracemalloc.start()
     try:
         ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n))
@@ -334,28 +327,15 @@ def test_filter_study_holds_no_n_by_n_operator(monkeypatch):
     finally:
         tracemalloc.stop()
     for cfg in (dict(kind="filter-delta", r=30),
-                dict(kind="filter-r", sweep=[10, 20, 30])):
+                dict(kind="filter-r", sweep=[10, 20, 30]),
+                dict(kind="lrom-dt", r=4, sweep=[0.1, 0.05]),
+                dict(kind="lrom-delta", r=4, dt=0.1, sweep=[0.5, 0.25]),
+                dict(kind="lrom-r", dt=0.1, sweep=[2, 4])):
         assert run_study(StudyConfig(mesh_n=n, **cfg), ctx).status == "ok"
-    assert all(rows is not None for rows in calls)
+    assert calls == []
     m_op = assemble_mass(ctx.space)
     csr = m_op.data.nbytes + m_op.indices.nbytes + m_op.indptr.nbytes
     assert peak < csr, peak / csr
-
-
-def test_lrom_study_builds_m_p_once(monkeypatch):
-    """An L-ROM study assembles the N x N M once, at its first forcing
-    series, for the forcing's M P: M with its column indices mapped
-    through the rows, in M's order, which serves every dt."""
-    calls = _count_mass_assemblies(monkeypatch)
-    cfg = StudyConfig(kind="lrom-dt", mesh_n=4, r=4, sweep=[0.1, 0.05])
-    ctx = build_context(cfg)
-    assert all(rows is not None for rows in calls)
-    assert run_study(cfg, ctx).status == "ok"
-    assert sum(rows is None for rows in calls) == 1
-    want = column_map(assemble_mass(ctx.space), ctx.basis.rows)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(ctx._m_p, name), getattr(want, name))
-    assert ctx._m_p.shape == want.shape == (ctx.space.n_dofs, 2 * 9)
 
 
 @pytest.mark.parametrize("rank_tol", [-1.0, np.nan])

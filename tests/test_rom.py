@@ -223,8 +223,8 @@ class _ModeForcing:
 
 def test_project_forcing_mode_is_unit_vector(small):
     stub = _ModeForcing(small.space, full_modes(small.basis)[:, 2])
-    f = project_forcing(small.basis, R_SMALL, small.m_p, stub,
-                        [0.0, 0.5], small.space)
+    f = project_forcing(small.basis, R_SMALL, stub, [0.0, 0.5],
+                        small.space)
     assert f.shape == (2, R_SMALL)
     assert np.abs(f - np.eye(R_SMALL)[2]).max() < 1e-10
 
@@ -241,8 +241,8 @@ class _PolyForcing:
 
 def test_project_forcing_quadrature_oracle(small):
     import oracles
-    f = project_forcing(small.basis, 3, small.m_p, _PolyForcing(),
-                        [0.25], small.space)
+    f = project_forcing(small.basis, 3, _PolyForcing(), [0.25],
+                        small.space)
     pts, w = oracles.triangle_quad_points(small.n, p=6)
     fx = pts[:, 0] ** 2 + pts[:, 1]
     fy = pts[:, 0] - pts[:, 1] ** 2
@@ -259,8 +259,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     space = small.space
     chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
-    f = project_forcing(small.basis, 5, small.m_p, small.solution, times,
-                        space)
+    f = project_forcing(small.basis, 5, small.solution, times, space)
     q = small.m_op @ full_modes(small.basis)[:, :5]
     x, y = node_coords(space).T[:, None, :]
     ref = np.empty_like(f)
@@ -280,8 +279,7 @@ def test_project_forcing_holds_one_chunk_of_fields(small):
     times = np.linspace(0.0, 1.0, 2 * chunk + 1)
     tracemalloc.start()
     try:
-        project_forcing(small.basis, 4, small.m_p, small.solution, times,
-                        space)
+        project_forcing(small.basis, 4, small.solution, times, space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,8 +293,7 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
             return (np.broadcast_to(np.nan, shape),
                     np.broadcast_to(0.0, shape))
     with pytest.raises(ValueError):
-        project_forcing(small.basis, 2, small.m_p, Bad(), [0.0],
-                        small.space)
+        project_forcing(small.basis, 2, Bad(), [0.0], small.space)
 
     class OneNode:
         """Finite but for one node at t = 1, on the (t, y, x) axes."""
@@ -313,65 +310,99 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
     monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * small.space.n_dofs)
     for bad, component in [(np.nan, 0), (np.inf, 1)]:
         with pytest.raises(ValueError, match="non-finite forcing values"):
-            project_forcing(small.basis, 2, small.m_p,
-                            OneNode(bad, component), [0.0, 1.0, 2.0],
-                            small.space)
-    fine = project_forcing(small.basis, 2, small.m_p, OneNode(1.0, 0),
+            project_forcing(small.basis, 2, OneNode(bad, component),
+                            [0.0, 1.0, 2.0], small.space)
+    fine = project_forcing(small.basis, 2, OneNode(1.0, 0),
                            [0.0, 1.0, 2.0], small.space)
     assert np.isfinite(fine).all()
 
 
 def _mass_modes(basis, m_op, m):
-    """q = M Phi per component on the (y, x) node grid, (2, m, m, d)."""
-    return (m_op @ full_modes(basis)).reshape(2, m, m, -1)
+    """The oracle q = M P modes (M's entries with their columns mapped
+    through the rows) per component on the (y, x) node grid,
+    (2, m, m, d)."""
+    return (column_map(m_op, basis.rows) @ basis.modes).reshape(2, m, m, -1)
+
+
+def _nodes(m):
+    """Each component's node indices on the (y, x) node grid, (2, m, m)."""
+    return np.arange(2 * m * m).reshape(2, m, m)
+
+
+class _NodeIndicator:
+    """Stub whose forcing at time t = k is 1 at dof k and 0 at every other
+    node, on the (t, y, x) axes: projected on the levels 0, 1, ..., N - 1,
+    its coordinates are the rows of q that project_forcing contracts
+    with, one per dof; the class sums and the GEMM add only exact
+    zeros."""
+
+    def forcing(self, x, y, t):
+        k = t[:, 0, 0].astype(int)
+        m = x.shape[-1]
+        fields = np.zeros((2, k.size, m * m))
+        fields[k // (m * m), np.arange(k.size), k % (m * m)] = 1.0
+        return fields.reshape(2, -1, m, m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
 def test_benchmark_mass_modes_have_four_node_classes(n, rng):
-    """On the benchmark flow's rows, M Phi repeats its lines in the 4
-    classes that _node_classes reads off the rows, per component u's
-    along x and v's along y: the two boundary lines, the interior
-    midpoint lines and the interior vertex lines. This is a property of
-    M and P, not of the modes: for the basis's modes and for seeded
-    random ones on the same rows, the representatives rebuild q bit for
-    bit. At n = 1 (m = 3) no class holds two lines, and p is None."""
+    """On the benchmark flow's rows, the oracle q = M P modes repeats its
+    lines in the 4 classes that _node_classes reads off the rows, per
+    component u's along x and v's along y: the two boundary lines, the
+    interior midpoint lines and the interior vertex lines. This is a
+    property of M and P, not of the modes: for the basis's modes and for
+    seeded random ones on the same rows, q's rows on the representative
+    nodes rebuild q bit for bit. At n = 1 (m = 3) no class holds two
+    lines, p is None, and every node represents itself. project_forcing
+    forms the representatives through the map that gives each its own
+    row, and every dof's coordinates are within 1e-15 of q's rows,
+    relative to q's largest entry (measured at most 3.6e-16; 0 at
+    n = 1)."""
     ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n, r=8))
     m = 2 * n + 1
     rows = ctx.basis.rows.reshape(2, m, m)
     noise = replace(ctx.basis,
                     modes=rng.standard_normal(ctx.basis.modes.shape))
     expect = np.r_[0, np.where(np.arange(1, m - 1) % 2, 1, 2), 3]
+    m_op = assemble_mass(ctx.space)
     for basis in (ctx.basis, noise):
-        q = _mass_modes(basis, assemble_mass(ctx.space), m)
-        for qc, rc, class_axis in zip(q, rows, [1, 0]):
-            axis, p, b = rom._node_classes(qc, rc)
+        q = _mass_modes(basis, m_op, m)
+        flat = q.reshape(2 * m * m, -1)
+        for qc, nc, rc, class_axis in zip(q, _nodes(m), rows, [1, 0]):
+            axis, p, s = rom._node_classes(nc, rc)
             if n == 1:
-                assert p is None and np.array_equal(b, qc.reshape(m * m, -1))
+                assert p is None and np.array_equal(s, nc.ravel())
                 continue
             assert axis == class_axis
             assert p.shape == (m, 4) and set(np.unique(p)) == {0.0, 1.0}
             labels = p.argmax(axis=1)
             assert np.array_equal(labels, expect)
-            # b's rows are (class, x) along y and (y, class) along x
-            reps = b.reshape((4, m, -1) if axis == 0 else (m, 4, -1))
+            # s is (class, x) along y and (y, class) along x
+            reps = flat[s].reshape((4, m, -1) if axis == 0 else (m, 4, -1))
             reps = np.moveaxis(reps, axis, 0)
             assert np.array_equal(reps[labels].view(np.uint64),
                                   np.moveaxis(qc, axis, 0).view(np.uint64))
+        f = project_forcing(basis, basis.d, _NodeIndicator(),
+                            np.arange(2 * m * m), ctx.space)
+        assert np.abs(f - flat).max() <= 1e-15 * np.abs(flat).max()
 
 
 def test_project_forcing_without_repeated_slices(small, rng):
-    """Seeded random modes repeat no slice of M Phi along either axis:
-    k = m, and the projection is the dense one."""
+    """Seeded random full-height modes repeat no line of q = M P modes
+    along either axis, and their rows vary along both: every node
+    represents itself, and the projection is the dense one."""
     space = small.space
     m = 2 * small.n + 1
     basis = _random_basis(small, rng)
     q = _mass_modes(basis, small.m_op, m)[..., :5]
-    for qc, rc in zip(q, basis.rows.reshape(2, m, m)):
-        axis, p, b = rom._node_classes(qc, rc)
-        assert p is None and b.shape == (m * m, 5)
+    for qc, nc, rc in zip(q, _nodes(m), basis.rows.reshape(2, m, m)):
+        for a in (0, 1):
+            lines = np.moveaxis(qc, a, 0).reshape(m, -1)
+            assert len(np.unique(lines, axis=0)) == m
+        axis, p, s = rom._node_classes(nc, rc)
+        assert p is None and np.array_equal(s, nc.ravel())
     times = np.linspace(0.0, 1.0, 7)
-    f = project_forcing(basis, 5, column_map(small.m_op, basis.rows),
-                        small.solution, times, space)
+    f = project_forcing(basis, 5, small.solution, times, space)
     x, y = node_coords(space).T[:, None, :]
     f1, f2 = small.solution.forcing(x, y, times[:, None])
     ref = np.hstack([f1, f2]) @ q.reshape(-1, 5)
@@ -385,10 +416,9 @@ def test_project_forcing_rejects_nonfinite_inside_a_class(small, bad,
     """A non-finite value at one node whose class holds many nodes
     reaches the projection through the class sum."""
     m = 2 * small.n + 1
-    q = _mass_modes(small.basis, small.m_op, m)[:, :, :, :2]
     node = (m // 2, 3)  # (y, x), both interior
     rows = small.basis.rows.reshape(2, m, m)
-    axis, p, _ = rom._node_classes(q[component], rows[component])
+    axis, p, _ = rom._node_classes(_nodes(m)[component], rows[component])
     assert p[:, p[node[axis]].argmax()].sum() > 1
 
     class OneNode:
@@ -399,8 +429,7 @@ def test_project_forcing_rejects_nonfinite_inside_a_class(small, bad,
             fields[(component, slice(None)) + node] = bad
             return fields[0], fields[1]
     with pytest.raises(ValueError, match="non-finite forcing values"):
-        project_forcing(small.basis, 2, small.m_p, OneNode(), [0.0, 1.0],
-                        small.space)
+        project_forcing(small.basis, 2, OneNode(), [0.0, 1.0], small.space)
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.5, True, False, "50", None])

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
-from romlab import cli, fe, study
+from romlab import cli, fe, rom, study
 from romlab.cli import main
 from romlab.exact import AnalyticSolution
 from romlab.fe import MESH_N_MAX, assemble_mass
@@ -561,16 +561,14 @@ def test_cli_out_of_memory_fails_only_its_point(monkeypatch, tmp_path,
     assert [row[2] != "" for row in rows] == [True, True, False]
 
 
-def test_cli_out_of_memory_building_m_p_fails_lrom_points(monkeypatch,
-                                                          tmp_path, capsys):
-    """The forcing's M P is built at the first L-ROM point, not with the
-    context, so an out-of-memory there fails the L-ROM points: exit 3,
-    with the partial CSV, where the context's M gave exit 2. A filter
-    study never builds it and exits 0. The N x N mass assembly is
-    stubbed; the row-mapped one that the context runs is not."""
-    real = study.assemble_mass
-    monkeypatch.setattr(study, "assemble_mass", lambda space, rows=None: (
-        _out_of_memory() if rows is None else real(space, rows)))
+def test_cli_out_of_memory_in_the_forcing_fails_lrom_points(monkeypatch,
+                                                            tmp_path, capsys):
+    """The forcing's mass rows are assembled at each L-ROM point's first
+    forcing series, not with the context, so an out-of-memory there
+    fails the L-ROM points: exit 3, with the partial CSV. A filter study
+    never projects the forcing and exits 0. The forcing's row-mapped
+    assembly is stubbed; the POD's, which the context runs, is not."""
+    monkeypatch.setattr(rom, "assemble_mass", _out_of_memory)
     out = tmp_path / "oom.csv"
     assert main(["lrom-dt", "--mesh-n", "4", "--r", "4", "--sweep",
                  "0.1,0.05", "--out", str(out)]) == 3
@@ -995,10 +993,10 @@ def _cli_outputs(out_dir):
 
 def test_cli_bytes_unchanged_under_reference_assembly(tmp_path, monkeypatch):
     """Every kind's CSV, .plot and stdout bytes at --mesh-n 8 are those
-    of the COO triplet and block_diag assembly in oracles. Only the
-    L-ROM kinds assemble an N x N operator, M for the forcing's M P;
-    the POD's row-mapped operators are checked against a dense product
-    in test_pod.py."""
+    of the COO triplet and block_diag assembly in oracles. No kind
+    assembles an N x N operator (test_pod.py checks that), so the bytes
+    must not move; the row-mapped operators are checked against a dense
+    product in test_pod.py."""
     got = _cli_outputs(tmp_path)
     monkeypatch.setattr(fe, "_assemble", lambda space, local:
                         oracles.vectorize(oracles.assemble_scalar(space,
