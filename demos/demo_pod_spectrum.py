@@ -27,8 +27,8 @@ def main():
     solution = AnalyticSolution()
     snaps, rows = collect_snapshots(space, solution, default_times(1e-2, 1.0))
     # P^T M P and P^T S P, assembled on the snapshots' distinct rows
-    basis = build_pod_basis(snaps, rows, assemble_mass(space, rows),
-                            assemble_stiffness(space, rows))
+    m_op = assemble_mass(space, rows)
+    basis = build_pod_basis(snaps, rows, m_op, assemble_stiffness(space, rows))
 
     print(f"snapshots: {snaps.shape[1]} on {snaps.shape[0]} distinct rows, "
           f"POD rank d = {basis.d}")
@@ -43,9 +43,8 @@ def main():
         lam_l2, lam_h1 = truncation_errors(basis, r)
         print(f"{r:>4} {lam_l2:>12.4e} {lam_h1:>12.4e}")
 
-    # orthonormality sanity, on the full-height modes with the N x N M
-    modes = basis.modes[rows]
-    gram = modes.T @ (assemble_mass(space) @ modes)
+    # orthonormality sanity, on the distinct rows with P^T M P
+    gram = basis.modes.T @ (m_op @ basis.modes)
     print(f"\nmax |Phi^T M Phi - I| = "
           f"{np.abs(gram - np.eye(basis.d)).max():.2e}")
 

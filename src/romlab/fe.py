@@ -3,9 +3,10 @@
 Only the velocity component of the Taylor-Hood pair is built: scalar P2
 shape functions on each triangle, two components stacked as
 [x-component dofs | y-component dofs]. No essential boundary conditions
-are eliminated anywhere; operators are assembled over all dofs, or
-through a map from the dofs to fewer rows. Every space integrates with
-one rule, the symmetric 6-point rule of degree 4.
+are eliminated anywhere. Operators are assembled through a map from the
+dofs to rows: the identity map gives the operator over all dofs, and a
+map to fewer rows its P^T A P. Every space integrates with one rule,
+the symmetric 6-point rule of degree 4.
 """
 
 from dataclasses import dataclass
@@ -120,10 +121,10 @@ class VelocitySpace:
 
 # The largest mesh size: node indices, below 2 (2n + 1)^2, stay far inside
 # int64, and memory limits a practical n long before: n = 1024 has 8.4
-# million dofs. Every study assembles through a row map, with no N x N
-# operator (the POD's 2m x 2m, the forcing's rows on its 8m class
-# representatives), but an L-ROM study's tensor takes an N x r input, the
-# full-height modes, 6.7 GB at r = 99.
+# million dofs. Every operator is assembled through a row map; no study
+# forms an N x N one (the POD's is 2m x 2m, the forcing's the rows on its
+# 8m class representatives), but an L-ROM study's tensor takes an N x r
+# input, the full-height modes, 6.7 GB at r = 99.
 MESH_N_MAX = 2 ** 20
 
 
@@ -167,68 +168,21 @@ def build_space(n: int) -> VelocitySpace:
                          phys_grads=phys_grads, det_j=det_j)
 
 
-def _scatter(local: np.ndarray, tuples, counts, size: int) -> sp.csr_matrix:
-    """Sum the per-orientation 6x6 local matrices into a (size, size) CSR,
-    made exactly symmetric: local[o] once per row of tuples[o], the six
-    row indices of an element or group of elements of orientation o,
-    times that row's count in counts[o] (1 when counts is None).
+def _assemble_rows(space: VelocitySpace, local: np.ndarray,
+                   rows: np.ndarray) -> sp.csr_matrix:
+    """P^T A P for the operator A, summed from the per-orientation 6x6
+    local matrices, and the map P[i, rows[i]] = 1 from the dofs to
+    R = max(rows) + 1 rows, with no N x N array; the identity map
+    arange(N) gives A itself. Each element's six dofs, in either
+    component, are mapped through rows, and the elements of one
+    orientation whose mapped tuples agree are summed once, times their
+    count. The benchmark flow's u component collapses each square row's
+    n elements into one, and v each square column's.
 
     scipy's coo -> csr conversion sums the duplicate triplets, and its
     order of summation sets the bits. The triplets' indices are int32
     unless scipy's index-dtype rule needs int64, and they are freed
     before exact symmetry is enforced.
-    """
-    total = sum(len(t) for t in tuples)
-    idx = sp.get_index_dtype(maxval=max(36 * total, size))
-    rows = np.empty((total, 6, 6), dtype=idx)  # orientation 0 first
-    cols = np.empty_like(rows)
-    vals = np.empty(rows.shape)
-    start = 0
-    for o, ed in enumerate(tuples):
-        part = slice(start, start + len(ed))
-        rows[part] = ed[:, :, None]
-        cols[part] = ed[:, None, :]
-        vals[part] = (local[o] if counts is None
-                      else counts[o][:, None, None] * local[o])
-        start += len(ed)
-    a = sp.coo_matrix((vals.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
-                      shape=(size, size))
-    del rows, cols, vals
-    a = a.tocsr()
-    # (a + a^T) / 2 for exact symmetry: a tuple couples its six rows
-    # both ways, so a^T has a's sorted pattern, and its values are those
-    # of a.T.tocsr() in a's order (x + y == y + x, bit for bit)
-    a.data += a.T.tocsr().data
-    a.data *= 0.5
-    a.eliminate_zeros()
-    return a
-
-
-def _assemble(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:
-    """The two-component block-diagonal CSR over all dofs: the scalar
-    CSR of every element, with both components' blocks written from its
-    arrays."""
-    ns = space.n_scalar
-    a = _scatter(local, (space.edofs[0::2], space.edofs[1::2]), None, ns)
-    nnz = a.nnz
-    idx = sp.get_index_dtype(maxval=2 * max(nnz, ns))
-    indptr = np.empty(2 * ns + 1, dtype=idx)
-    indices = np.empty(2 * nnz, dtype=idx)
-    indptr[:ns + 1], indices[:nnz] = a.indptr, a.indices
-    np.add(a.indptr[1:], nnz, out=indptr[ns + 1:], dtype=idx)
-    np.add(a.indices, ns, out=indices[nnz:], dtype=idx)
-    return sp.csr_matrix((np.concatenate([a.data, a.data]), indices, indptr),
-                         shape=(2 * ns, 2 * ns))
-
-
-def _assemble_rows(space: VelocitySpace, local: np.ndarray,
-                   rows: np.ndarray) -> sp.csr_matrix:
-    """P^T A P for the operator A and the map P[i, rows[i]] = 1 from the
-    dofs to R = max(rows) + 1 rows, with no N x N array: each element's
-    six dofs, in either component, are mapped through rows, and the
-    elements of one orientation whose mapped tuples agree are summed
-    once, times their count. The benchmark flow's u component collapses
-    each square row's n elements into one, and v each square column's.
     """
     tuples, counts = [], []
     by_component = rows.reshape(2, space.n_scalar)
@@ -239,30 +193,53 @@ def _assemble_rows(space: VelocitySpace, local: np.ndarray,
                                      .any(axis=1)])
         tuples.append(mapped[first])
         counts.append(np.diff(np.r_[first, len(mapped)]))
-    return _scatter(local, tuples, counts, int(rows.max()) + 1)
+    size = int(rows.max()) + 1
+    total = sum(len(t) for t in tuples)
+    idx = sp.get_index_dtype(maxval=max(36 * total, size))
+    trip_rows = np.empty((total, 6, 6), dtype=idx)  # orientation 0 first
+    trip_cols = np.empty_like(trip_rows)
+    vals = np.empty(trip_rows.shape)
+    start = 0
+    for o, (ed, count) in enumerate(zip(tuples, counts)):
+        part = slice(start, start + len(ed))
+        trip_rows[part] = ed[:, :, None]
+        trip_cols[part] = ed[:, None, :]
+        vals[part] = count[:, None, None] * local[o]
+        start += len(ed)
+    a = sp.coo_matrix((vals.reshape(-1), (trip_rows.reshape(-1),
+                                          trip_cols.reshape(-1))),
+                      shape=(size, size))
+    del trip_rows, trip_cols, vals
+    a = a.tocsr()
+    # (a + a^T) / 2 for exact symmetry: a tuple couples its six rows
+    # both ways, so a^T has a's sorted pattern, and its values are those
+    # of a.T.tocsr() in a's order (x + y == y + x, bit for bit)
+    a.data += a.T.tocsr().data
+    a.data *= 0.5
+    a.eliminate_zeros()
+    return a
 
 
-def assemble_mass(space: VelocitySpace, rows=None) -> sp.csr_matrix:
-    """L2 mass operator M, block-diagonal over the two components; with
-    a row map rows, the (R, R) P^T M P on the rows (_assemble_rows)."""
+def assemble_mass(space: VelocitySpace, rows: np.ndarray) -> sp.csr_matrix:
+    """The (R, R) P^T M P of the L2 mass operator M, block-diagonal over
+    the two components, on the row map rows (_assemble_rows)."""
     w = space.rule.weights
     nvals = space.shape_vals
     mloc = space.det_j * np.einsum("q,ql,qm->lm", w, nvals, nvals)
     mloc = 0.5 * (mloc + mloc.T)
     local = np.stack([mloc, mloc])
-    return (_assemble(space, local) if rows is None
-            else _assemble_rows(space, local, rows))
+    return _assemble_rows(space, local, rows)
 
 
-def assemble_stiffness(space: VelocitySpace, rows=None) -> sp.csr_matrix:
-    """Gradient inner-product operator S (no boundary elimination); with
-    a row map rows, the (R, R) P^T S P on the rows (_assemble_rows)."""
+def assemble_stiffness(space: VelocitySpace,
+                       rows: np.ndarray) -> sp.csr_matrix:
+    """The (R, R) P^T S P of the gradient inner-product operator S (no
+    boundary elimination) on the row map rows (_assemble_rows)."""
     w = space.rule.weights
     local = np.empty((2, 6, 6))
     for o in range(2):
         g = space.phys_grads[o]
         kloc = space.det_j * np.einsum("q,qla,qma->lm", w, g, g)
         local[o] = 0.5 * (kloc + kloc.T)
-    return (_assemble(space, local) if rows is None
-            else _assemble_rows(space, local, rows))
+    return _assemble_rows(space, local, rows)
 

@@ -133,7 +133,7 @@ def build_pod_basis(u: np.ndarray, rows: np.ndarray, m_op: sp.csr_matrix,
     and assemble the modes, from their (R, K) distinct rows u and the
     (R, R) operators on those rows, P^T M P and P^T S P
     (fe.assemble_mass(space, rows) and fe.assemble_stiffness(space,
-    rows)).
+    rows)); the identity map rows = arange(N), R = N, gives M and S.
 
     The numerical rank d keeps eigenvalues above rank_tol * lambda_1.
     Every product is one whole-array expression: next to u, the build

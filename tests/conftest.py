@@ -21,14 +21,15 @@ from romlab.study import StudyConfig, build_context
 
 def _bundle(n, snap_dt):
     """The small tier's space, operators and basis. m_op and s_op are
-    the N x N M and S, and snapshots the full-height (N, K) U = u[rows],
-    for the FE-space oracles. pod(cols, rank_tol) builds a basis from
-    the snapshot columns cols the way build_context does, on the
-    distinct rows u with P^T M P and P^T S P assembled through the row
-    map."""
+    the N x N M and S, assembled through the identity row map, and
+    snapshots the full-height (N, K) U = u[rows], for the FE-space
+    oracles. pod(cols, rank_tol) builds a basis from the snapshot
+    columns cols the way build_context does, on the distinct rows u
+    with P^T M P and P^T S P assembled through the row map."""
     space = build_space(n)
-    m_op = assemble_mass(space)
-    s_op = assemble_stiffness(space)
+    ident = np.arange(space.n_dofs)
+    m_op = assemble_mass(space, ident)
+    s_op = assemble_stiffness(space, ident)
     solution = AnalyticSolution()
     times = default_times(snap_dt, 1.0)
     u, rows = collect_snapshots(space, solution, times)

@@ -40,8 +40,10 @@ through the assembled operators. node_coords and signed_areas are the dofs' coor
 the triangle areas, and velocity_grad is the analytic velocity's
 Jacobian, which only the tests read. assemble_scalar and vectorize
 build M and S through int64 COO triplets, (a + a.T) * 0.5 and
-sp.block_diag, and check fe's assembly, whose CSR arrays must equal
-theirs bit for bit. dense_collapse is P^T op P for the 0/1 map P from
+sp.block_diag, and check fe's assembly through the identity row map,
+whose CSR arrays must equal theirs bit for bit; local_matrices forms
+their 6x6 element matrices by fe's own formulas, so that only the
+scatter is compared. dense_collapse is P^T op P for the 0/1 map P from
 dofs to rows as a dense product, and checks fe's assembly through a
 row map, which sums elements whose mapped dofs agree once; column_map
 is op P, op with its column indices mapped through the rows, and
@@ -570,6 +572,18 @@ def velocity_grad(sol, x, y, t):
     """
     zeros = np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
     return zeros, sol._g_s(y, t), sol._g_s(x, t), zeros.copy()
+
+
+def local_matrices(space: VelocitySpace) -> tuple:
+    """The per-orientation (2, 6, 6) element matrices of M and S, from
+    the space's shape tables by the formulas fe assembles them with."""
+    w = space.rule.weights
+    mloc = space.det_j * np.einsum("q,ql,qm->lm", w, space.shape_vals,
+                                   space.shape_vals)
+    kloc = [space.det_j * np.einsum("q,qla,qma->lm", w, g, g)
+            for g in space.phys_grads]
+    return (np.stack([0.5 * (mloc + mloc.T)] * 2),
+            np.stack([0.5 * (k + k.T) for k in kloc]))
 
 
 def assemble_scalar(space: VelocitySpace, local: np.ndarray) -> sp.csr_matrix:

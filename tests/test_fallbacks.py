@@ -20,7 +20,7 @@ from oracles import (avg_filter_errors_fe, correlation_matrix,
                      final_time_error_fe, full_modes, interpolate,
                      node_coords, reference_run, symmetric_eig,
                      trilinear_bstar)
-from romlab import fe, study
+from romlab import study
 from romlab.exact import AnalyticSolution
 from romlab.filtering import build_filter
 from romlab.pod import default_times
@@ -94,11 +94,8 @@ def test_every_fallback_end_to_end(monkeypatch):
     assert all(rec.tensor_rank > 1 for kind, res in results.items()
                if kind.startswith("lrom") for rec in res.records)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(fe, "_assemble", lambda space, local:
-                      oracles.vectorize(oracles.assemble_scalar(space,
-                                                                local)))
-        m_op, s_op = fe.assemble_mass(space), fe.assemble_stiffness(space)
+    m_op, s_op = (oracles.vectorize(oracles.assemble_scalar(space, local))
+                  for local in oracles.local_matrices(space))
     times = default_times(_SNAP_DT, 1.0)
     u = np.column_stack([interpolate(space, flow.velocity, t)
                          for t in times])

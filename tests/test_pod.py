@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (correlation_matrix, dense_collapse,
                      full_modes, interpolate, l2_norm, project_Pr,
                      symmetric_eig)
@@ -24,8 +25,9 @@ def _ensemble(n):
     space = build_space(n)
     u, rows = collect_snapshots(space, AnalyticSolution(),
                                 default_times(0.01, 1.0))
-    return (u[rows], np.arange(space.n_dofs), assemble_mass(space),
-            assemble_stiffness(space))
+    ident = np.arange(space.n_dofs)
+    return (u[rows], ident, assemble_mass(space, ident),
+            assemble_stiffness(space, ident))
 
 
 def test_default_times():
@@ -106,19 +108,20 @@ class _FullGridU(AnalyticSolution):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_collapse_matches_dense_product(n):
     """assemble_mass and assemble_stiffness through a row map give
-    P^T op P with no N x N operator. For the benchmark flow's map they
-    are within 1e-15 of the dense product of op, relative to its
-    largest entry (the sums run in another order, and a group of
-    elements is summed once, times its size; measured up to 3.3e-16 at
-    n = 8), with its sparsity. For the map of a flow that varies along
-    both axes, R = N and rows = arange(N), they give op itself, bit for
-    bit."""
+    P^T op P with no N x N operator, for op the COO triplet assembly in
+    oracles. For the benchmark flow's map they are within 1e-15 of the
+    dense product of op, relative to its largest entry (the sums run in
+    another order, and a group of elements is summed once, times its
+    size; measured up to 3.3e-16 at n = 8), with its sparsity. For the
+    map of a flow that varies along both axes, R = N and
+    rows = arange(N), they give op itself, bit for bit."""
     space = build_space(n)
     _, rows = collect_snapshots(space, AnalyticSolution(), [0.0, 0.5])
     _, ident = collect_snapshots(space, _FullGridFlow(), [0.0, 0.5])
     assert np.array_equal(ident, np.arange(space.n_dofs))
-    for assemble in (assemble_mass, assemble_stiffness):
-        op = assemble(space)
+    for assemble, local in zip((assemble_mass, assemble_stiffness),
+                               oracles.local_matrices(space)):
+        op = oracles.vectorize(oracles.assemble_scalar(space, local))
         got, want = assemble(space, rows), dense_collapse(op, rows)
         assert got.shape == want.shape == (2 * (2 * n + 1),) * 2
         assert got.has_sorted_indices
@@ -147,7 +150,8 @@ def test_one_path_for_a_flow_that_does_not_broadcast():
     of max |Phi| (modes 9, 10, 14 and 15; the leading six, at most
     3.3e-15)."""
     space = build_space(8)
-    m_op, s_op = assemble_mass(space), assemble_stiffness(space)
+    ident = np.arange(space.n_dofs)
+    m_op, s_op = assemble_mass(space, ident), assemble_stiffness(space, ident)
     times = default_times(0.01, 1.0)
     bases = []
     for sol in (AnalyticSolution(), _FullGridU(), _FullGrid()):
@@ -313,13 +317,14 @@ def test_no_study_holds_an_n_by_n_operator(monkeypatch):
     """build_context assembles P^T M P and P^T S P through the row map:
     at n = 32 its traced peak, the mesh and the snapshots' rows included,
     stays below the CSR bytes of one N x N mass operator (measured 0.60
-    of them; 3.0 when it assembled M and S and collapsed them). No study
-    kind writes the N x N operators: the forcing's mass rows come
-    through a row map too, at each of two dt values."""
+    of them; 3.0 when it assembled M and S and collapsed them). No
+    assembly in any study kind has N rows: the POD's two have 2m, and
+    the forcing's mass rows come through a refined map too, at each of
+    two dt values."""
     n = 32
-    calls, real = [], fe._assemble
-    monkeypatch.setattr(fe, "_assemble", lambda *args: (
-        calls.append(args), real(*args))[1])
+    sizes, real = [], fe._assemble_rows
+    monkeypatch.setattr(fe, "_assemble_rows", lambda space, local, rows: (
+        sizes.append(int(rows.max()) + 1), real(space, local, rows))[1])
     tracemalloc.start()
     try:
         ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n))
@@ -332,8 +337,11 @@ def test_no_study_holds_an_n_by_n_operator(monkeypatch):
                 dict(kind="lrom-delta", r=4, dt=0.1, sweep=[0.5, 0.25]),
                 dict(kind="lrom-r", dt=0.1, sweep=[2, 4])):
         assert run_study(StudyConfig(mesh_n=n, **cfg), ctx).status == "ok"
-    assert calls == []
-    m_op = assemble_mass(ctx.space)
+    n_dofs = ctx.space.n_dofs
+    # the POD's two, then the forcing's one per dt value (cached after)
+    assert sizes[:2] == [2 * (2 * n + 1)] * 2
+    assert len(sizes) == 4 and max(sizes) < n_dofs, sizes
+    m_op = assemble_mass(ctx.space, np.arange(n_dofs))
     csr = m_op.data.nbytes + m_op.indices.nbytes + m_op.indptr.nbytes
     assert peak < csr, peak / csr
 

@@ -50,8 +50,8 @@ def test_pod_and_tensor_match_the_1d_problem(bench_ctx):
         <= 1e-8 * scale
     mu, tensor = oracles.separable_tensor(profiles[:, :R])
     one_x = np.concatenate([np.ones(ns), np.zeros(ns)])
-    mu_2d = oracles.full_modes(basis)[:, :R].T @ (assemble_mass(ctx.space)
-                                                  @ one_x)
+    m_op = assemble_mass(ctx.space, np.arange(2 * ns))
+    mu_2d = oracles.full_modes(basis)[:, :R].T @ (m_op @ one_x)
     assert np.abs(mu_2d - mu).max() <= 1e-8 * np.abs(mu).max()
     got = ctx.operators(R, 1e-2).tensor
     assert np.abs(got - tensor).max() <= 2e-8 * np.abs(got).max()

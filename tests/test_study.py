@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (avg_filter_errors_fe, final_time_error_fe, interpolate,
                      project_Pr)
-from romlab import cli, fe, rom, study
+from romlab import cli, rom, study
 from romlab.cli import main
 from romlab.exact import AnalyticSolution
 from romlab.fe import MESH_N_MAX, assemble_mass
@@ -322,7 +322,7 @@ def test_final_time_error_matches_fe_oracle(small_ctx, small, k):
         for variant in ("rom", "filtered-snapshot"):
             got = final_time_error(traj, ctx.basis, r, variant, filt)
             want = final_time_error_fe(traj, ctx.solution, ctx.basis, r,
-                                       assemble_mass(ctx.space), ctx.space,
+                                       small.m_op, ctx.space,
                                        1.0, variant, filt)
             assert abs(got - want) <= 1e-12 * want, (r, variant, got, want)
 
@@ -418,7 +418,8 @@ def test_context_tensor_and_forcing_caches(build_counts):
     # the initial coordinates are the first snapshot's POD coordinates,
     # the L2 projection of u0, at any r
     u0 = interpolate(ctx.space, ctx.solution.velocity, 0.0)
-    ref = project_Pr(ctx.basis, 6, assemble_mass(ctx.space), u0)
+    ref = project_Pr(ctx.basis, 6, assemble_mass(
+        ctx.space, np.arange(ctx.space.n_dofs)), u0)
     tol = 1e-14 * np.abs(ref).max()
     assert np.abs(ops6.a0 - ref).max() <= tol
     assert np.abs(ops4.a0 - ref[:4]).max() <= tol
@@ -967,41 +968,3 @@ def test_cli_exit_code_contract(case):
     if rows is not None:
         assert rows[0] == CSV_HEADER and len(rows) == 1 + points
 
-
-# The five kinds on an n = 8 mesh (d = 15), with short sweeps.
-_CLI_N8 = {
-    "filter-delta": ["--r", "6", "--sweep", "0.1,0.05,0.025"],
-    "filter-r": ["--delta", "0.01", "--sweep", "2,4,6"],
-    "lrom-dt": ["--r", "6", "--delta", "0.01", "--sweep", "0.1,0.05,0.025"],
-    "lrom-delta": ["--r", "6", "--dt", "0.01", "--sweep", "0.5,0.25,0.125"],
-    "lrom-r": ["--delta", "0.01", "--dt", "0.01", "--sweep", "2,4,6"],
-}
-
-
-def _cli_outputs(out_dir):
-    """Exit code, stdout, CSV and .plot bytes of each kind in _CLI_N8."""
-    outputs = {}
-    for kind, extra in _CLI_N8.items():
-        out = out_dir / f"{kind}.csv"
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            code = main([kind, "--mesh-n", "8", "--out", str(out)] + extra)
-        outputs[kind] = (code, buf.getvalue(), out.read_bytes(),
-                         Path(f"{out}.plot").read_bytes())
-    return outputs
-
-
-def test_cli_bytes_unchanged_under_reference_assembly(tmp_path, monkeypatch):
-    """Every kind's CSV, .plot and stdout bytes at --mesh-n 8 are those
-    of the COO triplet and block_diag assembly in oracles. No kind
-    assembles an N x N operator (test_pod.py checks that), so the bytes
-    must not move; the row-mapped operators are checked against a dense
-    product in test_pod.py."""
-    got = _cli_outputs(tmp_path)
-    monkeypatch.setattr(fe, "_assemble", lambda space, local:
-                        oracles.vectorize(oracles.assemble_scalar(space,
-                                                                  local)))
-    (tmp_path / "reference").mkdir()
-    want = _cli_outputs(tmp_path / "reference")
-    assert all(code == 0 for code, *_ in got.values())
-    assert got == want
