@@ -51,32 +51,36 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
 
     Built from probes when T has rank one in its first index,
     T = mu (x) A, as it has for a flow u = g(y, t), v = g(x, t) (see
-    README): the slices T x_1 z of two Gaussian probes z sketch T's
-    range, as in the randomized range finder of Halko, Martinsson and
-    Tropp (SIAM Review 53(2), 2011). If the sketch's SVD has
-    sigma_2 <= _SKETCH_TOL sigma_1, A is its first left singular vector
-    made exactly skew, mu_i = sum_jk T_ijk A_jk takes one more pass, and
-    a third probe, their a-posteriori check, must give
-    |T x_1 z_3 - (mu.z_3) A| <= _CHECK_TOL |mu| |z_3| |A|. Any other
-    tensor takes the full build, which forms every per-point r x r array
-    and does about r/4 times the probe build's flops. The probes come
-    from a fixed seed, so a build is reproducible.
+    README). One pass over the element blocks gives the slices
+    S_p = T x_1 z_p of Gaussian probes z and x = T x_23 w for a skew
+    Gaussian w. Of T = mu (x) A they are S_p = (mu.z_p) A, a row of the
+    (r, r^2) unfolding, and x = <A, w> mu, a column, which fix T through
+    their intersection c_p = z_p.x = <S_p, w>, as in the skeleton
+    (cross) approximation of Goreinov, Tyrtyshnikov and Zamarashkin
+    (Linear Algebra Appl. 261, 1997): T = mu' (x) S_b, mu' = x / c_b,
+    for the largest |c_b|, exactly skew as S_b is. The probes also check
+    the fit a posteriori, as in Halko, Martinsson and Tropp (SIAM Review
+    53(2), 2011): it is returned when, over all p,
+    |S_p - (mu'.z_p) S_b| <= _CHECK_TOL |mu'| |z| |S_b|. Any other tensor
+    takes the full build, which forms every per-point r x r array. The
+    probes come from a fixed seed, so a build is reproducible.
     """
     if not 1 <= r <= basis.d:
         raise ValueError(f"r={r} outside [1, d={basis.d}]")
-    z = np.random.default_rng(_PROBE_SEED).standard_normal((r, _PROBES))
-    slices = _probe_slices(basis, r, space, z)
-    u, sv, _ = np.linalg.svd(slices[:-1].reshape(-1, r * r).T,
-                             full_matrices=False)
-    # sv[-1] is sv[0] at r = 1, where T = 0; a zero sketch passes with
-    # mu = 0, and nothing is divided
-    if sv[-1] <= _SKETCH_TOL * sv[0]:
-        a = u[:, 0].reshape(r, r)
-        a = 0.5 * (a - a.T)
-        mu = _mu(basis, r, space, a)
-        miss = np.linalg.norm(slices[-1] - (mu @ z[:, -1]) * a)
-        if miss <= _CHECK_TOL * (np.linalg.norm(mu) * np.linalg.norm(a)
-                                 * np.linalg.norm(z[:, -1])):
+    rng = np.random.default_rng(_PROBE_SEED)
+    z = rng.standard_normal((r, _PROBES))
+    w = rng.standard_normal((r, r))
+    w -= w.T
+    slices, x = _probe_slices(basis, r, space, z, w)
+    if not slices.any():  # T = 0, as at r = 1: nothing is divided
+        return np.zeros((r, r, r))
+    c = z.T @ x
+    b = int(np.argmax(np.abs(c)))
+    if c[b] != 0:
+        mu, a = x / c[b], slices[b]
+        miss = np.linalg.norm(slices - (mu @ z)[:, None, None] * a)
+        if miss <= _CHECK_TOL * (np.linalg.norm(mu) * np.linalg.norm(z)
+                                 * np.linalg.norm(a)):
             return mu[:, None, None] * a
     return _full_tensor(basis, r, space)
 
@@ -136,43 +140,35 @@ def _full_tensor(basis: PODBasis, r: int,
 
 
 def _probe_slices(basis: PODBasis, r: int, space: VelocitySpace,
-                  z: np.ndarray) -> np.ndarray:
-    """The slices T x_1 z[:, p], (p, r, r), with no per-point r x r array:
-    each probe is contracted into the weighted values first,
-    w_a = (V wdet) z per point, and a block adds (sum_a w_a G_a)^T V for
-    every probe in one GEMM."""
+                  z: np.ndarray, w: np.ndarray):
+    """The slices T x_1 z[:, p], (p, r, r), and x_i = sum_jk T_ijk w_jk
+    for a skew w, in one pass with no per-point r x r array. Each probe
+    is contracted into the weighted values first, y_a = (V wdet) z per
+    point, and a block adds (sum_a y_a G_a)^T V for every probe in one
+    GEMM. For x, h = V w^T per point is reduced against G, then taken by
+    one product with the weighted values."""
     p = z.shape[1]
     wq = space.rule.weights * space.det_j
     t1 = np.zeros((p * r, r))
-    # per point: h, its temporary and the last block's h (2pr each), w
-    # and the last block's (2p each), the last v, g and gather (8r)
-    for v, g in _point_blocks(basis, r, space, 6 * p * r + 4 * p + 8 * r):
+    x = np.zeros(r)
+    # float64s per point: hp, its temporary and the last block's hp (2pr
+    # each), y and the last block's (2p each), h and the last block's (2r
+    # each), s and the last block's (2 each), and the last v, g and
+    # gather (8r)
+    for v, g in _point_blocks(basis, r, space,
+                              6 * p * r + 4 * p + 12 * r + 4):
         nq, m = v.shape[:2]
-        w = (v.reshape(-1, r) @ z).reshape(nq, -1) * wq[:, None]
-        w = w.reshape(nq, m, 2, 1, p, 1)                  # q, e, a, ., p, .
-        # h[q, e, c, p, j] = sum_a w[q, e, a, p] G[a, q, e, c, j]
-        h = w[:, :, 0] * g[0][:, :, :, None]
-        h += w[:, :, 1] * g[1][:, :, :, None]
-        t1 += h.reshape(-1, p * r).T @ v.reshape(-1, r)
-    t1 = t1.reshape(p, r, r)
-    return 0.5 * (t1 - t1.transpose(0, 2, 1))
-
-
-def _mu(basis: PODBasis, r: int, space: VelocitySpace,
-        a: np.ndarray) -> np.ndarray:
-    """mu_i = sum_jk T_ijk a_jk for a skew a: h = V a^T per point, reduced
-    against G, then one product with the weighted values."""
-    wq = space.rule.weights * space.det_j
-    mu = np.zeros(r)
-    # per point: h and the last block's (2r each), the last v, g and
-    # gather (8r); blocks sized by h alone held 28.6 MiB at r = 50
-    # (n = 64) against 19.8 MiB, and were 8-20% slower
-    for v, g in _point_blocks(basis, r, space, 12 * r):
-        nq, m = v.shape[:2]
-        h = (v @ a.T).reshape(nq * m, 2 * r)              # (q, e), (c, j)
+        y = (v.reshape(-1, r) @ z).reshape(nq, -1) * wq[:, None]
+        y = y.reshape(nq, m, 2, 1, p, 1)                  # q, e, a, ., p, .
+        # hp[q, e, c, p, j] = sum_a y[q, e, a, p] G[a, q, e, c, j]
+        hp = y[:, :, 0] * g[0][:, :, :, None]
+        hp += y[:, :, 1] * g[1][:, :, :, None]
+        t1 += hp.reshape(-1, p * r).T @ v.reshape(-1, r)
+        h = (v @ w.T).reshape(nq * m, 2 * r)              # (q, e), (c, j)
         s = np.einsum("aqx,qx->qa", g.reshape(2, nq * m, 2 * r), h)
-        mu += v.reshape(-1, r).T @ (s.reshape(nq, -1) * wq[:, None]).ravel()
-    return mu
+        x += v.reshape(-1, r).T @ (s.reshape(nq, -1) * wq[:, None]).ravel()
+    t1 = t1.reshape(p, r, r)
+    return 0.5 * (t1 - t1.transpose(0, 2, 1)), x
 
 
 def _node_classes(nodes: np.ndarray, rows: np.ndarray):
@@ -338,18 +334,16 @@ class ROMTrajectory:
 
 
 # Singular values of the folded tensor up to this fraction of the largest
-# count as zero: the benchmark flow's second is 7.7e-16 at r = 99 (n = 64).
+# count as zero: the benchmark flow's second is 1.8e-16 at r = 99 (n = 64).
 _RANK_TOL = 1e-12
-# build_trilinear_tensor's probes: _PROBES Gaussian vectors drawn from
-# _PROBE_SEED, all but the last sketching the tensor. The sketch passes
-# when its sigma_2 <= _SKETCH_TOL sigma_1, the rank-one fit when the last
-# probe misses by at most _CHECK_TOL |mu| |z| |A|. At n = 64 they read
-# 1.3e-16 and 1.7e-16 at r = 50, 2.4e-16 and 1.3e-16 at r = 99. The miss
-# is scaled by |mu| |z|, not by the probe's own slice, which is small
-# when z is nearly orthogonal to mu.
+# build_trilinear_tensor's probes: _PROBES Gaussian vectors z and a skew
+# Gaussian (r, r) w, drawn from _PROBE_SEED. The rank-one fit passes when
+# the slices miss it by at most _CHECK_TOL |mu| |z| |S_b|; at n = 64 the
+# miss reads 1.3e-16 of |mu| |z| |S_b| at r = 50 and 4.6e-17 at r = 99.
+# It is scaled by |mu| |z|, not by each probe's own slice, which is small
+# when z_p is nearly orthogonal to mu.
 _PROBES = 3
 _PROBE_SEED = 2011
-_SKETCH_TOL = 1e-12
 _CHECK_TOL = 1e-12
 
 

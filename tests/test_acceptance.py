@@ -364,13 +364,13 @@ def test_criterion_12_scalar_stepper_on_benchmark_basis(bench_ctx):
     mu = Phi^T M (1, 0) (measured: within 1.5e-14), and at dt = 1e-2,
     the largest step of Table 3, where core = I/dt + nu S_r dominates
     least, run's scalar Picard path follows the reference stepper: same
-    counts, and states within 1e-14 relative (measured 4.3e-15 at
-    delta = 1e-4 and 2.7e-15 at 1/64 with the tensor built from probes,
-    3.8e-15 and 2.4e-15 with the full build, on the basis built on the
-    snapshots' distinct rows; 2.3e-15 and 5.1e-15 on the full-height
-    one; without the refinement sweep that forms each accepted state,
-    4.4e-14). Agreement is not accuracy:
-    test_rom.py bounds both steppers against a long-double march."""
+    counts, and states within 1e-14 relative (measured 4.6e-15 at
+    delta = 1e-4 and 3.6e-15 at 1/64 with the tensor built from one
+    probe pass, 5.1e-15 and 3.3e-15 with the full build, on the basis
+    built on the snapshots' distinct rows; 2.3e-15 and 5.1e-15 on the
+    full-height one; without the refinement sweep that forms each
+    accepted state, 4.4e-14). Agreement is not accuracy: test_rom.py
+    bounds both steppers against a long-double march."""
     failures = []
     r, dt = 99, 1e-2
     ops = bench_ctx.operators(r, dt)

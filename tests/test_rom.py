@@ -92,7 +92,7 @@ def test_tensor_rank_one_in_first_index(small, monkeypatch):
     every mode is (psi(y), psi(x)) and T_ijk = mu_i (C_jk - C_kj): the
     (r, r^2) unfolding of the full build has one nonzero singular value.
     The probe build, which returns mu (x) A, takes its place, within
-    1e-13 of it (measured 1.4e-15 relative to max |T|)."""
+    1e-13 of it (measured 6.9e-16 relative to max |T|)."""
     d = small.basis.d
     full = rom._full_tensor(small.basis, d, small.space)
     sv = np.linalg.svd(full.reshape(d, d * d), compute_uv=False)
@@ -101,6 +101,18 @@ def test_tensor_rank_one_in_first_index(small, monkeypatch):
     tensor = build_trilinear_tensor(small.basis, d, small.space)
     assert full_builds == []
     assert np.abs(tensor - full).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("at_d", [False, True], ids=["r6", "d"])
+def test_probe_build_makes_one_pass(small, monkeypatch, at_d):
+    """The benchmark basis's tensor, at r = 6 and at d, is built in one
+    pass over the element blocks: the slices and the skew contraction
+    come from the same blocks."""
+    passes = _spy(monkeypatch, "_point_blocks")
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    build_trilinear_tensor(small.basis, small.basis.d if at_d else R_SMALL,
+                           small.space)
+    assert len(passes) == 1 and full_builds == []
 
 
 def _random_basis(small, rng):
@@ -112,13 +124,14 @@ def _random_basis(small, rng):
 
 
 def test_full_rank_tensor_takes_the_full_build(small, rng, monkeypatch):
-    """On random modes the sketch fails, and the full build's tensor is
-    returned bit for bit."""
+    """On random modes the fit fails, and the full build's tensor is
+    returned bit for bit, after two passes over the element blocks: the
+    probes' and the full build's."""
     basis = _random_basis(small, rng)
     full_builds = _spy(monkeypatch, "_full_tensor")
-    mu_passes = _spy(monkeypatch, "_mu")
+    passes = _spy(monkeypatch, "_point_blocks")
     tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
-    assert len(full_builds) == 1 and mu_passes == []
+    assert len(full_builds) == 1 and len(passes) == 2
     assert tensor is full_builds[0]
     assert np.array_equal(tensor,
                           rom._full_tensor(basis, R_SMALL, small.space))
@@ -126,51 +139,104 @@ def test_full_rank_tensor_takes_the_full_build(small, rng, monkeypatch):
     assert sv[-1] > 1e-3 * sv[0]
 
 
-def test_sketch_just_above_its_tolerance_takes_the_full_build(
-        small, rng, monkeypatch):
-    """Rank-one modes perturbed by eps E, E random on the distinct rows,
-    differ between the u and v profiles: the tensor gains a second term
-    of size eps. eps is scaled so that the sketch reads sigma_2 / sigma_1
-    between 1 and 4 times rom._SKETCH_TOL; the full build runs."""
+def _fit_miss(probe_pass):
+    """The rank-one fit's miss |S - (mu.z_p) S_b| relative to
+    |mu| |z| |S_b|, from one recorded _probe_slices call."""
+    (*_, z, _), (slices, x) = probe_pass
+    c = z.T @ x
+    b = np.argmax(np.abs(c))
+    mu, a = x / c[b], slices[b]
+    miss = np.linalg.norm(slices - (mu @ z)[:, None, None] * a)
+    return miss / (np.linalg.norm(mu) * np.linalg.norm(z) * np.linalg.norm(a))
+
+
+@pytest.fixture
+def perturbed_build(small, rng, monkeypatch):
+    """build(eps): the tensor of rank-one modes perturbed by eps E, E
+    random on the distinct rows. The u and v profiles' terms of T, equal
+    at eps = 0, then differ by O(eps) in both factors, and T gains a
+    second term of size eps^2: the fit's miss grows as eps^2. With the
+    above-tolerance test's E it read 3.5e-9, 3.5e-13 and 2.1e-16, the
+    roundoff floor, at eps = 1e-4, 1e-6 and 1e-8, and 2.0e-12 at the
+    scaled eps; with the below-tolerance test's, 5.0e-13 at the scaled
+    eps. Returns the fit's relative miss and the number of full
+    builds."""
     noise = rng.standard_normal(small.basis.modes.shape)
 
     def build(eps):
         basis = replace(small.basis, modes=small.basis.modes + eps * noise)
-        probes = _spy(monkeypatch, "_probe_slices")
+        real, probes = rom._probe_slices, []
+
+        def spy(*args):
+            probes.append((args, real(*args)))
+            return probes[-1][1]
+        monkeypatch.setattr(rom, "_probe_slices", spy)
         full_builds = _spy(monkeypatch, "_full_tensor")
         build_trilinear_tensor(basis, R_SMALL, small.space)
         monkeypatch.undo()
-        sketch = probes[0][:-1].reshape(len(probes[0]) - 1, -1)
-        sv = np.linalg.svd(sketch, compute_uv=False)
-        return sv[-1] / sv[0], len(full_builds)
+        return _fit_miss(probes[0]), len(full_builds)
 
-    ratio, _ = build(1e-6)
-    ratio, full_builds = build(1e-6 * 2 * rom._SKETCH_TOL / ratio)
-    assert rom._SKETCH_TOL < ratio < 4 * rom._SKETCH_TOL
+    return build
+
+
+def test_fit_just_above_its_tolerance_takes_the_full_build(
+        perturbed_build):
+    """eps is scaled so that the fit misses by 1 to 4 times
+    rom._CHECK_TOL; the full build runs."""
+    miss, _ = perturbed_build(1e-6)
+    miss, full_builds = perturbed_build(
+        1e-6 * np.sqrt(2 * rom._CHECK_TOL / miss))
+    assert rom._CHECK_TOL < miss < 4 * rom._CHECK_TOL
     assert full_builds == 1
 
 
+def test_fit_just_below_its_tolerance_takes_the_probe_build(
+        perturbed_build):
+    """eps is scaled so that the fit misses by 1/4 to 1 times
+    rom._CHECK_TOL; the probe build is returned."""
+    miss, _ = perturbed_build(1e-6)
+    miss, full_builds = perturbed_build(
+        1e-6 * np.sqrt(0.5 * rom._CHECK_TOL / miss))
+    assert rom._CHECK_TOL / 4 < miss <= rom._CHECK_TOL
+    assert full_builds == 0
+
+
 def test_check_probe_catches_a_sketch_that_passes(small, rng, monkeypatch):
-    """With the two sketching probes made equal, a full-rank tensor's
-    sketch has rank one; the third probe's check fails, and the full
-    build runs."""
+    """With the first two probes made equal, their slices of a full-rank
+    tensor agree; the third probe's check fails, and the full build
+    runs."""
     basis = _random_basis(small, rng)
     real = rom._probe_slices
 
-    def equal_sketch_probes(basis, r, space, z):
+    def equal_first_probes(basis, r, space, z, w):
         z = z.copy()
         z[:, 1] = z[:, 0]
-        return real(basis, r, space, z)
-    monkeypatch.setattr(rom, "_probe_slices", equal_sketch_probes)
-    mu_passes = _spy(monkeypatch, "_mu")
+        return real(basis, r, space, z, w)
+    monkeypatch.setattr(rom, "_probe_slices", equal_first_probes)
     full_builds = _spy(monkeypatch, "_full_tensor")
     tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
-    assert len(mu_passes) == 1 and len(full_builds) == 1
+    assert len(full_builds) == 1
+    assert tensor is full_builds[0]
+
+
+def test_zero_intersection_takes_the_full_build(small, monkeypatch):
+    """When x is 0 but a slice is not, every c_p is 0 and no fit exists:
+    the full build runs, with no division (warnings are errors in this
+    suite)."""
+    real = rom._probe_slices
+
+    def zero_contraction(*args):
+        slices, x = real(*args)
+        return slices, np.zeros_like(x)
+    monkeypatch.setattr(rom, "_probe_slices", zero_contraction)
+    full_builds = _spy(monkeypatch, "_full_tensor")
+    tensor = build_trilinear_tensor(small.basis, R_SMALL, small.space)
+    assert len(full_builds) == 1
     assert tensor is full_builds[0]
 
 
 def test_r1_tensor_is_zero_from_the_probes(small, monkeypatch):
-    """At r = 1, T_111 = 0: the sketch is 0 and passes with mu = 0, with
+    """At r = 1, T_111 = 0: every slice is 0, and zeros are returned with
     no division (warnings are errors in this suite)."""
     full_builds = _spy(monkeypatch, "_full_tensor")
     tensor = build_trilinear_tensor(small.basis, 1, small.space)
@@ -681,8 +747,9 @@ def test_steppers_against_longdouble_march_at_r99(bench_ctx, delta):
     6.0e-15. On the basis built on the snapshots' distinct rows they
     read 4.3e-15 and 4.2e-15 at delta = 1e-4, 3.2e-15 and 5.6e-15 at
     1/64 (on the full-height basis 2.8e-15 and 4.8e-15, 2.7e-15 and
-    4.9e-15). With the tensor built from probes they read 4.0e-15 and
-    4.4e-15 at delta = 1e-4, 3.8e-15 and 5.5e-15 at 1/64."""
+    4.9e-15). With the tensor built from one probe pass they read
+    3.0e-15 and 2.4e-15 at delta = 1e-4, 4.9e-15 and 6.9e-15 at
+    1/64."""
     ops = bench_ctx.operators(99, 1e-2)
     cfg = LROMConfig(dt=1e-2)
     filt = build_filter(ops.s_r, delta)
