@@ -123,8 +123,10 @@ class VelocitySpace:
 # int64, and memory limits a practical n long before: n = 1024 has 8.4
 # million dofs. Every operator is assembled through a row map; no study
 # forms an N x N one (the POD's is 2m x 2m, the forcing's the rows on its
-# 8m class representatives), but an L-ROM study's tensor takes an N x r
-# input, the full-height modes, 6.7 GB at r = 99.
+# 8m class representatives), and the benchmark flow's tensor reads the
+# modes' 1-D profiles. Only the full tensor build, for a flow that is not
+# separable, takes an N x r input, the full-height modes, 6.7 GB at
+# r = 99.
 MESH_N_MAX = 2 ** 20
 
 

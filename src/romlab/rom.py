@@ -28,9 +28,17 @@ __all__ = [
     "stability_check",
 ]
 
-# Budget of one block of a streamed pass: the tensor's element blocks and
-# the forcing's time levels.
+# Budget of one element block of the full tensor build (_point_blocks).
 BLOCK_BYTES = 16 * 2 ** 20
+# Budget of one time chunk of the forcing projection's two fields. The
+# fields of 16 MB chunks were given back to the system and faulted in
+# again on every chunk: at n = 64, 10,001 levels at r = 99 took 160k
+# minor faults and 2.0 s, against about 400 faults and 1.56 s in 2 MiB
+# chunks.
+CHUNK_BYTES = 2 * 2 ** 20
+# The 1-D P2 element's D1[a, b] = int N_a' N_b (nodes left, middle,
+# right), the same for every element length.
+_D1_LOC = np.array([[-3, -4, 1], [4, 0, -4], [-1, 4, 3]]) / 6
 
 
 class StepDivergenceError(RuntimeError):
@@ -49,40 +57,40 @@ def build_trilinear_tensor(basis: PODBasis, r: int,
                            space: VelocitySpace) -> np.ndarray:
     """Tensor T_ijk = b*(phi_i, phi_j, phi_k), exactly skew in j and k.
 
-    Built from probes when T has rank one in its first index,
-    T = mu (x) A, as it has for a flow u = g(y, t), v = g(x, t) (see
-    README). One pass over the element blocks gives the slices
-    S_p = T x_1 z_p of Gaussian probes z and x = T x_23 w for a skew
-    Gaussian w. Of T = mu (x) A they are S_p = (mu.z_p) A, a row of the
-    (r, r^2) unfolding, and x = <A, w> mu, a column, which fix T through
-    their intersection c_p = z_p.x = <S_p, w>, as in the skeleton
-    (cross) approximation of Goreinov, Tyrtyshnikov and Zamarashkin
-    (Linear Algebra Appl. 261, 1997): T = mu' (x) S_b, mu' = x / c_b,
-    for the largest |c_b|, exactly skew as S_b is. The probes also check
-    the fit a posteriori, as in Halko, Martinsson and Tropp (SIAM Review
-    53(2), 2011): it is returned when, over all p,
-    |S_p - (mu'.z_p) S_b| <= _CHECK_TOL |mu'| |z| |S_b|. Any other tensor
-    takes the full build, which forms every per-point r x r array. The
-    probes come from a fixed seed, so a build is reproducible.
+    When the row map says the modes' u halves do not vary along x and
+    their v halves not along y, as for a flow u = g(y, t), v = g(x, t)
+    (see README), each mode is (psi_i(y), chi_i(x)) and b* reduces to
+    1-D P2 integrals over the grid lines:
+    T = (mu_v (x) (C_u - C_u^T) + mu_u (x) (C_v - C_v^T)) / 2, with
+    mu_u,i = int psi_i and C_u,jk = int psi_j' psi_k, and mu_v and C_v
+    the same of chi (_profile_terms). The 6-point rule gives these
+    exactly: over each square the rule's error on the integrand's
+    odd-degree terms cancels, as the square's two triangles map onto
+    each other by the point reflection through its centre. Any other
+    row map takes the full build, which forms every per-point r x r
+    array.
     """
     if not 1 <= r <= basis.d:
         raise ValueError(f"r={r} outside [1, d={basis.d}]")
-    rng = np.random.default_rng(_PROBE_SEED)
-    z = rng.standard_normal((r, _PROBES))
-    w = rng.standard_normal((r, r))
-    w -= w.T
-    slices, x = _probe_slices(basis, r, space, z, w)
-    if not slices.any():  # T = 0, as at r = 1: nothing is divided
-        return np.zeros((r, r, r))
-    c = z.T @ x
-    b = int(np.argmax(np.abs(c)))
-    if c[b] != 0:
-        mu, a = x / c[b], slices[b]
-        miss = np.linalg.norm(slices - (mu @ z)[:, None, None] * a)
-        if miss <= _CHECK_TOL * (np.linalg.norm(mu) * np.linalg.norm(z)
-                                 * np.linalg.norm(a)):
-            return mu[:, None, None] * a
-    return _full_tensor(basis, r, space)
+    m = 2 * space.n + 1
+    rows = basis.rows.reshape(2, m, m)
+    if 1 not in _flat_axes(rows[0]) or 0 not in _flat_axes(rows[1]):
+        return _full_tensor(basis, r, space)
+    (mu_u, c_u), (mu_v, c_v) = (_profile_terms(basis.modes[line, :r])
+                                for line in (rows[0, :, 0], rows[1, 0, :]))
+    return 0.5 * (mu_v[:, None, None] * (c_u - c_u.T)
+                  + mu_u[:, None, None] * (c_v - c_v.T))
+
+
+def _profile_terms(psi: np.ndarray):
+    """mu = int psi, by Simpson's rule on each element, and
+    C = sum_e psi_e^T D1 psi_e for the profiles psi (m, r) on the grid
+    nodes of [0, 1], with psi_e (3, r) the values on element e's left,
+    middle and right nodes."""
+    r = psi.shape[1]
+    el = np.stack([psi[:-1:2], psi[1::2], psi[2::2]], axis=1)
+    mu = np.array([1.0, 4.0, 1.0]) / (6 * el.shape[0]) @ el.sum(axis=0)
+    return mu, el.reshape(-1, r).T @ (_D1_LOC @ el).reshape(-1, r)
 
 
 def _point_blocks(basis: PODBasis, r: int, space: VelocitySpace,
@@ -139,51 +147,25 @@ def _full_tensor(basis: PODBasis, r: int,
     return 0.5 * (t1 - t1.transpose(0, 2, 1))
 
 
-def _probe_slices(basis: PODBasis, r: int, space: VelocitySpace,
-                  z: np.ndarray, w: np.ndarray):
-    """The slices T x_1 z[:, p], (p, r, r), and x_i = sum_jk T_ijk w_jk
-    for a skew w, in one pass with no per-point r x r array. Each probe
-    is contracted into the weighted values first, y_a = (V wdet) z per
-    point, and a block adds (sum_a y_a G_a)^T V for every probe in one
-    GEMM. For x, h = V w^T per point is reduced against G, then taken by
-    one product with the weighted values."""
-    p = z.shape[1]
-    wq = space.rule.weights * space.det_j
-    t1 = np.zeros((p * r, r))
-    x = np.zeros(r)
-    # float64s per point: hp, its temporary and the last block's hp (2pr
-    # each), y and the last block's (2p each), h and the last block's (2r
-    # each), s and the last block's (2 each), and the last v, g and
-    # gather (8r)
-    for v, g in _point_blocks(basis, r, space,
-                              6 * p * r + 4 * p + 12 * r + 4):
-        nq, m = v.shape[:2]
-        y = (v.reshape(-1, r) @ z).reshape(nq, -1) * wq[:, None]
-        y = y.reshape(nq, m, 2, 1, p, 1)                  # q, e, a, ., p, .
-        # hp[q, e, c, p, j] = sum_a y[q, e, a, p] G[a, q, e, c, j]
-        hp = y[:, :, 0] * g[0][:, :, :, None]
-        hp += y[:, :, 1] * g[1][:, :, :, None]
-        t1 += hp.reshape(-1, p * r).T @ v.reshape(-1, r)
-        h = (v @ w.T).reshape(nq * m, 2 * r)              # (q, e), (c, j)
-        s = np.einsum("aqx,qx->qa", g.reshape(2, nq * m, 2 * r), h)
-        x += v.reshape(-1, r).T @ (s.reshape(nq, -1) * wq[:, None]).ravel()
-    t1 = t1.reshape(p, r, r)
-    return 0.5 * (t1 - t1.transpose(0, 2, 1)), x
+def _flat_axes(rows: np.ndarray) -> list:
+    """The axes of the (y, x) node grid, 0 (y) and 1 (x), along which one
+    component's rows (m, m) do not vary."""
+    return [a for a in (0, 1) if not np.diff(rows, axis=a).any()]
 
 
 def _node_classes(nodes: np.ndarray, rows: np.ndarray):
     """One component's node indices (m, m) on the (y, x) node grid, as
     the classes of its grid lines along the first axis, 0 (y) or 1 (x),
-    on which its rows (m, m) do not vary: (axis, p, s), with p the 0/1
-    (m, 4) class matrix and s the (m 4,) representative nodes, as
-    (class, x) along y and (y, class) along x. The classes are the first
-    boundary line, the odd (midpoint) lines, the even interior (vertex)
-    lines and the last boundary line, represented by lines 0, 1, 2 and
-    m - 1. When the rows vary along both axes, or no class holds two
-    lines (m = 3), p is None, for the identity, and every node is its
-    own representative."""
+    on which its rows (m, m) do not vary (_flat_axes): (axis, p, s),
+    with p the 0/1 (m, 4) class matrix and s the (m 4,) representative
+    nodes, as (class, x) along y and (y, class) along x. The classes are
+    the first boundary line, the odd (midpoint) lines, the even interior
+    (vertex) lines and the last boundary line, represented by lines 0,
+    1, 2 and m - 1. When the rows vary along both axes, or no class
+    holds two lines (m = 3), p is None, for the identity, and every node
+    is its own representative."""
     m = nodes.shape[0]
-    axis = next((a for a in (0, 1) if not np.diff(rows, axis=a).any()), None)
+    axis = next(iter(_flat_axes(rows)), None)
     if axis is None or m == 3:
         return 0, None, nodes.ravel()
     labels = np.where(np.arange(m) % 2, 1, 2)
@@ -240,7 +222,7 @@ def project_forcing(basis: PODBasis, r: int, solution, times,
     del nodes, reps, ref  # before the first chunk's fields are made
     x = side[None, None, :]
     y = side[None, :, None]
-    chunk = max(1, BLOCK_BYTES // (8 * space.n_dofs))  # time levels
+    chunk = max(1, CHUNK_BYTES // (8 * space.n_dofs))  # time levels
     out = np.empty((times.size, r))
     for start in range(0, times.size, chunk):
         tt = times[start:start + chunk, None, None]
@@ -336,15 +318,6 @@ class ROMTrajectory:
 # Singular values of the folded tensor up to this fraction of the largest
 # count as zero: the benchmark flow's second is 1.8e-16 at r = 99 (n = 64).
 _RANK_TOL = 1e-12
-# build_trilinear_tensor's probes: _PROBES Gaussian vectors z and a skew
-# Gaussian (r, r) w, drawn from _PROBE_SEED. The rank-one fit passes when
-# the slices miss it by at most _CHECK_TOL |mu| |z| |S_b|; at n = 64 the
-# miss reads 1.3e-16 of |mu| |z| |S_b| at r = 50 and 4.6e-17 at r = 99.
-# It is scaled by |mu| |z|, not by each probe's own slice, which is small
-# when z_p is nearly orthogonal to mu.
-_PROBES = 3
-_PROBE_SEED = 2011
-_CHECK_TOL = 1e-12
 
 
 def _advection_matrix(tensor: np.ndarray, abar: np.ndarray) -> np.ndarray:

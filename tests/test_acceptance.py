@@ -144,8 +144,8 @@ def test_criterion_02_tensor_skew_and_oracle(bench_ctx, small):
     if skew > 1e-12 * scale:
         failures.append(f"skew violation {skew:.2e} > 1e-12 * max|T|")
     # rank one in the first index, T_ijk = mu_i (C_jk - C_kj), read off
-    # the full build: the probe build returns mu (x) A, of rank one by
-    # construction, and must match the full build (measured 1.6e-15)
+    # the full build, which the tensor from the modes' 1-D profiles must
+    # match (measured 2.0e-15)
     full = _full_tensor(bench_ctx.basis, 99, bench_ctx.space)
     sv = np.linalg.svd(full.reshape(full.shape[0], -1), compute_uv=False)
     if sv[1] > 1e-12 * sv[0]:
@@ -153,7 +153,7 @@ def test_criterion_02_tensor_skew_and_oracle(bench_ctx, small):
                         f"> 1e-12")
     dev = np.abs(tensor - full).max() / np.abs(full).max()
     if dev > 1e-13:
-        failures.append(f"probe build off the full build by {dev:.2e}")
+        failures.append(f"profile build off the full build by {dev:.2e}")
     # independent per-triple evaluation on the small tier
     t_small = build_trilinear_tensor(small.basis, 4, small.space)
     s_scale = np.abs(t_small).max()
@@ -364,13 +364,13 @@ def test_criterion_12_scalar_stepper_on_benchmark_basis(bench_ctx):
     mu = Phi^T M (1, 0) (measured: within 1.5e-14), and at dt = 1e-2,
     the largest step of Table 3, where core = I/dt + nu S_r dominates
     least, run's scalar Picard path follows the reference stepper: same
-    counts, and states within 1e-14 relative (measured 4.6e-15 at
-    delta = 1e-4 and 3.6e-15 at 1/64 with the tensor built from one
-    probe pass, 5.1e-15 and 3.3e-15 with the full build, on the basis
-    built on the snapshots' distinct rows; 2.3e-15 and 5.1e-15 on the
-    full-height one; without the refinement sweep that forms each
-    accepted state, 4.4e-14). Agreement is not accuracy: test_rom.py
-    bounds both steppers against a long-double march."""
+    counts, and states within 1e-14 relative (measured 6.4e-15 at
+    delta = 1e-4 and 2.2e-15 at 1/64 with the tensor built from the
+    modes' 1-D profiles, 5.1e-15 and 3.5e-15 with the full build, on
+    the basis built on the snapshots' distinct rows; 2.3e-15 and
+    5.1e-15 on the full-height one; without the refinement sweep that
+    forms each accepted state, 4.4e-14). Agreement is not accuracy:
+    test_rom.py bounds both steppers against a long-double march."""
     failures = []
     r, dt = 99, 1e-2
     ops = bench_ctx.operators(r, dt)

@@ -2,13 +2,13 @@
 
 The benchmark flow takes every fast path: each velocity component
 varies along one grid axis only, so the POD runs on 2m distinct rows,
-the tensor has rank one in its first index (the probe build and the
-scalar stepper), and q = M Phi repeats its grid lines in 4 classes. The
-flow here varies in x and y in both components, so every stage takes
-its general path: R = N rows, the full tensor build, the general
-Picard path and the dense forcing product. The five study kinds run on
-one context, and each table value is checked against a dense pipeline
-built from the oracles alone.
+the tensor comes from the modes' 1-D profiles and has rank one in its
+first index (the scalar stepper), and q = M Phi repeats its grid lines
+in 4 classes. The flow here varies in x and y in both components, so
+every stage takes its general path: R = N rows, the full tensor build,
+the general Picard path and the dense forcing product. The five study
+kinds run on one context, and each table value is checked against a
+dense pipeline built from the oracles alone.
 """
 
 from types import SimpleNamespace

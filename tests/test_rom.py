@@ -11,6 +11,7 @@ from oracles import (_lu_factor, _lu_solve, column_map,
 from romlab import rom
 from romlab.fe import assemble_mass
 from romlab.filtering import apply_filter, build_filter
+from romlab.pod import default_times
 from romlab.rom import (_RANK_TOL, LINEARIZATIONS, LROMConfig, ROMOperators,
                         ROMTrajectory, StepDivergenceError,
                         _advection_matrix, _norm, build_trilinear_tensor,
@@ -91,8 +92,9 @@ def test_tensor_rank_one_in_first_index(small, monkeypatch):
     """Every snapshot of the benchmark flow is (g(y, t), g(x, t)), so
     every mode is (psi(y), psi(x)) and T_ijk = mu_i (C_jk - C_kj): the
     (r, r^2) unfolding of the full build has one nonzero singular value.
-    The probe build, which returns mu (x) A, takes its place, within
-    1e-13 of it (measured 6.9e-16 relative to max |T|)."""
+    The profile build, which forms mu and C from the modes' 1-D
+    profiles, takes its place, within 1e-13 of it (measured 1.5e-15
+    relative to max |T|)."""
     d = small.basis.d
     full = rom._full_tensor(small.basis, d, small.space)
     sv = np.linalg.svd(full.reshape(d, d * d), compute_uv=False)
@@ -103,16 +105,38 @@ def test_tensor_rank_one_in_first_index(small, monkeypatch):
     assert np.abs(tensor - full).max() <= 1e-13 * np.abs(full).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_profile_build_matches_the_full_build(n, request, monkeypatch):
+    """On the benchmark flow's row map the profile build runs, and at
+    r = 1, 6 and d it is within 1e-14 of the full build, relative to
+    max |T| (measured at most 2.0e-15, at n = 64 and r = d); at r = 1
+    both are exactly 0. The bases are small's at n = 8 and bench_ctx's
+    at n = 64, and built with small's snap_dt = 0.05 below."""
+    if n in (8, 64):
+        ctx = request.getfixturevalue("small" if n == 8 else "bench_ctx")
+    else:
+        ctx = build_context(StudyConfig(kind="filter-delta", mesh_n=n,
+                                        snap_dt=0.05))
+    basis, space = ctx.basis, ctx.space
+    for r in sorted({1, min(R_SMALL, basis.d), basis.d}):
+        full = rom._full_tensor(basis, r, space)
+        full_builds = _spy(monkeypatch, "_full_tensor")
+        tensor = build_trilinear_tensor(basis, r, space)
+        monkeypatch.undo()
+        assert full_builds == []
+        assert np.abs(tensor - full).max() <= 1e-14 * np.abs(full).max()
+        assert r > 1 or not (tensor.any() or full.any())
+
+
 @pytest.mark.parametrize("at_d", [False, True], ids=["r6", "d"])
-def test_probe_build_makes_one_pass(small, monkeypatch, at_d):
-    """The benchmark basis's tensor, at r = 6 and at d, is built in one
-    pass over the element blocks: the slices and the skew contraction
-    come from the same blocks."""
+def test_profile_build_makes_no_point_pass(small, monkeypatch, at_d):
+    """The benchmark basis's tensor, at r = 6 and at d, comes from the
+    modes' 1-D profiles alone: no pass over the element blocks, and so
+    no gather of the full-height N x r modes."""
     passes = _spy(monkeypatch, "_point_blocks")
-    full_builds = _spy(monkeypatch, "_full_tensor")
     build_trilinear_tensor(small.basis, small.basis.d if at_d else R_SMALL,
                            small.space)
-    assert len(passes) == 1 and full_builds == []
+    assert passes == []
 
 
 def _random_basis(small, rng):
@@ -124,14 +148,14 @@ def _random_basis(small, rng):
 
 
 def test_full_rank_tensor_takes_the_full_build(small, rng, monkeypatch):
-    """On random modes the fit fails, and the full build's tensor is
-    returned bit for bit, after two passes over the element blocks: the
-    probes' and the full build's."""
+    """Random full-height modes vary along both axes, and the full
+    build's tensor is returned bit for bit, after one pass over the
+    element blocks."""
     basis = _random_basis(small, rng)
     full_builds = _spy(monkeypatch, "_full_tensor")
     passes = _spy(monkeypatch, "_point_blocks")
     tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
-    assert len(full_builds) == 1 and len(passes) == 2
+    assert len(full_builds) == 1 and len(passes) == 1
     assert tensor is full_builds[0]
     assert np.array_equal(tensor,
                           rom._full_tensor(basis, R_SMALL, small.space))
@@ -139,118 +163,63 @@ def test_full_rank_tensor_takes_the_full_build(small, rng, monkeypatch):
     assert sv[-1] > 1e-3 * sv[0]
 
 
-def _fit_miss(probe_pass):
-    """The rank-one fit's miss |S - (mu.z_p) S_b| relative to
-    |mu| |z| |S_b|, from one recorded _probe_slices call."""
-    (*_, z, _), (slices, x) = probe_pass
-    c = z.T @ x
-    b = np.argmax(np.abs(c))
-    mu, a = x / c[b], slices[b]
-    miss = np.linalg.norm(slices - (mu @ z)[:, None, None] * a)
-    return miss / (np.linalg.norm(mu) * np.linalg.norm(z) * np.linalg.norm(a))
-
-
-@pytest.fixture
-def perturbed_build(small, rng, monkeypatch):
-    """build(eps): the tensor of rank-one modes perturbed by eps E, E
-    random on the distinct rows. The u and v profiles' terms of T, equal
-    at eps = 0, then differ by O(eps) in both factors, and T gains a
-    second term of size eps^2: the fit's miss grows as eps^2. With the
-    above-tolerance test's E it read 3.5e-9, 3.5e-13 and 2.1e-16, the
-    roundoff floor, at eps = 1e-4, 1e-6 and 1e-8, and 2.0e-12 at the
-    scaled eps; with the below-tolerance test's, 5.0e-13 at the scaled
-    eps. Returns the fit's relative miss and the number of full
-    builds."""
-    noise = rng.standard_normal(small.basis.modes.shape)
-
-    def build(eps):
-        basis = replace(small.basis, modes=small.basis.modes + eps * noise)
-        real, probes = rom._probe_slices, []
-
-        def spy(*args):
-            probes.append((args, real(*args)))
-            return probes[-1][1]
-        monkeypatch.setattr(rom, "_probe_slices", spy)
-        full_builds = _spy(monkeypatch, "_full_tensor")
-        build_trilinear_tensor(basis, R_SMALL, small.space)
-        monkeypatch.undo()
-        return _fit_miss(probes[0]), len(full_builds)
-
-    return build
-
-
-def test_fit_just_above_its_tolerance_takes_the_full_build(
-        perturbed_build):
-    """eps is scaled so that the fit misses by 1 to 4 times
-    rom._CHECK_TOL; the full build runs."""
-    miss, _ = perturbed_build(1e-6)
-    miss, full_builds = perturbed_build(
-        1e-6 * np.sqrt(2 * rom._CHECK_TOL / miss))
-    assert rom._CHECK_TOL < miss < 4 * rom._CHECK_TOL
-    assert full_builds == 1
-
-
-def test_fit_just_below_its_tolerance_takes_the_probe_build(
-        perturbed_build):
-    """eps is scaled so that the fit misses by 1/4 to 1 times
-    rom._CHECK_TOL; the probe build is returned."""
-    miss, _ = perturbed_build(1e-6)
-    miss, full_builds = perturbed_build(
-        1e-6 * np.sqrt(0.5 * rom._CHECK_TOL / miss))
-    assert rom._CHECK_TOL / 4 < miss <= rom._CHECK_TOL
-    assert full_builds == 0
-
-
-def test_check_probe_catches_a_sketch_that_passes(small, rng, monkeypatch):
-    """With the first two probes made equal, their slices of a full-rank
-    tensor agree; the third probe's check fails, and the full build
-    runs."""
-    basis = _random_basis(small, rng)
-    real = rom._probe_slices
-
-    def equal_first_probes(basis, r, space, z, w):
-        z = z.copy()
-        z[:, 1] = z[:, 0]
-        return real(basis, r, space, z, w)
-    monkeypatch.setattr(rom, "_probe_slices", equal_first_probes)
+@pytest.mark.parametrize("component", [0, 1], ids=["u", "v"])
+def test_one_half_varying_along_both_axes_takes_the_full_build(
+        small, rng, monkeypatch, component):
+    """One half keeps the benchmark flow's rows; the other gets a row of
+    its own per node, with its modes perturbed there by 1e-2 of random
+    values, so its rows vary along both axes. Its modes are no
+    profiles, and the full build runs."""
+    m = 2 * small.n + 1
+    rows = small.basis.rows.reshape(2, m, m).copy()
+    modes = small.basis.modes
+    varying = modes[rows[component]].reshape(m * m, -1)
+    varying += 1e-2 * rng.standard_normal(varying.shape)
+    rows[component] = modes.shape[0] + np.arange(m * m).reshape(m, m)
+    basis = replace(small.basis, modes=np.vstack([modes, varying]),
+                    rows=rows.ravel())
     full_builds = _spy(monkeypatch, "_full_tensor")
     tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
-    assert len(full_builds) == 1
-    assert tensor is full_builds[0]
+    assert len(full_builds) == 1 and tensor is full_builds[0]
 
 
-def test_zero_intersection_takes_the_full_build(small, monkeypatch):
-    """When x is 0 but a slice is not, every c_p is 0 and no fit exists:
-    the full build runs, with no division (warnings are errors in this
-    suite)."""
-    real = rom._probe_slices
-
-    def zero_contraction(*args):
-        slices, x = real(*args)
-        return slices, np.zeros_like(x)
-    monkeypatch.setattr(rom, "_probe_slices", zero_contraction)
+def test_unequal_halves_take_the_profile_build(small, rng, monkeypatch):
+    """Modes perturbed by 1e-2 E, E random on the distinct rows, keep
+    the row map, so the profile build runs; but their u and v profiles
+    now differ, and T = (mu_v (x) A_u + mu_u (x) A_v) / 2 has rank 2.
+    It is within 1e-14 of the full build, relative to max |T|
+    (measured 7.7e-16), and its unfolding reads sigma_2 / sigma_1 =
+    5.0e-5 and sigma_3 / sigma_1 = 9.2e-17."""
+    noise = rng.standard_normal(small.basis.modes.shape)
+    basis = replace(small.basis, modes=small.basis.modes + 1e-2 * noise)
     full_builds = _spy(monkeypatch, "_full_tensor")
-    tensor = build_trilinear_tensor(small.basis, R_SMALL, small.space)
-    assert len(full_builds) == 1
-    assert tensor is full_builds[0]
+    tensor = build_trilinear_tensor(basis, R_SMALL, small.space)
+    assert full_builds == []
+    full = rom._full_tensor(basis, R_SMALL, small.space)
+    assert np.abs(tensor - full).max() <= 1e-14 * np.abs(full).max()
+    sv = np.linalg.svd(tensor.reshape(R_SMALL, -1), compute_uv=False)
+    assert sv[1] > 1e-6 * sv[0] and sv[2] <= _RANK_TOL * sv[0]
 
 
-def test_r1_tensor_is_zero_from_the_probes(small, monkeypatch):
-    """At r = 1, T_111 = 0: every slice is 0, and zeros are returned with
-    no division (warnings are errors in this suite)."""
-    full_builds = _spy(monkeypatch, "_full_tensor")
+def test_r1_tensor_is_zero_from_the_profiles(small, monkeypatch):
+    """At r = 1, T_111 = 0: C - C^T is 0 in both halves, so the profile
+    build returns exact zeros, with no pass over the element blocks."""
+    passes = _spy(monkeypatch, "_point_blocks")
     tensor = build_trilinear_tensor(small.basis, 1, small.space)
     assert tensor.shape == (1, 1, 1) and not tensor.any()
-    assert full_builds == []
+    assert passes == []
 
 
-def test_tensor_block_streaming_invariant(small, monkeypatch):
-    """The blocked accumulation is independent of the block budget, down
-    to 1 byte: one element of each orientation per block."""
-    a = build_trilinear_tensor(small.basis, 4, small.space)
+def test_tensor_block_streaming_invariant(small, rng, monkeypatch):
+    """The full build's blocked accumulation is independent of the block
+    budget, down to 1 byte: one element of each orientation per block.
+    Random full-height modes take the full build, the one path that
+    streams element blocks."""
+    basis = _random_basis(small, rng)
+    a = build_trilinear_tensor(basis, 4, small.space)
     for block_bytes in (1 << 14, 1):
         monkeypatch.setattr(rom, "BLOCK_BYTES", block_bytes)
-        b = build_trilinear_tensor(small.basis, 4, small.space)
+        b = build_trilinear_tensor(basis, 4, small.space)
         # summation order differs between block sizes; allow roundoff
         assert np.abs(a - b).max() < 1e-13 * (1 + np.abs(a).max())
 
@@ -323,7 +292,7 @@ def test_project_forcing_matches_nodal_evaluation(small):
     """Grid evaluation equals the pointwise nodal interpolant, across
     more than one time chunk."""
     space = small.space
-    chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
+    chunk = rom.CHUNK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 3)
     f = project_forcing(small.basis, 5, small.solution, times, space)
     q = small.m_op @ full_modes(small.basis)[:, :5]
@@ -338,10 +307,10 @@ def test_project_forcing_matches_nodal_evaluation(small):
 def test_project_forcing_holds_one_chunk_of_fields(small):
     """The two T x m^2 fields of a chunk are freed before the next chunk's
     are made: over two full chunks and one level, the traced peak stays
-    below 1.6 times one chunk's fields (measured 1.31 at n = 8; 2.31 when
+    below 1.6 times one chunk's fields (measured 1.32 at n = 8; 2.31 when
     the previous chunk's fields were still alive)."""
     space = small.space
-    chunk = rom.BLOCK_BYTES // (8 * space.n_dofs)
+    chunk = rom.CHUNK_BYTES // (8 * space.n_dofs)
     times = np.linspace(0.0, 1.0, 2 * chunk + 1)
     tracemalloc.start()
     try:
@@ -350,6 +319,22 @@ def test_project_forcing_holds_one_chunk_of_fields(small):
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * 8 * chunk * space.n_dofs
+
+
+def test_project_forcing_traced_peak_at_n32():
+    """Projecting 1001 levels onto 50 modes at n = 32 traces a peak below
+    4 MiB: one 2 MiB chunk of fields, the (1001, 50) result and the
+    class representatives' rows (measured 2.8 MiB; 17.8 MiB with the
+    16 MB chunks that took fresh pages on every chunk)."""
+    ctx = build_context(StudyConfig(kind="lrom-r", mesh_n=32))
+    times = default_times(1e-3, 1.0)
+    tracemalloc.start()
+    try:
+        project_forcing(ctx.basis, 50, ctx.solution, times, ctx.space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_project_forcing_rejects_nonfinite(small, monkeypatch):
@@ -373,7 +358,7 @@ def test_project_forcing_rejects_nonfinite(small, monkeypatch):
             fields[self.component, t[:, 0, 0] == 1.0, 2, 3] = self.bad
             return fields[0], fields[1]
     # one time level per chunk: t = 1 is in the second
-    monkeypatch.setattr(rom, "BLOCK_BYTES", 8 * small.space.n_dofs)
+    monkeypatch.setattr(rom, "CHUNK_BYTES", 8 * small.space.n_dofs)
     for bad, component in [(np.nan, 0), (np.inf, 1)]:
         with pytest.raises(ValueError, match="non-finite forcing values"):
             project_forcing(small.basis, 2, OneNode(bad, component),
@@ -747,8 +732,8 @@ def test_steppers_against_longdouble_march_at_r99(bench_ctx, delta):
     6.0e-15. On the basis built on the snapshots' distinct rows they
     read 4.3e-15 and 4.2e-15 at delta = 1e-4, 3.2e-15 and 5.6e-15 at
     1/64 (on the full-height basis 2.8e-15 and 4.8e-15, 2.7e-15 and
-    4.9e-15). With the tensor built from one probe pass they read
-    3.0e-15 and 2.4e-15 at delta = 1e-4, 4.9e-15 and 6.9e-15 at
+    4.9e-15). With the tensor built from the modes' 1-D profiles they
+    read 3.0e-15 and 4.8e-15 at delta = 1e-4, 5.2e-15 and 5.7e-15 at
     1/64."""
     ops = bench_ctx.operators(99, 1e-2)
     cfg = LROMConfig(dt=1e-2)
